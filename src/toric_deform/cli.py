@@ -37,12 +37,12 @@ from .scrolls import (
 )
 from .triples import (
     AdmissibleTriple,
-    admissible_components,
     default_bound,
     degree_box,
     enumerate_triples,
-    marker_graph,
-    pairing,
+    h1_closed_form,
+    require_smooth_complete,
+    triples_at_degree,
 )
 
 BOUND_ENV = "TORIC_DEFORM_BOUND"
@@ -221,18 +221,16 @@ def cmd_triples(args) -> tuple[dict, list[dict]]:
     return results, []
 
 
-def _triples_at_degree(fan: Fan, m) -> list[AdmissibleTriple]:
-    triples = []
-    for rho in range(fan.n_rays):
-        if pairing(m, fan.rays[rho]) != -1:
-            continue
-        for comp in admissible_components(marker_graph(fan, m, rho)):
-            triples.append(AdmissibleTriple(m=tuple(m), rho=rho, component=comp))
-    return triples
+def cmd_h1(args) -> tuple[dict, list[dict], dict]:
+    """H^1 per degree: the closed form everywhere, Cech where triples live.
 
-
-def cmd_h1(args) -> tuple[dict, list[dict]]:
+    The closed form (triples.h1_closed_form) is zero at every degree
+    without admissible triples, so those degrees get no Cech work. At the
+    others span_check gives h1_dim and span_rank, and its h1_dim must
+    agree with the closed form.
+    """
     fan = parse_fan(args.fan)
+    require_smooth_complete(fan, "h1")
     if args.degree is not None:
         degrees = [_parse_vector(args.degree, "--degree")]
         if len(degrees[0]) != fan.dim:
@@ -246,30 +244,42 @@ def cmd_h1(args) -> tuple[dict, list[dict]]:
 
     entries = []
     total = 0
-    spans_everywhere = True
     witness = None
+    cech_degrees = 0
     for m in degrees:
-        triples = _triples_at_degree(fan, m)
-        rep = span_check(fan, m, triples)
-        total += rep["h1_dim"]
-        spans = bool(rep["spans"])
-        if not spans:
-            spans_everywhere = False
-            if witness is None:
-                witness = {"degree": list(m)}
-        if rep["h1_dim"] or triples or args.degree is not None:
-            entries.append(
-                {
+        triples = triples_at_degree(fan, m)
+        if triples:
+            closed = h1_closed_form(triples)
+            rep = span_check(fan, m, triples)
+            cech_degrees += 1
+            total += closed
+            if witness is None and rep["h1_dim"] != closed:
+                witness = {
                     "degree": list(m),
-                    "h1_dim": rep["h1_dim"],
-                    "span_rank": rep["span_rank"],
-                    "spans": spans,
-                    "triples": [_triple_json(t) for t in triples],
+                    "closed_form": closed,
+                    "cech": rep["h1_dim"],
                 }
-            )
+            elif witness is None and not rep["spans"]:
+                witness = {"degree": list(m)}
+        elif args.degree is None:
+            continue
+        else:
+            # no triples: the closed form is zero, and this is the entry
+            # span_check gives at such a degree
+            rep = {"h1_dim": 0, "span_rank": 0, "spans": True}
+        entries.append(
+            {
+                "degree": list(m),
+                "h1_dim": rep["h1_dim"],
+                "span_rank": rep["span_rank"],
+                "spans": bool(rep["spans"]),
+                "triples": [_triple_json(t) for t in triples],
+            }
+        )
     results = {"bound": bound, "degrees": entries, "total_h1": total}
-    checks = [{"name": "cocycles_span", "ok": spans_everywhere, "witness": witness}]
-    return results, checks
+    checks = [{"name": "cocycles_span", "ok": witness is None, "witness": witness}]
+    counters = {"degrees_scanned": len(degrees), "cech_degrees": cech_degrees}
+    return results, checks, counters
 
 
 def cmd_deform(args) -> tuple[dict, list[dict]]:
@@ -499,19 +509,23 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, checks = args.handler(args)
+        # handlers return (results, checks), plus work counters where kept
+        results, checks, *counters = args.handler(args)
     except (InputError, ValueError) as exc:
         json.dump({"command": command, "error": str(exc)}, sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
     elapsed = time.perf_counter() - started
 
+    timing = {"seconds": round(elapsed, 6)}
+    if counters:
+        timing["counters"] = counters[0]
     report = {
         "command": command,
         "inputs": inputs,
         "results": results,
         "checks": checks,
-        "timing": {"seconds": round(elapsed, 6)},
+        "timing": timing,
     }
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -11,8 +11,7 @@ Two interchangeable implementations are provided:
 
 The environment variable ``TORIC_DEFORM_BACKEND`` selects the path:
 ``auto`` (default: jitted first, exact fallback), ``numba`` (same as auto),
-or ``python`` (exact path only). Results are identical by construction;
-``benchmarks/bench_rank.py`` compares the two.
+or ``python`` (exact path only). Results are identical by construction.
 """
 
 from __future__ import annotations

@@ -100,6 +100,41 @@ def admissible_components(g: MarkerGraph) -> list[tuple[int, ...]]:
     return list(g.components)
 
 
+def triples_at_degree(fan: Fan, m) -> list[AdmissibleTriple]:
+    """All admissible triples of one degree m, ordered by (rho, component)."""
+    m = tuple(int(x) for x in m)
+    triples = []
+    for rho in range(fan.n_rays):
+        if pairing(m, fan.rays[rho]) != -1:
+            continue
+        for comp in admissible_components(marker_graph(fan, m, rho)):
+            triples.append(AdmissibleTriple(m=m, rho=rho, component=comp))
+    return triples
+
+
+def h1_closed_form(triples) -> int:
+    """dim H^1(X, T_X)_m read off the admissible triples of degree m.
+
+    Hypothesis: the fan is smooth and complete. Then the Euler sequence
+    gives H^1(T_X) = sum over rays rho of H^1(O(D_rho)), and in degree m
+    that summand is the reduced H^0 of the subcomplex of the fan on the
+    rays tau with m(v_tau) + [tau == rho] < 0 (Cox-Little-Schenck, Toric
+    Varieties, ch. 9; Eisenbud-Mustata-Stillman 2000). Unless
+    m(v_rho) = -1 that is the subcomplex of O itself, whose H^1 vanishes
+    on a complete fan; when m(v_rho) = -1 its 1-skeleton is the marker
+    graph, so the summand has dimension
+    max(0, #components(marker_graph(m, rho)) - 1).
+    A ray whose marker graph has k >= 2 components carries exactly k
+    triples, so
+
+        dim H^1(X, T_X)_m = #triples(m) - #{rho carrying a triple at m},
+
+    which is zero exactly where m has no admissible triple. On other fans
+    the count means nothing; callers gate on smooth + complete first.
+    """
+    return len(triples) - len({t.rho for t in triples})
+
+
 def default_bound(fan: Fan) -> int:
     """Degree-box half-width used when the caller gives none.
 
@@ -131,6 +166,17 @@ def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def require_smooth_complete(fan: Fan, what: str) -> None:
+    """Raise ValueError, naming what the fan lacks, unless it is smooth and complete."""
+    rep = validate(fan)
+    failing = [prop for prop in ("smooth", "complete") if not rep[prop]]
+    if failing:
+        raise ValueError(
+            f"{what} needs a smooth complete fan; this fan is not "
+            + " and not ".join(failing)
+        )
+
+
 def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTriple]:
     """All admissible triples with m in the degree box.
 
@@ -139,18 +185,11 @@ def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTrip
     Raises:
         ValueError: for bound < 1 or a fan that is not smooth and complete.
     """
-    rep = validate(fan)
-    if not (rep["smooth"] and rep["complete"]):
-        raise ValueError("triple enumeration needs a smooth complete fan")
+    require_smooth_complete(fan, "triple enumeration")
     if bound is None:
         bound = default_bound(fan)
     triples = []
     for m in degree_box(fan, bound):
-        for rho in range(fan.n_rays):
-            if pairing(m, fan.rays[rho]) != -1:
-                continue
-            g = marker_graph(fan, m, rho)
-            for comp in admissible_components(g):
-                triples.append(AdmissibleTriple(m=m, rho=rho, component=comp))
+        triples.extend(triples_at_degree(fan, m))
     triples.sort(key=lambda t: (t.m, t.rho, t.component))
     return triples

@@ -12,6 +12,12 @@ import sys
 
 import pytest
 
+from toric_deform import cli
+from toric_deform.cohomology import span_check
+from toric_deform.fan import hirzebruch
+from toric_deform.scrolls import ScrollSpec, scroll_fan
+from toric_deform.triples import degree_box, triples_at_degree
+
 F2 = {
     "dim": 2,
     "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
@@ -23,6 +29,14 @@ P112 = {
     "dim": 2,
     "rays": [[1, 0], [0, 1], [-1, -2]],
     "max_cones": [[0, 1], [1, 2], [2, 0]],
+}
+
+
+# F2's rays with only two of its four cones: smooth, not complete
+F2_TWO_CONES = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+    "max_cones": [[0, 1], [2, 3]],
 }
 
 
@@ -236,6 +250,119 @@ class TestH1:
         code, _, err = run_cli(["h1", "--fan", f2_path, "--degree", "1,2,3"])
         assert code == 2
         assert "length 3" in json.loads(err)["error"]
+
+    def test_counters_in_timing(self, f2_path):
+        _, payload, _ = run_json(["h1", "--fan", f2_path])
+        assert payload["timing"]["counters"] == {
+            "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
+            "cech_degrees": 1,
+        }
+        assert "counters" not in payload["results"]
+        _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
+        assert payload["timing"]["counters"] == {"degrees_scanned": 1, "cech_degrees": 0}
+
+    def test_other_commands_keep_plain_timing(self, f2_path):
+        _, payload, _ = run_json(["triples", "--fan", f2_path])
+        assert payload["timing"].keys() == {"seconds"}
+
+    def test_closed_form_disagreement_fails_check(self, f2_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "h1_closed_form", lambda triples: 7)
+        code = cli.main(["h1", "--fan", f2_path, "--degree", "-1,-1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["results"]["total_h1"] == 7
+        assert payload["results"]["degrees"][0]["h1_dim"] == 1
+        assert payload["checks"] == [
+            {
+                "name": "cocycles_span",
+                "ok": False,
+                "witness": {"degree": [-1, -1], "closed_form": 7, "cech": 1},
+            }
+        ]
+
+
+class TestH1Gate:
+    @pytest.fixture(params=["two_cones", "p112"])
+    def bad_fan(self, request, tmp_path):
+        data, why = {
+            "two_cones": (F2_TWO_CONES, "not complete"),
+            "p112": (P112, "not smooth"),
+        }[request.param]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return str(path), why
+
+    @pytest.mark.parametrize("extra", [[], ["--degree", "0,-1"], ["--degree", "-1,-1"]])
+    def test_rejected_with_exit_2(self, bad_fan, extra):
+        path, why = bad_fan
+        code, out, err = run_cli(["h1", "--fan", path, *extra])
+        assert code == 2
+        assert not out.strip()
+        message = json.loads(err)["error"]
+        assert "smooth complete fan" in message and why in message
+
+
+def reference_h1(fan, degrees, bound, single):
+    """Results and checks of the h1 command with Cech at every degree."""
+    entries = []
+    total = 0
+    ok = True
+    for m in degrees:
+        triples = triples_at_degree(fan, m)
+        rep = span_check(fan, m, triples)
+        total += rep["h1_dim"]
+        ok = ok and rep["spans"]
+        if rep["h1_dim"] or triples or single:
+            entries.append(
+                {
+                    "degree": list(m),
+                    "h1_dim": rep["h1_dim"],
+                    "span_rank": rep["span_rank"],
+                    "spans": rep["spans"],
+                    "triples": [
+                        {"m": list(t.m), "rho": t.rho, "component": list(t.component)}
+                        for t in triples
+                    ],
+                }
+            )
+    results = {"bound": bound, "degrees": entries, "total_h1": total}
+    checks = [{"name": "cocycles_span", "ok": ok, "witness": None}]
+    return results, checks
+
+
+class TestH1MatchesFullCech:
+    FANS = {
+        "F_2": hirzebruch(2),
+        "F_4": hirzebruch(4),
+        "S(2,1,0)": scroll_fan(ScrollSpec((2, 1, 0))),
+    }
+
+    def fan_file(self, tmp_path, key):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cli.fan_to_json(self.FANS[key])))
+        return str(path)
+
+    @pytest.mark.parametrize("key", sorted(FANS))
+    def test_sweep(self, tmp_path, key):
+        fan = self.FANS[key]
+        code, payload, _ = run_json(["h1", "--fan", self.fan_file(tmp_path, key), "--bound", "2"])
+        results, checks = reference_h1(fan, degree_box(fan, 2), 2, single=False)
+        assert code == 0
+        assert payload["results"] == results
+        assert payload["checks"] == checks
+
+    @pytest.mark.parametrize(
+        "key,degree",
+        [("F_4", (-2, -1)), ("F_4", (1, -1)), ("S(2,1,0)", (-1, -1, 0)), ("S(2,1,0)", (0, 0, 0))],
+    )
+    def test_single_degree(self, tmp_path, key, degree):
+        fan = self.FANS[key]
+        text = ",".join(map(str, degree))
+        code, payload, _ = run_json(["h1", "--fan", self.fan_file(tmp_path, key), "--degree", text])
+        results, checks = reference_h1(fan, [degree], None, single=True)
+        assert code == 0
+        assert payload["results"] == results
+        assert payload["checks"] == checks
 
 
 GOLDEN_DEFORM_ARGS = ["--m", "-1,-1", "--rho", "1", "--component", "0"]

@@ -30,7 +30,16 @@ from toric_deform.cohomology import (
     triple_cocycle,
 )
 from toric_deform.fan import Fan, hirzebruch, product_of_lines, projective_space
-from toric_deform.triples import AdmissibleTriple, enumerate_triples, marker_graph
+from toric_deform.scrolls import ScrollSpec, scroll_fan
+from toric_deform.triples import (
+    AdmissibleTriple,
+    default_bound,
+    degree_box,
+    enumerate_triples,
+    h1_closed_form,
+    marker_graph,
+    triples_at_degree,
+)
 
 
 def rank_oracle(rows) -> int:
@@ -262,3 +271,29 @@ class TestSpanCheck:
         for m in sorted(degrees):
             rep = span_check(f, m, [t for t in all_triples if t.m == m])
             assert rep["spans"], (n, m, rep)
+
+
+class TestClosedFormOracle:
+    """The closed form the h1 sweep reports, against Cech at every degree."""
+
+    @pytest.mark.parametrize(
+        "fan,bound",
+        [(hirzebruch(n), None) for n in range(6)]
+        + [
+            (scroll_fan(ScrollSpec((2, 1, 0))), 2),
+            (scroll_fan(ScrollSpec((3, 1, 0))), 2),
+            (projective_space(3), 2),
+            (product_of_lines(3), 2),
+        ],
+        ids=["F_0", "F_1", "F_2", "F_3", "F_4", "F_5",
+             "S(2,1,0)", "S(3,1,0)", "P^3", "P1xP1xP1"],
+    )
+    def test_matches_cech_on_box(self, fan, bound):
+        box = degree_box(fan, default_bound(fan) if bound is None else bound)
+        mismatches = []
+        for m in box:
+            closed = h1_closed_form(triples_at_degree(fan, m))
+            cech = h1_dimension(fan, m)
+            if closed != cech:
+                mismatches.append((m, closed, cech))
+        assert mismatches == []

@@ -19,8 +19,10 @@ from toric_deform.triples import (
     default_bound,
     degree_box,
     enumerate_triples,
+    h1_closed_form,
     marker_graph,
     pairing,
+    triples_at_degree,
 )
 
 
@@ -191,5 +193,42 @@ class TestEnumerateTriples:
 
     def test_rejects_incomplete_fan(self):
         f = Fan(dim=2, rays=((1, 0), (0, 1)), max_cones=((0, 1),))
-        with pytest.raises(ValueError, match="smooth complete"):
+        with pytest.raises(ValueError, match="smooth complete fan; this fan is not complete$"):
             enumerate_triples(f, 2)
+
+
+class TestTriplesAtDegree:
+    def test_f2_golden(self):
+        assert triples_at_degree(hirzebruch(2), [-1, -1]) == [
+            AdmissibleTriple(m=(-1, -1), rho=1, component=(0,)),
+            AdmissibleTriple(m=(-1, -1), rho=1, component=(2,)),
+        ]
+
+    def test_no_triples_at_zero(self):
+        assert triples_at_degree(hirzebruch(2), (0, 0)) == []
+
+    @pytest.mark.parametrize("fan_builder,bound", [
+        (lambda: hirzebruch(4), 4),
+        (lambda: projective_space(3), 2),
+        (scroll_110_fan, 2),
+    ])
+    def test_groups_enumerate_triples_by_degree(self, fan_builder, bound):
+        f = fan_builder()
+        grouped = [t for m in degree_box(f, bound) for t in triples_at_degree(f, m)]
+        assert grouped == enumerate_triples(f, bound)
+
+
+class TestH1ClosedForm:
+    def test_empty_is_zero(self):
+        assert h1_closed_form([]) == 0
+
+    def test_f3_degrees(self):
+        f = hirzebruch(3)
+        assert h1_closed_form(triples_at_degree(f, (-1, -1))) == 1
+        assert h1_closed_form(triples_at_degree(f, (-2, -1))) == 1
+
+    def test_counts_components_minus_one_per_ray(self):
+        # rho 0 with three components, rho 2 with two: (3 - 1) + (2 - 1)
+        ts = [AdmissibleTriple(m=(0,), rho=0, component=(c,)) for c in (1, 2, 3)]
+        ts += [AdmissibleTriple(m=(0,), rho=2, component=(c,)) for c in (1, 3)]
+        assert h1_closed_form(ts) == 3
