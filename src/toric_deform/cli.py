@@ -10,6 +10,7 @@ byte-identical across runs. Exit codes: 0 success, 1 failed check,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -38,10 +39,10 @@ from .scrolls import (
 from .triples import (
     AdmissibleTriple,
     default_bound,
-    degree_box,
-    enumerate_triples,
     h1_closed_form,
+    pairing,
     require_smooth_complete,
+    scan_box,
     triples_at_degree,
 )
 
@@ -74,14 +75,15 @@ def parse_fan(path: str) -> Fan:
     for field in ("dim", "rays", "max_cones"):
         if field not in data:
             raise InputError(f"fan file missing field '{field}'")
-    if not isinstance(data["dim"], int):
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(data["dim"]) is not int:
         raise InputError("field 'dim' must be an integer")
     for name in ("rays", "max_cones"):
         rows = data[name]
         if not isinstance(rows, list):
             raise InputError(f"field '{name}' must be a list")
         for k, row in enumerate(rows):
-            if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+            if not isinstance(row, list) or not all(type(x) is int for x in row):
                 raise InputError(f"{name}[{k}] must be a list of integers")
     try:
         return Fan(
@@ -209,45 +211,50 @@ def cmd_fan_check(args) -> tuple[dict, list[dict]]:
     return results, checks
 
 
-def cmd_triples(args) -> tuple[dict, list[dict]]:
+def cmd_triples(args) -> tuple[dict, list[dict], dict]:
     fan = parse_fan(args.fan)
     bound = _resolve_bound(fan, args.bound)
-    triples = enumerate_triples(fan, bound)
+    require_smooth_complete(fan, "triple enumeration")
+    scan = scan_box(fan, bound)
     results = {
         "bound": bound,
-        "count": len(triples),
-        "triples": [_triple_json(t) for t in triples],
+        "count": len(scan.triples),
+        "triples": [_triple_json(t) for t in scan.triples],
     }
-    return results, []
+    counters = {"degrees_scanned": scan.degrees_scanned, "marker_graphs": scan.marker_graphs}
+    return results, [], counters
 
 
 def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     """H^1 per degree: the closed form everywhere, Cech where triples live.
 
     The closed form (triples.h1_closed_form) is zero at every degree
-    without admissible triples, so those degrees get no Cech work. At the
-    others span_check gives h1_dim and span_rank, and its h1_dim must
-    agree with the closed form.
+    without admissible triples, so those degrees get no Cech work. The
+    sweep finds the others with triples.scan_box. At each, span_check
+    gives h1_dim and span_rank, and its h1_dim must agree with the closed
+    form.
     """
     fan = parse_fan(args.fan)
     require_smooth_complete(fan, "h1")
     if args.degree is not None:
-        degrees = [_parse_vector(args.degree, "--degree")]
-        if len(degrees[0]) != fan.dim:
-            raise InputError(
-                f"--degree has length {len(degrees[0])}, fan dimension is {fan.dim}"
-            )
+        m = _parse_vector(args.degree, "--degree")
+        if len(m) != fan.dim:
+            raise InputError(f"--degree has length {len(m)}, fan dimension is {fan.dim}")
         bound = None
+        by_degree = [(m, triples_at_degree(fan, m))]
+        scanned = 1
+        graphs = sum(1 for r in fan.rays if pairing(m, r) == -1)
     else:
         bound = _resolve_bound(fan, args.bound)
-        degrees = degree_box(fan, bound)
+        scan = scan_box(fan, bound)
+        by_degree = [(m, list(ts)) for m, ts in itertools.groupby(scan.triples, key=lambda t: t.m)]
+        scanned, graphs = scan.degrees_scanned, scan.marker_graphs
 
     entries = []
     total = 0
     witness = None
     cech_degrees = 0
-    for m in degrees:
-        triples = triples_at_degree(fan, m)
+    for m, triples in by_degree:
         if triples:
             closed = h1_closed_form(triples)
             rep = span_check(fan, m, triples)
@@ -261,11 +268,9 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
                 }
             elif witness is None and not rep["spans"]:
                 witness = {"degree": list(m)}
-        elif args.degree is None:
-            continue
         else:
-            # no triples: the closed form is zero, and this is the entry
-            # span_check gives at such a degree
+            # --degree without triples: the closed form is zero, and this
+            # is the entry span_check gives at such a degree
             rep = {"h1_dim": 0, "span_rank": 0, "spans": True}
         entries.append(
             {
@@ -278,7 +283,11 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
         )
     results = {"bound": bound, "degrees": entries, "total_h1": total}
     checks = [{"name": "cocycles_span", "ok": witness is None, "witness": witness}]
-    counters = {"degrees_scanned": len(degrees), "cech_degrees": cech_degrees}
+    counters = {
+        "degrees_scanned": scanned,
+        "cech_degrees": cech_degrees,
+        "marker_graphs": graphs,
+    }
     return results, checks, counters
 
 

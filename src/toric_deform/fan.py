@@ -271,3 +271,15 @@ def product_of_lines(n: int) -> Fan:
     for choice in itertools.product((0, 1), repeat=n):
         cones.append(tuple(sorted(2 * j + choice[j] for j in range(n))))
     return Fan(dim=n, rays=tuple(rays), max_cones=tuple(cones))
+
+
+def product(a: Fan, b: Fan) -> Fan:
+    """Fan of the product X_a x X_b.
+
+    The rays of a come first, padded with zeros, then those of b, shifted
+    into the last b.dim coordinates; the maximal cones are all unions of a
+    maximal cone of a with one of b.
+    """
+    rays = [r + (0,) * b.dim for r in a.rays] + [(0,) * a.dim + r for r in b.rays]
+    cones = [ca + tuple(a.n_rays + i for i in cb) for ca in a.max_cones for cb in b.max_cones]
+    return Fan(dim=a.dim + b.dim, rays=tuple(rays), max_cones=tuple(cones))

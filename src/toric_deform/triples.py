@@ -17,6 +17,10 @@ import numpy as np
 from . import intlin
 from .fan import Fan, cone_containing, validate
 
+# Box points per numpy chunk of the degree scan; bounds its memory.
+_CHUNK_ROWS = 4096
+_INT64_MAX = 2**63 - 1
+
 
 def pairing(m, ray) -> int:
     """Value of the character m on a lattice point (dual pairing)."""
@@ -145,25 +149,125 @@ def default_bound(fan: Fan) -> int:
     return 2 * (1 + biggest)
 
 
+def _box_chunks(fan: Fan, bound: int):
+    """Yield the degree box as (degrees, values) int64 chunks.
+
+    Each chunk holds up to _CHUNK_ROWS box points, in itertools.product
+    order of their coordinates: rows of ``degrees`` are degrees m, and rows
+    of ``values`` their values m(v_rho) on every ray. The arithmetic is
+    exact because every magnitude it can reach is checked against int64, in
+    Python ints, before anything is allocated.
+
+    Raises:
+        ValueError: for bound < 1, a bound too large for int64, or a first
+            maximal cone that is not unimodular.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    n = fan.dim
+    sigma = fan.max_cones[0]
+    vt = fan.cone_matrix(sigma).T
+    cols = [None]
+    if len(sigma) == n:
+        cols = [intlin.solve_int(vt, intlin.ivec([1 if i == j else 0 for i in range(n)])) for j in range(n)]
+    if any(c is None for c in cols):
+        raise ValueError("the degree box needs a unimodular first maximal cone")
+    # m = inv @ vals, where vals are m's values on the rays of sigma
+    inv = [[int(cols[j][i]) for j in range(n)] for i in range(n)]
+    # vals @ pair gives m's value on every ray
+    pair = [[sum(r[i] * inv[i][j] for i in range(n)) for r in fan.rays] for j in range(n)]
+    side = 2 * bound + 1
+    total = side**n
+    reach = {
+        "(2*bound+1)^dim box points": total,
+        "|m_i|": bound * max(sum(abs(x) for x in row) for row in inv),
+        "|m(v_rho)|": bound * max(sum(abs(pair[j][k]) for j in range(n)) for k in range(fan.n_rays)),
+    }
+    for what, value in reach.items():
+        if value > _INT64_MAX:
+            raise ValueError(f"bound {bound} is too large: {what} can reach {value}, beyond int64")
+    place = np.array([side ** (n - 1 - k) for k in range(n)], dtype=np.int64)
+    inv_t = np.array(inv, dtype=np.int64).T
+    pair = np.array(pair, dtype=np.int64)
+    for start in range(0, total, _CHUNK_ROWS):
+        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+        vals = idx[:, None] // place % side - bound
+        values = vals @ pair
+        keep = (np.abs(values) <= bound).all(axis=1)
+        yield vals[keep] @ inv_t, values[keep]
+
+
 def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:
     """All degrees m with |m(ray)| <= bound for every ray, sorted.
 
     Degrees are parametrized by their values on the rays of the first
     maximal cone (unimodular for smooth fans), so the sweep is exact.
+
+    Raises:
+        ValueError: as _box_chunks.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    sigma = fan.max_cones[0]
-    vt = fan.cone_matrix(sigma).T
-    cols = [intlin.solve_int(vt, intlin.ivec([1 if i == j else 0 for i in range(fan.dim)])) for j in range(fan.dim)]
-    inv = np.stack(cols, axis=1)
     out = []
-    for vals in itertools.product(range(-bound, bound + 1), repeat=fan.dim):
-        m = tuple(int(x) for x in inv @ intlin.ivec(vals))
-        if all(abs(pairing(m, r)) <= bound for r in fan.rays):
-            out.append(m)
+    for degrees, _ in _box_chunks(fan, bound):
+        out.extend(map(tuple, degrees.tolist()))
     out.sort()
     return out
+
+
+@dataclass(frozen=True)
+class BoxScan:
+    """The admissible triples of a degree box and the work that found them.
+
+    Attributes:
+        triples: sorted by (m, rho, component).
+        degrees_scanned: degrees in the box.
+        marker_graphs: marker_graph calls, one per sign class.
+    """
+
+    triples: list[AdmissibleTriple]
+    degrees_scanned: int
+    marker_graphs: int
+
+
+def scan_box(fan: Fan, bound: int) -> BoxScan:
+    """All admissible triples with m in the degree box, in int64 chunks.
+
+    The marker graph of (m, rho) depends on m only through its sign class:
+    rho and the set of rays where m is negative. So for each rho the box
+    degrees with m(v_rho) = -1 are grouped by that set, and marker_graph
+    runs once per class, on the first degree met in it. Every degree of a
+    class with at least two components carries one triple per component.
+    The triples mean something only on a smooth complete fan;
+    enumerate_triples and the CLI gate on that first.
+
+    Raises:
+        ValueError: as _box_chunks.
+    """
+    components: dict[tuple[int, bytes], list[tuple[int, ...]]] = {}
+    triples = []
+    scanned = 0
+    for degrees, values in _box_chunks(fan, bound):
+        scanned += len(degrees)
+        negative = values < 0
+        for rho in range(fan.n_rays):
+            hit = values[:, rho] == -1
+            if not hit.any():
+                continue
+            at_rho = degrees[hit]
+            classes, first, inverse = np.unique(
+                negative[hit], axis=0, return_index=True, return_inverse=True
+            )
+            inverse = inverse.reshape(-1)
+            for k, cls in enumerate(classes):
+                key = (rho, cls.tobytes())
+                if key not in components:
+                    g = marker_graph(fan, at_rho[first[k]].tolist(), rho)
+                    components[key] = admissible_components(g)
+                comps = components[key]
+                if comps:
+                    for m in map(tuple, at_rho[inverse == k].tolist()):
+                        triples.extend(AdmissibleTriple(m=m, rho=rho, component=c) for c in comps)
+    triples.sort(key=lambda t: (t.m, t.rho, t.component))
+    return BoxScan(triples=triples, degrees_scanned=scanned, marker_graphs=len(components))
 
 
 def require_smooth_complete(fan: Fan, what: str) -> None:
@@ -178,18 +282,15 @@ def require_smooth_complete(fan: Fan, what: str) -> None:
 
 
 def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTriple]:
-    """All admissible triples with m in the degree box.
+    """All admissible triples with m in the degree box (see scan_box).
 
     With no bound, uses default_bound(fan).
 
     Raises:
-        ValueError: for bound < 1 or a fan that is not smooth and complete.
+        ValueError: for a bound < 1 or too large for int64, or a fan that
+            is not smooth and complete.
     """
     require_smooth_complete(fan, "triple enumeration")
     if bound is None:
         bound = default_bound(fan)
-    triples = []
-    for m in degree_box(fan, bound):
-        triples.extend(triples_at_degree(fan, m))
-    triples.sort(key=lambda t: (t.m, t.rho, t.component))
-    return triples
+    return scan_box(fan, bound).triples

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,6 +160,17 @@ class TestFanInputErrors:
         msg = self.error_of(["fan", "check", "--fan", str(path)])
         assert "duplicate ray" in msg
 
+    @pytest.mark.parametrize("field,value,where", [
+        ("dim", True, "field 'dim'"),
+        ("rays", [[True, 0], [0, 1], [-1, 2], [0, -1]], "rays[0]"),
+        ("max_cones", [[0, 1], [1, 2], [2, 3], [3, False]], "max_cones[3]"),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, field, value, where):
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(dict(F2, **{field: value})))
+        msg = self.error_of(["fan", "check", "--fan", str(path)])
+        assert where in msg and "integer" in msg
+
     def test_unknown_flag(self, f2_path):
         code, _, err = run_cli(["fan", "check", "--fan", f2_path, "--bogus"])
         assert code == 2
@@ -205,6 +217,38 @@ class TestTriples:
         )
         assert code == 2
         assert "TORIC_DEFORM_BOUND" in json.loads(err)["error"]
+
+    def test_counters_in_timing(self, f2_path):
+        _, payload, _ = run_json(["triples", "--fan", f2_path])
+        # 12 sign classes (rho, negative set) with m(v_rho) = -1 in F_2's box
+        assert payload["timing"]["counters"] == {
+            "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
+            "marker_graphs": 12,
+        }
+        assert "counters" not in payload["results"]
+
+
+class TestBoxGuard:
+    """A bound that int64 cannot scan exactly is an input error, raised
+    before any box is allocated."""
+
+    @pytest.mark.parametrize("command", ["triples", "h1"])
+    def test_huge_bound_exits_2_at_once(self, f2_path, command, capsys):
+        started = time.perf_counter()
+        code = cli.main([command, "--fan", f2_path, "--bound", "1000000000000000"])
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not captured.out
+        assert "bound 1000000000000000 is too large" in json.loads(captured.err)["error"]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", ["triples", "h1"])
+    def test_zero_env_bound_exits_2(self, f2_path, command):
+        code, out, err = run_cli([command, "--fan", f2_path], env_extra={"TORIC_DEFORM_BOUND": "0"})
+        assert code == 2
+        assert not out.strip()
+        assert "bound must be >= 1" in json.loads(err)["error"]
 
 
 class TestH1:
@@ -256,13 +300,21 @@ class TestH1:
         assert payload["timing"]["counters"] == {
             "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
             "cech_degrees": 1,
+            "marker_graphs": 12,
         }
         assert "counters" not in payload["results"]
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
-        assert payload["timing"]["counters"] == {"degrees_scanned": 1, "cech_degrees": 0}
+        assert payload["timing"]["counters"] == {
+            "degrees_scanned": 1,
+            "cech_degrees": 0,
+            "marker_graphs": 0,
+        }
+        # (-1,-1) takes the values -1, -1, -1, 1 on the rays: three marker graphs
+        _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "-1,-1"])
+        assert payload["timing"]["counters"]["marker_graphs"] == 3
 
     def test_other_commands_keep_plain_timing(self, f2_path):
-        _, payload, _ = run_json(["triples", "--fan", f2_path])
+        _, payload, _ = run_json(["fan", "check", "--fan", f2_path])
         assert payload["timing"].keys() == {"seconds"}
 
     def test_closed_form_disagreement_fails_check(self, f2_path, monkeypatch, capsys):

@@ -22,6 +22,7 @@ from toric_deform.fan import (
     cone_containing,
     cox_data,
     hirzebruch,
+    product,
     product_of_lines,
     projective_space,
     validate,
@@ -116,6 +117,19 @@ class TestValidate:
     def test_products_and_projective_spaces(self):
         for f in (projective_space(2), projective_space(3), product_of_lines(2), product_of_lines(3)):
             assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+
+    def test_product_builder(self):
+        f = product(hirzebruch(2), projective_space(1))
+        assert f.dim == 3
+        assert f.rays == ((1, 0, 0), (0, 1, 0), (-1, 2, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+        assert f.max_cones[:2] == ((0, 1, 5), (0, 1, 4))
+        assert len(f.max_cones) == 8
+        assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+        assert validate(product(hirzebruch(2), hirzebruch(3)))["complete"]
+        # P^1 x P^1 is product_of_lines(2) up to the order of its cones
+        assert set(product(projective_space(1), projective_space(1)).max_cones) == set(
+            product_of_lines(2).max_cones
+        )
 
 
 def primitive_rays_2d():

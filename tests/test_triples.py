@@ -2,16 +2,31 @@
 
 Oracle: an independent brute-force enumerator in this file loops over raw
 degree coordinates, evaluates the degree on every ray directly, builds the
-graph by pairwise cone queries and takes components by union-find.
+graph by pairwise cone queries and takes components by union-find. The
+int64 box scan is checked against it on fans moved by ray permutations and
+GL_n(Z) changes of basis, where the triples move with the fan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toric_deform.fan import Fan, cone_containing, hirzebruch, projective_space, validate
+from toric_deform import triples as triples_mod
+from toric_deform.fan import (
+    Fan,
+    cone_containing,
+    hirzebruch,
+    product,
+    projective_space,
+    validate,
+)
+from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import (
     AdmissibleTriple,
     MarkerGraph,
@@ -22,6 +37,7 @@ from toric_deform.triples import (
     h1_closed_form,
     marker_graph,
     pairing,
+    scan_box,
     triples_at_degree,
 )
 
@@ -144,6 +160,12 @@ class TestDegreeBox:
         with pytest.raises(ValueError, match="bound"):
             degree_box(hirzebruch(2), 0)
 
+    def test_rejects_non_unimodular_first_cone(self):
+        # P(1,1,2): the first cone, on (1,0) and (-1,-2), has index 2
+        f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -2)), max_cones=((0, 2), (1, 2), (0, 1)))
+        with pytest.raises(ValueError, match="unimodular first maximal cone"):
+            degree_box(f, 2)
+
     def test_default_bound(self):
         assert default_bound(hirzebruch(5)) == 12
         assert default_bound(projective_space(2)) == 4
@@ -232,3 +254,175 @@ class TestH1ClosedForm:
         ts = [AdmissibleTriple(m=(0,), rho=0, component=(c,)) for c in (1, 2, 3)]
         ts += [AdmissibleTriple(m=(0,), rho=2, component=(c,)) for c in (1, 3)]
         assert h1_closed_form(ts) == 3
+
+
+@functools.lru_cache(maxsize=None)
+def cached_brute(fan: Fan, bound: int) -> frozenset:
+    return frozenset(brute_triples(fan, bound))
+
+
+@st.composite
+def brute_sized_fans(draw):
+    """(fan, bound): a Hirzebruch fan or a scroll of dim 2-4, with a bound
+    that keeps brute_triples' coordinate cube at most 20,000 points."""
+    n = draw(st.integers(2, 4))
+    if n == 2 and draw(st.booleans()):
+        fan = hirzebruch(draw(st.integers(0, 5)))
+    else:
+        fan = scroll_fan(ScrollSpec(tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))))
+    biggest = max(abs(x) for r in fan.rays for x in r)
+    fits = [b for b in range(1, 7) if (2 * b * (1 + biggest) + 1) ** fan.dim <= 20000]
+    return fan, draw(st.sampled_from(fits))
+
+
+@st.composite
+def unimodular_pairs(draw, n):
+    """(g, g^-1) for a random g in GL_n(Z): a product of elementary moves."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g_inv = [row[:] for row in g]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        # g <- (1 + c e_ij) g and g^-1 <- g^-1 (1 - c e_ij)
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in g_inv:
+            row[j] -= c * row[i]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        g[k] = [-a for a in g[k]]
+        for row in g_inv:
+            row[k] = -row[k]
+    return g, g_inv
+
+
+class TestScanMatchesBruteForce:
+    """scan_box against brute_triples, never against degree_box, which
+    shares the scan's chunk generator."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_moved_fans(self, data):
+        fan, bound = data.draw(brute_sized_fans())
+        n = fan.dim
+        perm = data.draw(st.permutations(range(fan.n_rays)))
+        cone_order = data.draw(st.permutations(range(len(fan.max_cones))))
+        g, g_inv = data.draw(unimodular_pairs(n))
+        assert [[sum(g[i][k] * g_inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+        # ray k of the moved fan is g v_perm[k]
+        new_index = {old: k for k, old in enumerate(perm)}
+        moved = Fan(
+            dim=n,
+            rays=tuple(
+                tuple(sum(g[i][j] * fan.rays[old][j] for j in range(n)) for i in range(n))
+                for old in perm
+            ),
+            max_cones=tuple(
+                tuple(new_index[i] for i in fan.max_cones[c]) for c in cone_order
+            ),
+        )
+        # a triple (m, rho, C) of fan is (g^-T m, rho', C') on the moved fan
+        expected = sorted(
+            (
+                tuple(sum(g_inv[l][k] * m[l] for l in range(n)) for k in range(n)),
+                new_index[rho],
+                tuple(sorted(new_index[i] for i in comp)),
+            )
+            for m, rho, comp in cached_brute(fan, bound)
+        )
+        chunk = data.draw(st.sampled_from((5, 64, 4096)))
+        with mock.patch.object(triples_mod, "_CHUNK_ROWS", chunk):
+            scan = scan_box(moved, bound)
+        assert [(t.m, t.rho, t.component) for t in scan.triples] == expected
+
+    def test_box_wider_than_one_chunk(self):
+        # 67^2 = 4,489 grid points, so the default chunk size leaves a seam
+        f = hirzebruch(2)
+        bound = 33
+        assert (2 * bound + 1) ** 2 > triples_mod._CHUNK_ROWS
+        got = {(t.m, t.rho, t.component) for t in enumerate_triples(f, bound)}
+        assert got == brute_triples(f, bound)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_chunk_size_changes_nothing(self, chunk):
+        f = scroll_fan(ScrollSpec((2, 1, 0)))
+        reference = scan_box(f, 3)
+        with mock.patch.object(triples_mod, "_CHUNK_ROWS", chunk):
+            scan = scan_box(f, 3)
+        assert scan == reference
+
+
+class TestScanBox:
+    @pytest.mark.parametrize("fan_builder,bound", [
+        (lambda: hirzebruch(3), 4),
+        (lambda: scroll_fan(ScrollSpec((3, 1, 0))), 2),
+        (lambda: projective_space(3), 2),
+    ])
+    def test_counters(self, fan_builder, bound):
+        f = fan_builder()
+        scan = scan_box(f, bound)
+        assert scan.degrees_scanned == len(degree_box(f, bound))
+        # one marker graph per (rho, negative set) met in the box
+        classes = {
+            (rho, tuple(i for i, r in enumerate(f.rays) if pairing(m, r) < 0))
+            for m in degree_box(f, bound)
+            for rho, r in enumerate(f.rays)
+            if pairing(m, r) == -1
+        }
+        assert scan.marker_graphs == len(classes)
+
+    def test_one_marker_graph_per_sign_class(self):
+        f = hirzebruch(4)
+        with mock.patch.object(triples_mod, "marker_graph", wraps=marker_graph) as spy:
+            scan = scan_box(f, 6)
+        assert spy.call_count == scan.marker_graphs < scan.degrees_scanned
+
+
+class TestBoxGuard:
+    def test_box_too_large_to_index(self):
+        with pytest.raises(ValueError, match=r"bound 1000000000000000 is too large: \(2\*bound\+1\)\^dim"):
+            scan_box(hirzebruch(2), 10**15)
+        with pytest.raises(ValueError, match="bound 1000000000000000 is too large"):
+            degree_box(hirzebruch(2), 10**15)
+
+    def test_ray_values_beyond_int64(self):
+        # 2,000,001^2 box points fit, but m(v) on (-1, 10^13) reaches ~10^19
+        with pytest.raises(ValueError, match=r"bound 1000000 is too large: \|m\(v_rho\)\|"):
+            scan_box(hirzebruch(10**13), 10**6)
+
+    def test_coordinates_beyond_int64(self):
+        # F_0 moved by [[1, N], [0, 1]]: ray values stay within the bound,
+        # coordinates of m do not
+        big = 10**13
+        f = Fan(
+            dim=2,
+            rays=((1, 0), (big, 1), (-1, 0), (-big, -1)),
+            max_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
+        )
+        with pytest.raises(ValueError, match=r"bound 1000000 is too large: \|m_i\|"):
+            scan_box(f, 10**6)
+
+    def test_largest_safe_box_is_accepted(self):
+        # the guard is exact, not a size cap: P^1 at bound 2^61 fits int64
+        box = triples_mod._box_chunks(projective_space(1), 2**61)
+        degrees, values = next(box)
+        assert abs(degrees[0, 0]) == 2**61
+        assert sorted(values[0].tolist()) == [-(2**61), 2**61]
+        box.close()
+
+
+class TestBoundRegression:
+    """Doubling the default bound finds no new triples (ROADMAP item 4)."""
+
+    @pytest.mark.parametrize("fan_builder,count,h1", [
+        (lambda: product(hirzebruch(3), projective_space(1)), 4, 2),
+        (lambda: product(hirzebruch(2), hirzebruch(3)), 6, 3),
+        (lambda: scroll_fan(ScrollSpec((5, 2, 0))), 14, 7),
+    ])
+    def test_doubling_changes_nothing(self, fan_builder, count, h1):
+        f = fan_builder()
+        small = enumerate_triples(f)
+        assert len(small) == count
+        assert len(enumerate_triples(f, 2 * default_bound(f))) == count
+        by_degree = itertools.groupby(small, key=lambda t: t.m)
+        assert sum(h1_closed_form(list(ts)) for _, ts in by_degree) == h1
