@@ -291,7 +291,7 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     return results, checks, counters
 
 
-def cmd_deform(args) -> tuple[dict, list[dict]]:
+def cmd_deform(args) -> tuple[dict, list[dict], dict]:
     fan = parse_fan(args.fan)
     try:
         d = build_deformation(fan, _build_triple(fan, args))
@@ -305,7 +305,7 @@ def cmd_deform(args) -> tuple[dict, list[dict]]:
         {"name": name, "ok": bool(entry["ok"]), "witness": entry["witness"]}
         for name, entry in report["checks"].items()
     ]
-    return results, checks
+    return results, checks, report["work"]
 
 
 def cmd_lift(args) -> tuple[dict, list[dict]]:

@@ -51,12 +51,13 @@ def build_splitting(fan: Fan, m, rho: int) -> Splitting:
     kb = intlin.kernel_basis(intlin.imat([list(m)]))
     k_rows = intlin.imat([list(v) for v in kb], cols=fan.dim)
     n = fan.dim
+    k_coords = intlin.Solver(k_rows.T)
     cols = []
     for j in range(n):
         e = [0] * n
         e[j] = 1
         w = intlin.ivec([e[i] + m[j] * v_rho[i] for i in range(n)])
-        c = intlin.solve_int(k_rows.T, w)
+        c = k_coords.solve(w)
         assert c is not None  # w lies in ker m and the basis is saturated
         cols.append(c)
     proj = np.stack(cols, axis=1)  # ((n-1), n), possibly zero rows
@@ -311,7 +312,10 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     """Check that the fiber over 0 of the family is the starting variety.
 
     Returns a report {"passes": bool, "checks": {name: {"ok": bool,
-    "witness": ...}}} with these named checks:
+    "witness": ...}}, "work": {"cone_factorisations": int, "fm_systems":
+    int}}. ``work`` counts the Smith factorisations of cone matrices (each
+    P[:, sigma-tilde] and each cone_matrix(sigma) is factored at most once)
+    and the Fourier-Motzkin systems decided. The named checks are:
 
     * cone_membership: iota of every ray of every maximal cone is a
       nonnegative integer combination of its sigma-tilde columns,
@@ -327,12 +331,13 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     n = fan.dim
     iota = _iota_matrix(fan, d)
     checks: dict[str, dict] = {}
+    ambient = [intlin.Solver(d.P[:, list(st)]) for st in d.ambient_cones]
+    work = {"cone_factorisations": len(ambient), "fm_systems": 0}
 
     witness = None
-    for ci, (sigma, st) in enumerate(zip(fan.max_cones, d.ambient_cones)):
-        b = d.P[:, list(st)]
+    for ci, (sigma, b) in enumerate(zip(fan.max_cones, ambient)):
         for j in sigma:
-            x = intlin.solve_int(b, iota @ intlin.ivec(fan.rays[j]))
+            x = b.solve(iota @ intlin.ivec(fan.rays[j]))
             if x is None or any(v < 0 for v in x):
                 witness = {"cone": ci, "ray": j}
                 break
@@ -386,38 +391,38 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             break
     checks["cox_cone_mapping"] = {"ok": witness is None, "witness": witness}
 
-    checks["fiber_fan_roundtrip"] = _roundtrip_check(fan, d, iota)
+    checks["fiber_fan_roundtrip"] = _roundtrip_check(fan, iota, ambient, work)
 
-    return {"passes": all(c["ok"] for c in checks.values()), "checks": checks}
+    return {"passes": all(c["ok"] for c in checks.values()), "checks": checks, "work": work}
 
 
-def _roundtrip_check(fan: Fan, d: DeformationData, iota) -> dict:
+def _roundtrip_check(fan: Fan, iota, ambient, work: dict) -> dict:
     """Pull each sigma-tilde back through iota; the result must be sigma.
 
-    Containment of sigma is implied by cone_membership; the reverse
-    containment is a rational infeasibility statement checked exactly.
+    ``ambient`` holds the factorisations of the P[:, sigma-tilde], in
+    max_cones order; ``work`` counts the factorisations and FM systems
+    added here. Containment of sigma is implied by cone_membership; the
+    reverse containment is a rational infeasibility statement checked
+    exactly.
     """
     n = fan.dim
     eye = intlin.identity(n + 2)
-    for ci, (sigma, st) in enumerate(zip(fan.max_cones, d.ambient_cones)):
-        b = d.P[:, list(st)]
-        binv_cols = [intlin.solve_int(b, eye[:, k]) for k in range(n + 2)]
+    for ci, (sigma, b) in enumerate(zip(fan.max_cones, ambient)):
+        binv_cols = [b.solve(eye[:, k]) for k in range(n + 2)]
         if any(c is None for c in binv_cols):
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
         binv = np.stack(binv_cols, axis=1)
         pull = binv @ iota  # (n+2) x n: rows are the pulled-back inequalities
-        bs = fan.cone_matrix(sigma)
-        dual_cols = [intlin.solve_int(bs, intlin.ivec([1 if k == i else 0 for k in range(n)])) for i in range(n)]
-        dual = np.stack(dual_cols, axis=1)  # rows are the dual basis functionals
+        bs = intlin.Solver(fan.cone_matrix(sigma))
+        work["cone_factorisations"] += 1
+        dual = np.stack([bs.solve(eye[:n, i]) for i in range(n)], axis=1)  # rows: dual basis
+        pull_rows = [[int(x) for x in row] for row in pull]
+        rhs = intlin.ivec([0] * (n + 2) + [1])
         for i in range(n):
             # feasible point would satisfy pull*v >= 0 and dual_i*v <= -1
-            ineq_rows = [[int(x) for x in row] for row in pull]
-            rhs = [0] * (n + 2)
-            ineq_rows.append([-int(x) for x in dual[i]])
-            rhs.append(1)
-            if intlin.rational_polyhedron_nonempty(
-                intlin.imat(ineq_rows, cols=n), intlin.ivec(rhs)
-            ):
+            ineq_rows = pull_rows + [[-int(x) for x in dual[i]]]
+            work["fm_systems"] += 1
+            if intlin.rational_polyhedron_nonempty(intlin.imat(ineq_rows, cols=n), rhs):
                 return {"ok": False, "witness": {"cone": ci, "functional": i}}
     return {"ok": True, "witness": None}
 

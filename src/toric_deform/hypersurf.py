@@ -119,10 +119,15 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
     Raises:
         ValueError: negative entries in e.
     """
+    return _preimage(intlin.Solver(d.nu), kernel_binomial(d), e)
+
+
+def _preimage(nu: intlin.Solver, k, e) -> tuple[int, ...] | None:
+    """is_liftable against a factorisation of nu and its kernel generator k."""
     e = intlin.ivec([int(x) for x in e])
     if any(x < 0 for x in e):
         raise ValueError("exponent vectors must be nonnegative")
-    x = intlin.solve_nonneg_line(d.nu, e, kernel_binomial(d))
+    x = nu.nonneg_line(e, k)
     if x is None:
         return None
     return tuple(int(v) for v in x)
@@ -131,12 +136,16 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
 def lift_polynomial(p: LiftProblem) -> LiftResult:
     """Lift each monomial through nu; assemble the result when all lift.
 
+    nu is factored once per call, whatever the number of monomials.
+
     Raises:
         ValueError: a monomial of the wrong length, with negative
             entries, or whose class differs from w.
     """
     q = cox_data(p.fan).grading
     w = tuple(int(x) for x in p.w)
+    nu = intlin.Solver(p.deformation.nu)
+    k = kernel_binomial(p.deformation)
     lifts = []
     first_failure = None
     for idx, (coeff, exps) in enumerate(p.monomials):
@@ -148,7 +157,7 @@ def lift_polynomial(p: LiftProblem) -> LiftResult:
         cls = tuple(int(x) for x in q @ intlin.ivec(exps))
         if cls != w:
             raise ValueError(f"monomial {idx} has class {cls}, expected {w}")
-        pre = is_liftable(p.deformation, exps)
+        pre = _preimage(nu, k, exps)
         lifts.append(MonomialLift(coefficient=int(coeff), exponent=exps, preimage=pre))
         if pre is None and first_failure is None:
             first_failure = idx

@@ -5,12 +5,17 @@ the primitives here: Hermite and Smith normal forms with unimodular
 transforms, saturated kernel bases, cokernel presentations, exact linear
 solves, one-line nonnegative solving, and small Fourier-Motzkin utilities
 for bounded lattice-point enumeration. No floating point anywhere.
+
+Solves go through ``Solver``: one Smith factorisation of a matrix, reused
+by every right-hand side solved against it. ``solve_int`` and
+``solve_nonneg_line`` are one-shot wrappers over it. Fourier-Motzkin
+works on Python ints: its inputs are integral and every eliminated row is
+an integer combination of integral rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,10 +53,8 @@ def imat(rows, cols: int | None = None) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    m = imat([[0] * n for _ in range(n)], cols=n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+    """n x n identity with Python int entries."""
+    return np.eye(n, dtype=object)
 
 
 def rational_rank(a) -> int:
@@ -260,91 +263,106 @@ def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
     return grading, invariants
 
 
-def solve_int(a, b) -> np.ndarray | None:
-    """Some integer solution x of a @ x = b, or None if there is none."""
-    status, x = _solve_status(a, b)
-    return x if status == "ok" else None
-
-
-def _solve_status(a, b) -> tuple[str, np.ndarray | None]:
-    """Solve a @ x = b over Z; status in {ok, no_integral, no_rational}."""
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    m, n = a.shape
-    snf = smith_normal_form(a)
-    c = snf.u @ b
-    y = ivec([0] * n)
-    rational = True
-    integral = True
-    for i in range(m):
-        d = int(snf.s[i, i]) if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                rational = False
-        else:
-            if c[i] % d != 0:
-                integral = False
-            elif i < n:
-                y[i] = c[i] // d
-    if not rational:
-        return "no_rational", None
-    if not integral:
-        return "no_integral", None
-    return "ok", snf.v @ y
-
-
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def solve_nonneg_line(a, e, k) -> np.ndarray | None:
-    """Nonnegative integer solution of a @ x = e on the line x0 + t*k.
+class Solver:
+    """One Smith factorisation of ``a``, shared by every solve against it.
 
-    Args:
-        a: integer matrix; k: generator of ker(a) (zero vector if trivial).
-        e: right-hand side.
-
-    Returns:
-        The solution with minimal feasible t, or None when no nonnegative
-        integer solution exists.
-
-    Raises:
-        ValueError: "no rational solution" when e is not in im(a) over Q.
+    U @ a @ V = S turns a @ x = b into S @ y = U @ b with x = V @ y, so
+    each right-hand side costs two matrix-vector products and a division
+    per invariant factor instead of a new Smith form.
     """
-    a = np.asarray(a, dtype=object)
-    e = np.asarray(e, dtype=object)
-    k = np.asarray(k, dtype=object)
-    if not all(x == 0 for x in a @ k):
-        raise ValueError("k is not in the kernel of a")
-    status, x0 = _solve_status(a, e)
-    if status == "no_rational":
-        raise ValueError("no rational solution")
-    if status != "ok":
-        return None
-    lo, hi = None, None  # None encodes the unbounded side
-    for i in range(len(x0)):
-        ki = int(k[i])
-        xi = int(x0[i])
-        if ki == 0:
-            if xi < 0:
-                return None
-        elif ki > 0:
-            t = _ceil_div(-xi, ki)
-            lo = t if lo is None else max(lo, t)
-        else:
-            t = xi // (-ki)
-            hi = t if hi is None else min(hi, t)
-    if lo is None and hi is None:
-        t = 0
-    elif lo is None:
-        t = hi
-    else:
-        if hi is not None and lo > hi:
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=object)
+        self.snf = smith_normal_form(self.a)
+        m, n = self.a.shape
+        self._diag = [int(self.snf.s[i, i]) if i < min(m, n) else 0 for i in range(m)]
+
+    def status(self, b) -> tuple[str, np.ndarray | None]:
+        """Solve a @ x = b over Z; status in {ok, no_integral, no_rational}."""
+        c = self.snf.u @ np.asarray(b, dtype=object)
+        y = ivec([0] * self.a.shape[1])
+        rational = True
+        integral = True
+        for i, d in enumerate(self._diag):
+            if d == 0:
+                if c[i] != 0:
+                    rational = False
+            elif c[i] % d != 0:
+                integral = False
+            else:
+                y[i] = c[i] // d
+        if not rational:
+            return "no_rational", None
+        if not integral:
+            return "no_integral", None
+        return "ok", self.snf.v @ y
+
+    def solve(self, b) -> np.ndarray | None:
+        """Some integer solution x of a @ x = b, or None if there is none."""
+        status, x = self.status(b)
+        return x if status == "ok" else None
+
+    def nonneg_line(self, e, k) -> np.ndarray | None:
+        """Nonnegative integer solution of a @ x = e on the line x0 + t*k.
+
+        Args:
+            e: right-hand side; k: generator of ker(a) (zero vector if
+                trivial).
+
+        Returns:
+            The solution with minimal feasible t, or None when no
+            nonnegative integer solution exists.
+
+        Raises:
+            ValueError: "no rational solution" when e is not in im(a) over Q.
+        """
+        e = np.asarray(e, dtype=object)
+        k = np.asarray(k, dtype=object)
+        if not all(x == 0 for x in self.a @ k):
+            raise ValueError("k is not in the kernel of a")
+        status, x0 = self.status(e)
+        if status == "no_rational":
+            raise ValueError("no rational solution")
+        if status != "ok":
             return None
-        t = lo
-    x = x0 + t * k
-    assert all(xi >= 0 for xi in x) and all(v == 0 for v in a @ x - e)
-    return x
+        lo, hi = None, None  # None encodes the unbounded side
+        for i in range(len(x0)):
+            ki = int(k[i])
+            xi = int(x0[i])
+            if ki == 0:
+                if xi < 0:
+                    return None
+            elif ki > 0:
+                t = _ceil_div(-xi, ki)
+                lo = t if lo is None else max(lo, t)
+            else:
+                t = xi // (-ki)
+                hi = t if hi is None else min(hi, t)
+        if lo is None and hi is None:
+            t = 0
+        elif lo is None:
+            t = hi
+        else:
+            if hi is not None and lo > hi:
+                return None
+            t = lo
+        x = x0 + t * k
+        assert all(xi >= 0 for xi in x) and all(v == 0 for v in self.a @ x - e)
+        return x
+
+
+def solve_int(a, b) -> np.ndarray | None:
+    """Some integer solution x of a @ x = b, or None if there is none."""
+    return Solver(a).solve(b)
+
+
+def solve_nonneg_line(a, e, k) -> np.ndarray | None:
+    """One-shot Solver(a).nonneg_line(e, k); see Solver.nonneg_line."""
+    return Solver(a).nonneg_line(e, k)
 
 
 def lattice_equal(rows_a, rows_b) -> bool:
@@ -360,9 +378,12 @@ def lattice_equal(rows_a, rows_b) -> bool:
     return ha == hb
 
 
-# -- Fourier-Motzkin helpers (exact, Fraction coefficients) -----------------
+# -- Fourier-Motzkin helpers (exact, Python int coefficients) ---------------
 #
 # Systems are lists of (coeffs, rhs) encoding sum(coeffs[i] * x[i]) >= rhs.
+# Eliminating x_v combines a row with positive and a row with negative
+# coefficient at v as s*row_p + t*row_n with s, t > 0 integers, so every
+# system in the chain stays integral.
 
 
 def _fm_eliminate(ineqs, var):
@@ -380,10 +401,7 @@ def _fm_eliminate(ineqs, var):
 def _fm_chain(a, b):
     """Eliminated systems: chain[v] involves variables 0..v-1 only."""
     n = len(a[0]) if a else 0
-    sys_full = [
-        (tuple(Fraction(int(c)) for c in row), Fraction(int(r)))
-        for row, r in zip(a, b)
-    ]
+    sys_full = [(tuple(row), r) for row, r in zip(a, b)]
     chain = [None] * (n + 1)
     chain[n] = sys_full
     for v in range(n, 0, -1):
@@ -431,19 +449,17 @@ def polyhedron_lattice_points(a, b) -> list[tuple[int, ...]]:
                 if const > 0:
                     feasible = False
                     break
-            elif c > 0:
-                bound = const / c
+            elif c > 0:  # x_v >= const / c
+                bound = _ceil_div(const, c)
                 lo = bound if lo is None else max(lo, bound)
-            else:
-                bound = const / c
+            else:  # x_v <= const / c; floor division by c < 0 floors
+                bound = const // c
                 hi = bound if hi is None else min(hi, bound)
         if not feasible:
             return
         if lo is None or hi is None:
             raise ValueError("polyhedron is unbounded")
-        t0 = _ceil_div(lo.numerator, lo.denominator)
-        t1 = hi.numerator // hi.denominator
-        for t in range(t0, t1 + 1):
+        for t in range(lo, hi + 1):
             rec(prefix + [t])
 
     rec([])

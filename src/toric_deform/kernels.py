@@ -6,7 +6,8 @@ Two interchangeable implementations are provided:
 
 * a numba ``@njit`` kernel on ``int64`` using fraction-free (Bareiss)
   elimination, with explicit overflow guards on every product; any guard
-  trip makes the kernel return a sentinel and the caller falls back,
+  trip makes the kernel return a sentinel and the caller falls back
+  (jitted only where numba is installed),
 * a pure arbitrary-precision path on Python ints (always exact).
 
 The environment variable ``TORIC_DEFORM_BACKEND`` selects the path:
@@ -29,11 +30,13 @@ _GUARD = np.int64(1) << np.int64(61)
 # Inputs above this bound go straight to the exact path.
 _SAFE_INPUT = int(np.int64(1) << np.int64(40))
 
+# numba is not a dependency: the jitted rank path runs only where numba
+# happens to be installed; elsewhere matrix_rank takes the exact path.
 try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:
     _HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -20,6 +20,10 @@ from .fan import Fan, cone_containing, validate
 # Box points per numpy chunk of the degree scan; bounds its memory.
 _CHUNK_ROWS = 4096
 _INT64_MAX = 2**63 - 1
+# Most box points one scan may visit: about 28x the largest box the tests
+# scan (F_2 x F_3 at bound 16, 33^4 points), so a bound that would run
+# for hours fails at once instead.
+_MAX_BOX_POINTS = 2**25
 
 
 def pairing(m, ray) -> int:
@@ -159,8 +163,9 @@ def _box_chunks(fan: Fan, bound: int):
     Python ints, before anything is allocated.
 
     Raises:
-        ValueError: for bound < 1, a bound too large for int64, or a first
-            maximal cone that is not unimodular.
+        ValueError: for bound < 1, a bound too large for int64, a box of
+            more than _MAX_BOX_POINTS points, or a first maximal cone that
+            is not unimodular.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -169,7 +174,9 @@ def _box_chunks(fan: Fan, bound: int):
     vt = fan.cone_matrix(sigma).T
     cols = [None]
     if len(sigma) == n:
-        cols = [intlin.solve_int(vt, intlin.ivec([1 if i == j else 0 for i in range(n)])) for j in range(n)]
+        solver = intlin.Solver(vt)
+        eye = intlin.identity(n)
+        cols = [solver.solve(eye[:, j]) for j in range(n)]
     if any(c is None for c in cols):
         raise ValueError("the degree box needs a unimodular first maximal cone")
     # m = inv @ vals, where vals are m's values on the rays of sigma
@@ -186,6 +193,11 @@ def _box_chunks(fan: Fan, bound: int):
     for what, value in reach.items():
         if value > _INT64_MAX:
             raise ValueError(f"bound {bound} is too large: {what} can reach {value}, beyond int64")
+    if total > _MAX_BOX_POINTS:
+        raise ValueError(
+            f"bound {bound} is too large: the box has (2*bound+1)^dim = {total} points, "
+            f"above the cap of {_MAX_BOX_POINTS}"
+        )
     place = np.array([side ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     inv_t = np.array(inv, dtype=np.int64).T
     pair = np.array(pair, dtype=np.int64)

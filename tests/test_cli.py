@@ -244,6 +244,20 @@ class TestBoxGuard:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("command", ["triples", "h1"])
+    def test_box_point_cap_exits_2_at_once(self, f2_path, command, capsys):
+        # (2*10^9+1)^2 box points fit int64 but exceed the box-point cap
+        started = time.perf_counter()
+        code = cli.main([command, "--fan", f2_path, "--bound", "1000000000"])
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not captured.out
+        error = json.loads(captured.err)["error"]
+        assert "bound 1000000000 is too large" in error
+        assert "cap of 33554432" in error
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", ["triples", "h1"])
     def test_zero_env_bound_exits_2(self, f2_path, command):
         code, out, err = run_cli([command, "--fan", f2_path], env_extra={"TORIC_DEFORM_BOUND": "0"})
         assert code == 2
@@ -434,6 +448,16 @@ class TestDeform:
             "cox_cone_mapping": True,
             "fiber_fan_roundtrip": True,
         }
+
+    def test_counters_in_timing(self, f2_path):
+        # four cones: each P[:, sigma-tilde] and each cone_matrix(sigma) is
+        # factored once, and each cone pulls back two dual functionals
+        _, payload, _ = self.run_golden(f2_path)
+        assert payload["timing"]["counters"] == {
+            "cone_factorisations": 8,
+            "fm_systems": 8,
+        }
+        assert "counters" not in payload["results"]
 
     def test_golden_matrices(self, f2_path):
         _, payload, _ = self.run_golden(f2_path)

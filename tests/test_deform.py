@@ -17,6 +17,7 @@ triple, so it doubles as a property check across whole enumerations.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -355,6 +356,27 @@ class TestCentralFiber:
         for fan, d in all_packages():
             report = verify_central_fiber(fan, d)
             assert report["passes"], (d.triple, report)
+
+    @pytest.mark.parametrize("fan_builder,triple", [
+        (lambda: hirzebruch(2), AdmissibleTriple(m=(-1, -1), rho=1, component=(0,))),
+        (scroll_210_fan, None),
+    ])
+    def test_each_cone_matrix_is_factored_once(self, fan_builder, triple):
+        fan = fan_builder()
+        d = build_deformation(fan, triple or enumerate_triples(fan)[0])
+        with mock.patch.object(
+            intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+        ) as spy:
+            report = verify_central_fiber(fan, d)
+        assert report["passes"]
+        # one factorisation per P[:, sigma-tilde] and per cone_matrix(sigma),
+        # plus the two of lattice_identification (solve_int of P^T, kernel_basis)
+        cones = len(fan.max_cones)
+        assert spy.call_count == 2 * cones + 2
+        assert report["work"] == {
+            "cone_factorisations": 2 * cones,
+            "fm_systems": cones * fan.dim,
+        }
 
     def test_product_of_lines_has_no_triples(self):
         fan = product_of_lines(3)

@@ -11,6 +11,7 @@ deformation.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ class TestLiftPolynomial:
         for m in res.monomials:
             img = d.nu @ intlin.ivec(list(m.preimage))
             assert tuple(int(x) for x in img) == m.exponent
+
+    def test_nu_is_factored_once_per_call(self):
+        fan, d = hirzebruch_package(3, 1)
+        pts = riemann_roch_points(fan, (9, 2))
+        counts = []
+        for monomials in (((1, pts[0]),), tuple((1, p) for p in pts)):
+            with mock.patch.object(
+                intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+            ) as spy:
+                lift_polynomial(
+                    LiftProblem(fan=fan, deformation=d, w=(9, 2), monomials=monomials)
+                )
+            on_nu = [c for c in spy.call_args_list if np.array_equal(c.args[0], d.nu)]
+            assert len(on_nu) == 1
+            counts.append(spy.call_count)
+        # the rest (cox_data's grading) does not grow with the monomials either
+        assert len(pts) > 1 and counts[0] == counts[1]
 
     def test_unliftable_monomial_reported(self):
         fan, d = hirzebruch_package(2, 1)

@@ -1,8 +1,9 @@
 """Exact integer linear algebra: normal forms, kernels, solves, enumeration.
 
 Oracles: brute-force enumeration for small solve/point problems, fractions
-based Gaussian elimination for rank, and defining identities (U @ A = H,
-U @ A @ V = S) checked directly on random inputs.
+based Gaussian elimination for rank, vertex enumeration for rational
+feasibility, and defining identities (U @ A = H, U @ A @ V = S) checked
+directly on random inputs.
 """
 
 from __future__ import annotations
@@ -10,14 +11,17 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_deform import intlin
 from toric_deform.intlin import (
     SNFResult,
+    Solver,
     cokernel_map,
     determinant,
     hermite_normal_form,
@@ -289,6 +293,36 @@ class TestSolveInt:
         assert solve_int(imat([[1], [1]]), ivec([1, 2])) is None
 
 
+class TestSolver:
+    @given(matrices, st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_one_factorisation_serves_every_rhs(self, rows, xs):
+        # every b = a @ x is solvable, and each answer must check out
+        a = imat(rows)
+        rhs = [a @ ivec(x[: a.shape[1]]) for x in xs]
+        with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
+            solver = Solver(a)
+            got = [solver.solve(b) for b in rhs]
+        assert spy.call_count == 1
+        for b, x in zip(rhs, got):
+            assert x is not None
+            assert (a @ x).tolist() == b.tolist()
+
+    def test_status(self):
+        solver = Solver(imat([[2, 0], [0, 0]]))
+        assert solver.status(ivec([4, 0]))[0] == "ok"
+        assert solver.status(ivec([3, 0])) == ("no_integral", None)
+        assert solver.status(ivec([4, 1])) == ("no_rational", None)
+
+    def test_nonneg_line_reuses_the_factorisation(self):
+        # x - y = r on the line t*(1, 1): the least nonnegative point is
+        # (max(r, 0), max(-r, 0))
+        solver = Solver(imat([[1, -1]]))
+        for r in (-3, -1, 0, 2, 5):
+            got = solver.nonneg_line(ivec([r]), ivec([1, 1]))
+            assert got.tolist() == [max(r, 0), max(-r, 0)]
+
+
 class TestSolveNonnegLine:
     def fixture(self, seed):
         # Random 2x3 systems with 1-dim kernel keep the brute force cheap.
@@ -363,6 +397,13 @@ class TestLatticeEqual:
         mixed = imat([list(r) for r in a], cols=a.shape[1])
         mixed[0] = mixed[0] + 2 * mixed[1]
         assert lattice_equal(a, mixed)
+
+
+def test_identity_entries_are_python_ints():
+    eye = identity(3)
+    assert eye.dtype == object
+    assert all(type(x) is int for x in eye.ravel())
+    assert eye.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestPolyhedra:
@@ -442,3 +483,76 @@ class TestPolyhedra:
                 break
         if witness:
             assert rational_polyhedron_nonempty(a, b)
+
+
+def _vertex_oracle(a, b) -> bool:
+    """Rational feasibility of a bounded {x : a @ x >= b} by its vertices.
+
+    A nonempty bounded polyhedron has a vertex, the unique solution of n
+    tight rows with a nonzero determinant; solve each such n-subset by
+    Cramer's rule over Fraction and test the point against every row.
+    """
+    n = len(a[0])
+    for rows in itertools.combinations(range(len(a)), n):
+        sub = [a[i] for i in rows]
+        det = determinant(imat(sub))
+        if det == 0:
+            continue
+        x = []
+        for j in range(n):
+            swapped = [[b[i] if k == j else a[i][k] for k in range(n)] for i in rows]
+            x.append(Fraction(determinant(imat(swapped)), det))
+        if all(sum(Fraction(r[k]) * x[k] for k in range(n)) >= rr for r, rr in zip(a, b)):
+            return True
+    return False
+
+
+@st.composite
+def bounded_systems(draw):
+    """Box rows lo_i <= x_i <= hi_i plus up to four random integer cuts."""
+    n = draw(st.sampled_from((2, 3)))
+    lo = draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+    hi = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    a = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
+    a += [[-1 if k == i else 0 for k in range(n)] for i in range(n)]
+    b = list(lo) + [-h for h in hi]
+    cuts = draw(st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(-6, 6)),
+        max_size=4,
+    ))
+    for row, rhs in cuts:
+        a.append(list(row))
+        b.append(rhs)
+    return a, b
+
+
+class TestIntegerFourierMotzkin:
+    """The integer-only FM helpers against oracles that share no code with them."""
+
+    @given(bounded_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_points_match_box_scan(self, system):
+        a, b = system
+        n = len(a[0])
+        scan = [
+            x for x in itertools.product(range(-3, 4), repeat=n)
+            if all(sum(r[k] * x[k] for k in range(n)) >= rr for r, rr in zip(a, b))
+        ]
+        assert polyhedron_lattice_points(imat(a), ivec(b)) == scan
+
+    @given(bounded_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_rational_feasibility_matches_vertices(self, system):
+        a, b = system
+        got = rational_polyhedron_nonempty(imat(a), ivec(b))
+        assert got == _vertex_oracle(a, b)
+        if polyhedron_lattice_points(imat(a), ivec(b)):
+            assert got
+
+    def test_rational_point_without_lattice_point(self):
+        # 1 <= 3x - 3y <= 2 and 0 <= x, y <= 2: a strip between lattice lines
+        a = [[3, -3], [-3, 3], [1, 0], [-1, 0], [0, 1], [0, -1]]
+        b = [1, -2, 0, -2, 0, -2]
+        assert rational_polyhedron_nonempty(imat(a), ivec(b))
+        assert _vertex_oracle(a, b)
+        assert polyhedron_lattice_points(imat(a), ivec(b)) == []

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_deform import intlin
 from toric_deform import triples as triples_mod
 from toric_deform.fan import (
     Fan,
@@ -403,12 +404,38 @@ class TestBoxGuard:
             scan_box(f, 10**6)
 
     def test_largest_safe_box_is_accepted(self):
-        # the guard is exact, not a size cap: P^1 at bound 2^61 fits int64
-        box = triples_mod._box_chunks(projective_space(1), 2**61)
-        degrees, values = next(box)
+        # the int64 guard is exact: P^1 at bound 2^61 fits int64, so with
+        # the box-point cap lifted the scan starts
+        with mock.patch.object(triples_mod, "_MAX_BOX_POINTS", 2**63):
+            box = triples_mod._box_chunks(projective_space(1), 2**61)
+            degrees, values = next(box)
         assert abs(degrees[0, 0]) == 2**61
         assert sorted(values[0].tolist()) == [-(2**61), 2**61]
         box.close()
+
+    def test_box_point_cap(self):
+        # (2*10^9+1)^2 points fit int64 but would never finish
+        for scan in (scan_box, degree_box):
+            with pytest.raises(
+                ValueError,
+                match=r"bound 1000000000 is too large: .* above the cap of 33554432",
+            ):
+                scan(hirzebruch(2), 10**9)
+        # the cap sits well above the largest box the tests scan
+        assert 33**4 < triples_mod._MAX_BOX_POINTS
+        side = 2 * 2**12 + 1  # P^1: exactly at and just past the cap
+        with mock.patch.object(triples_mod, "_MAX_BOX_POINTS", side):
+            assert len(degree_box(projective_space(1), 2**12)) == side
+            with pytest.raises(ValueError, match="above the cap"):
+                degree_box(projective_space(1), 2**12 + 1)
+
+    def test_first_cone_is_factored_once(self):
+        f = product(hirzebruch(2), hirzebruch(3))
+        with mock.patch.object(
+            intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+        ) as spy:
+            next(triples_mod._box_chunks(f, 2))
+        assert spy.call_count == 1
 
 
 class TestBoundRegression:
