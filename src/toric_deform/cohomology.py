@@ -11,6 +11,16 @@ degree m is dim ker d1 - rank d0, over Q, by exact integer ranks.
 The distinguished cocycle of an admissible triple (m, rho, C) has entry
 alpha(sigma, tau) * v_rho on each ordered cone pair, where alpha is 1 when
 sigma touches C and tau does not, -1 in the mirrored case, 0 otherwise.
+
+span_check proves its answer with one rank modulo a prime p, falling back
+to the exact rank of d1 only when the certificate is not sharp:
+
+* rank_Q(d0) and rank_span, the rank of im d0 plus the cocycles, are exact;
+  r1 = rank_p(d1) <= rank_Q(d1).
+* d1 d0 = 0 and d1 c = 0 for every cocycle c are checked exactly, so the
+  span lies in ker d1 and rank_span <= dim C^1 - rank_Q(d1) <= dim C^1 - r1.
+* If rank_span == dim C^1 - r1, all are equal: the cocycles span, and
+  h1_dim = span_rank = rank_span - rank_Q(d0).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 from . import intlin
 from .fan import Fan, common_face
-from .kernels import matrix_rank
+from .kernels import matrix_rank, rank_mod_p
 from .triples import AdmissibleTriple, pairing
 
 
@@ -235,21 +245,23 @@ def span_check(fan: Fan, m, triples) -> dict:
     """Whether the triple cocycles of degree m span H^1 in that degree.
 
     Returns:
-        {"h1_dim": int, "span_rank": int, "spans": bool}.
+        {"h1_dim": int, "span_rank": int, "spans": bool, "certified": bool};
+        certified is False when the rank mod p was not sharp and the exact
+        rank of d1 ran instead.
     """
     m = tuple(int(x) for x in m)
     complex_ = GradedCechComplex(fan, m)
-    h1 = complex_.h1()
-    cols = []
+    cocycles = []
     for t in triples:
         if tuple(t.m) != m:
             raise ValueError(f"triple degree {t.m} differs from requested degree {m}")
-        cols.append(_cocycle_coords(complex_, t))
-    if complex_.dim1 == 0 or not cols:
-        span_rank = 0
-    else:
-        base = [list(row) for row in zip(*complex_.d0)] if complex_.dim0 else []
-        rank_d0 = matrix_rank(complex_.d0) if complex_.dim0 else 0
-        augmented = base + cols  # rows are generators of the column span
-        span_rank = matrix_rank(augmented) - rank_d0
-    return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1}
+        cocycles.append(_cocycle_coords(complex_, t))
+    rank_d0 = matrix_rank(complex_.d0)
+    # the columns of d0 generate im d0
+    rank_span = matrix_rank([list(col) for col in zip(*complex_.d0)] + cocycles)
+    span_rank = rank_span - rank_d0
+    # the span lies in ker d1, so this equality is a proof (module docstring)
+    if rank_span == complex_.dim1 - rank_mod_p(complex_.d1):
+        return {"h1_dim": span_rank, "span_rank": span_rank, "spans": True, "certified": True}
+    h1 = complex_.dim1 - matrix_rank(complex_.d1) - rank_d0
+    return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1, "certified": False}

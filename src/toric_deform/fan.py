@@ -165,12 +165,20 @@ def validate(fan: Fan) -> dict:
         ValueError: naming the first offending cone index, when a maximal
             cone is not simplicial or not pointed.
     """
+    smooth = True
     for ci, c in enumerate(fan.max_cones):
         if len(c) > fan.dim:
             raise ValueError(f"cone {ci} has {len(c)} rays in dimension {fan.dim}")
-        if intlin.rational_rank(fan.cone_matrix(c).T) != len(c):
-            raise ValueError(f"cone {ci} is not simplicial")
-    smooth = all(_cone_is_unimodular(fan, c) for c in fan.max_cones)
+        if len(c) == fan.dim:
+            # det != 0 makes the cone simplicial, and |det| == 1 smooth
+            det = intlin.determinant(fan.cone_matrix(c))
+            if det == 0:
+                raise ValueError(f"cone {ci} is not simplicial")
+            smooth = smooth and abs(det) == 1
+        else:
+            if intlin.rational_rank(fan.cone_matrix(c).T) != len(c):
+                raise ValueError(f"cone {ci} is not simplicial")
+            smooth = smooth and _cone_is_unimodular(fan, c)
     complete = _complete_facet_pairing(fan)
     if complete and fan.dim == 1:
         complete = set(fan.rays) == {(1,), (-1,)}

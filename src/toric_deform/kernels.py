@@ -1,92 +1,25 @@
-"""Exact rational-rank kernel with a jitted fast path.
+"""Matrix rank kernels: exact over the rationals, and modulo one prime.
 
-Rank over the rationals of an integer matrix is the single hot operation of
-the package (it runs once or twice per degree in every cohomology sweep).
-Two interchangeable implementations are provided:
-
-* a numba ``@njit`` kernel on ``int64`` using fraction-free (Bareiss)
-  elimination, with explicit overflow guards on every product; any guard
-  trip makes the kernel return a sentinel and the caller falls back
-  (jitted only where numba is installed),
-* a pure arbitrary-precision path on Python ints (always exact).
-
-The environment variable ``TORIC_DEFORM_BACKEND`` selects the path:
-``auto`` (default: jitted first, exact fallback), ``numba`` (same as auto),
-or ``python`` (exact path only). Results are identical by construction.
+``matrix_rank`` is the exact rank over Q, by fraction-free (Bareiss)
+elimination on Python ints. ``rank_mod_p`` is the rank over the field
+F_p for the prime ``PRIME``, by int64 numpy row reduction. For an integer
+matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a
+nonzero minor over Z. So rank mod p is a lower bound on the exact rank,
+which ``cohomology.span_check`` turns into a proof when it is sharp.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_BACKEND = "TORIC_DEFORM_BACKEND"
+# perfbench/run.py reports this flag on its environment line; numba is no
+# longer used by the package, so it is always False.
+_HAVE_NUMBA = False
 
-# Inputs are pre-screened so every Bareiss product stays below 2^61 when the
-# guards pass; together two products stay below 2^62 and their difference
-# cannot wrap int64.
-_GUARD = np.int64(1) << np.int64(61)
-# Inputs above this bound go straight to the exact path.
-_SAFE_INPUT = int(np.int64(1) << np.int64(40))
-
-# numba is not a dependency: the jitted rank path runs only where numba
-# happens to be installed; elsewhere matrix_rank takes the exact path.
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-@njit("int64(int64[:, ::1])", cache=True)
-def _rank_bareiss_i64(a):  # pragma: no cover - exercised via matrix_rank
-    m, n = a.shape
-    prev = np.int64(1)
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        piv_row = -1
-        for r in range(row, m):
-            if a[r, col] != 0:
-                piv_row = r
-                break
-        if piv_row < 0:
-            continue
-        if piv_row != row:
-            for j in range(n):
-                tmp = a[row, j]
-                a[row, j] = a[piv_row, j]
-                a[piv_row, j] = tmp
-        piv = a[row, col]
-        apiv = -piv if piv < 0 else piv
-        # every row below is updated, including factor == 0 rows: the
-        # rescaling by piv/prev is what keeps later divisions exact
-        for r in range(row + 1, m):
-            factor = a[r, col]
-            afac = -factor if factor < 0 else factor
-            for j in range(col + 1, n):
-                x = a[r, j]
-                y = a[row, j]
-                ax = -x if x < 0 else x
-                ay = -y if y < 0 else y
-                if ax != 0 and apiv > _GUARD // ax:
-                    return np.int64(-1)
-                if ay != 0 and afac > _GUARD // ay:
-                    return np.int64(-1)
-                a[r, j] = (piv * x - factor * y) // prev
-            a[r, col] = 0
-        prev = piv
-        row += 1
-    return np.int64(row)
+# A prime below 2^31: reduced entries are below 2^31, so each product of
+# two is below 2^62, and subtracting one from a reduced entry cannot wrap
+# int64.
+PRIME = 2147483629
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
@@ -125,23 +58,43 @@ def _as_row_lists(mat) -> list[list[int]]:
         return [list(r) for r in mat.tolist()] if mat.ndim == 2 else []
     return [list(r) for r in mat]
 
-def matrix_rank(mat) -> int:
-    """Rank over the rationals of an integer matrix (rows or 2-D array).
 
-    Dispatches per ``TORIC_DEFORM_BACKEND``; every answer is exact because
-    the fast path either completes without overflow or defers.
+def matrix_rank(mat) -> int:
+    """Rank over the rationals of an integer matrix (rows or 2-D array)."""
+    rows = _as_row_lists(mat)
+    if not rows or not rows[0]:
+        return 0
+    return _rank_exact(rows)
+
+
+def rank_mod_p(mat) -> int:
+    """Rank over F_p, p = ``PRIME``, of an integer matrix (rows or 2-D array).
+
+    Entries are reduced mod p as Python ints, so any integer input is
+    exact. The result is a lower bound on the rank r over Q, and equals r
+    unless p divides every r x r minor.
     """
     rows = _as_row_lists(mat)
     if not rows or not rows[0]:
         return 0
-    backend = os.environ.get(ENV_BACKEND, "auto").lower()
-    if backend not in ("python",) and _HAVE_NUMBA:
-        try:
-            a = np.array(rows, dtype=np.int64)
-        except (OverflowError, ValueError):
-            a = None
-        if a is not None and (a.size == 0 or int(np.abs(a).max()) <= _SAFE_INPUT):
-            r = int(_rank_bareiss_i64(np.ascontiguousarray(a)))
-            if r >= 0:
-                return r
-    return _rank_exact(rows)
+    a = np.array([[int(x) % PRIME for x in r] for r in rows], dtype=np.int64)
+    if a.shape[0] < a.shape[1]:
+        a = np.ascontiguousarray(a.T)  # one pivot step per column: keep the short side
+    m, n = a.shape
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nonzero = np.flatnonzero(a[row:, col])
+        if nonzero.size == 0:
+            continue
+        piv = row + int(nonzero[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        below = row + 1 + np.flatnonzero(a[row + 1 :, col])
+        if below.size:
+            inv = pow(int(a[row, col]), -1, PRIME)
+            pivot_row = a[row, col:] * inv % PRIME
+            a[below, col:] = (a[below, col:] - a[below, col, None] * pivot_row) % PRIME
+        row += 1
+    return row

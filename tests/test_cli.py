@@ -315,6 +315,7 @@ class TestH1:
             "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
             "cech_degrees": 1,
             "marker_graphs": 12,
+            "rank_fallbacks": 0,
         }
         assert "counters" not in payload["results"]
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
@@ -322,6 +323,7 @@ class TestH1:
             "degrees_scanned": 1,
             "cech_degrees": 0,
             "marker_graphs": 0,
+            "rank_fallbacks": 0,
         }
         # (-1,-1) takes the values -1, -1, -1, 1 on the rays: three marker graphs
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "-1,-1"])
@@ -707,3 +709,38 @@ class TestDeterminism:
         assert "timing" in payload
         assert "timing" not in payload["results"]
         assert "seconds" in payload["timing"]
+
+
+class TestParserBuiltOnce:
+    """One process running many commands builds the parser once, and
+    each report equals the one a fresh process gives."""
+
+    def test_sequence_matches_fresh_processes(self, f2_path, capsys):
+        commands = [
+            ["deform", "--fan", f2_path, *GOLDEN_DEFORM_ARGS],
+            ["h1", "--fan", f2_path],
+            ["triples", "--fan", f2_path],
+            ["deform", "--fan", f2_path, "--m", "-1,-1", "--rho", "x", "--component", "0"],
+            ["scroll", "path", "3,1,0"],
+        ]
+        cli.build_parser.cache_clear()
+        in_process = []
+        for args in commands:
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands) - 1)
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+        for args, (code, out, err) in zip(commands, in_process):
+            fresh_code, fresh_out, fresh_err = run_cli(args)
+            assert code == fresh_code, args
+            assert err == fresh_err, args
+            if out:
+                out, fresh_out = (json.loads(text) for text in (out, fresh_out))
+                out.pop("timing")
+                fresh_out.pop("timing")
+            assert out == fresh_out, args

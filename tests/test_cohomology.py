@@ -17,10 +17,14 @@ below and reduced by fractions, independently of the implementation.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toric_deform import cli, cohomology
 from toric_deform.cohomology import (
     Cocycle,
     GradedCechComplex,
@@ -29,7 +33,8 @@ from toric_deform.cohomology import (
     span_check,
     triple_cocycle,
 )
-from toric_deform.fan import Fan, hirzebruch, product_of_lines, projective_space
+from toric_deform.fan import Fan, hirzebruch, product, product_of_lines, projective_space
+from toric_deform.kernels import PRIME, _rank_exact, matrix_rank, rank_mod_p
 from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import (
     AdmissibleTriple,
@@ -230,7 +235,7 @@ class TestSpanCheck:
         f = hirzebruch(2)
         triples = enumerate_triples(f, 3)
         rep = span_check(f, (-1, -1), triples)
-        assert rep == {"h1_dim": 1, "span_rank": 1, "spans": True}
+        assert rep == {"h1_dim": 1, "span_rank": 1, "spans": True, "certified": True}
 
     def test_two_cocycles_differ_by_coboundary(self):
         # rank of the pair together is still 1
@@ -246,6 +251,7 @@ class TestSpanCheck:
             "h1_dim": 0,
             "span_rank": 0,
             "spans": True,
+            "certified": True,
         }
 
     def test_f3_two_degrees(self):
@@ -271,6 +277,121 @@ class TestSpanCheck:
         for m in sorted(degrees):
             rep = span_check(f, m, [t for t in all_triples if t.m == m])
             assert rep["spans"], (n, m, rep)
+
+
+# fan -> half-width of a small degree box checked on top of the degrees
+# that carry triples (None: those degrees only, as the box is too costly)
+CERTIFICATE_FANS = {
+    **{f"F_{n}": (hirzebruch(n), 1) for n in range(6)},
+    "S(2,1,0)": (scroll_fan(ScrollSpec((2, 1, 0))), 1),
+    "S(3,1,0)": (scroll_fan(ScrollSpec((3, 1, 0))), 1),
+    "S(2,0,0,0)": (scroll_fan(ScrollSpec((2, 0, 0, 0))), None),
+    "P1xP1xP1": (product_of_lines(3), 1),
+    "F_2xF_3": (product(hirzebruch(2), hirzebruch(3)), None),
+}
+
+
+def triples_by_degree(fan, box_bound=None) -> dict:
+    """Triples of the default box grouped by degree, plus empty degrees."""
+    by_degree = {m: [] for m in (degree_box(fan, box_bound) if box_bound else [])}
+    for t in enumerate_triples(fan, default_bound(fan)):
+        by_degree.setdefault(t.m, []).append(t)
+    return by_degree
+
+
+def exact_span_reference(fan, m, triples) -> dict:
+    """span_check's answer from exact ranks only: h1_dimension and the
+    exact rank of im d0 plus the cocycles."""
+    complex_ = GradedCechComplex(fan, m)
+    h1 = h1_dimension(fan, m)
+    rows = [list(col) for col in zip(*complex_.d0)]
+    rows += [cohomology._cocycle_coords(complex_, t) for t in triples]
+    span_rank = matrix_rank(rows) - matrix_rank(complex_.d0)
+    return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1}
+
+
+small_int_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.integers(-9, 9).flatmap(lambda v: st.sampled_from([0, v])),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+class TestSpanCertificate:
+    """span_check proves its answer with one rank mod p, or falls back."""
+
+    @pytest.mark.parametrize("key", list(CERTIFICATE_FANS))
+    def test_matches_exact_reference(self, key):
+        fan, box_bound = CERTIFICATE_FANS[key]
+        by_degree = triples_by_degree(fan, box_bound)
+        assert by_degree
+        for m, triples in by_degree.items():
+            expected = {**exact_span_reference(fan, m, triples), "certified": True}
+            assert span_check(fan, m, triples) == expected, m
+
+    def test_fallback_gives_the_same_answer(self, monkeypatch):
+        cases = [
+            (fan, m, triples)
+            for fan, box_bound in (CERTIFICATE_FANS[k] for k in ("F_2", "F_3", "S(2,1,0)"))
+            for m, triples in triples_by_degree(fan, box_bound).items()
+        ]
+        certified = [span_check(*case) for case in cases]
+        monkeypatch.setattr(cohomology, "rank_mod_p", lambda mat: rank_mod_p(mat) - 1)
+        for case, rep in zip(cases, certified):
+            assert rep["certified"]
+            assert span_check(*case) == {**rep, "certified": False}, case[1]
+
+    @given(small_int_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_rank_mod_p_matches_exact(self, rows):
+        # every minor of a 6 x 6 matrix with entries in [-9, 9] is below
+        # (9 * 6^(1/2))^6 < p in absolute value, so no minor vanishes mod p
+        # unless it vanishes
+        assert rank_mod_p(rows) == _rank_exact(rows)
+        assert rank_mod_p([list(col) for col in zip(*rows)]) == _rank_exact(rows)
+
+    def test_rank_mod_p_reduces_big_entries_exactly(self):
+        assert rank_mod_p([[10**30, 1], [10**30, 1], [0, 7]]) == 2
+        assert rank_mod_p([[-(2**70), 3 * PRIME + 1]]) == 1
+
+    def test_rank_mod_p_can_fall_short(self):
+        # det = p: invertible over Q, singular mod p; this is the case the
+        # exact fallback of span_check is there for
+        mat = [[1, 1], [1, 1 + PRIME]]
+        assert _rank_exact(mat) == 2
+        assert rank_mod_p(mat) == 1
+        assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
+
+    def test_exact_rank_never_sees_d1_on_f2xf3(self, tmp_path, monkeypatch, capsys):
+        complexes = []
+        ranked = []
+
+        class Recorded(GradedCechComplex):
+            def __init__(self, fan, m):
+                super().__init__(fan, m)
+                complexes.append(self)
+
+        def spy(mat):
+            ranked.append(mat)
+            return matrix_rank(mat)
+
+        monkeypatch.setattr(cohomology, "GradedCechComplex", Recorded)
+        monkeypatch.setattr(cohomology, "matrix_rank", spy)
+        path = tmp_path / "f2xf3.json"
+        path.write_text(json.dumps(cli.fan_to_json(CERTIFICATE_FANS["F_2xF_3"][0])))
+        assert cli.main(["h1", "--fan", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["total_h1"] == 3
+        assert payload["checks"][0] == {"name": "cocycles_span", "ok": True, "witness": None}
+        assert payload["timing"]["counters"]["rank_fallbacks"] == 0
+        assert len(complexes) == 3 and ranked
+        assert not any(mat is c.d1 for mat in ranked for c in complexes)
 
 
 class TestClosedFormOracle:

@@ -27,6 +27,7 @@ from toric_deform.fan import (
     projective_space,
     validate,
 )
+from toric_deform.triples import require_smooth_complete
 
 
 def p2_fan() -> Fan:
@@ -101,6 +102,49 @@ class TestValidate:
         f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1, 2),))
         with pytest.raises(ValueError, match="cone 0"):
             validate(f)
+
+    def test_messages(self):
+        # P(1,1,2): complete and simplicial, one cone of determinant 2
+        p112 = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -2)), max_cones=((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(ValueError, match=r"^h1 needs a smooth complete fan; this fan is not smooth$"):
+            require_smooth_complete(p112, "h1")
+        # a flat cone of two opposite rays in dimension 2
+        flat = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 0)), max_cones=((0, 1), (0, 2)))
+        with pytest.raises(ValueError, match=r"^cone 1 is not simplicial$"):
+            validate(flat)
+        incomplete_f2 = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 2)), max_cones=((0, 1), (1, 2)))
+        assert validate(incomplete_f2) == {"smooth": True, "complete": False, "simplicial": True}
+        with pytest.raises(ValueError, match=r"^h1 needs a smooth complete fan; this fan is not complete$"):
+            require_smooth_complete(incomplete_f2, "h1")
+
+    def test_first_offending_cone_wins(self):
+        rays = ((1, 0), (0, 1), (-1, 0))
+        with pytest.raises(ValueError, match=r"^cone 0 has 3 rays in dimension 2$"):
+            validate(Fan(dim=2, rays=rays, max_cones=((0, 1, 2), (0, 2))))
+        with pytest.raises(ValueError, match=r"^cone 0 is not simplicial$"):
+            validate(Fan(dim=2, rays=rays, max_cones=((0, 2), (0, 1, 2))))
+
+    def test_cones_with_fewer_rays(self):
+        # in dimension 3: a flat 2-ray cone, and a 2-ray cone of index 2
+        flat = Fan(dim=3, rays=((1, 0, 0), (-1, 0, 0), (0, 0, 1)), max_cones=((0, 2), (0, 1)))
+        with pytest.raises(ValueError, match=r"^cone 1 is not simplicial$"):
+            validate(flat)
+        wide = Fan(dim=3, rays=((1, 0, 0), (1, 2, 0)), max_cones=((0, 1),))
+        assert validate(wide) == {"smooth": False, "complete": False, "simplicial": True}
+
+    def test_one_determinant_per_full_cone(self, monkeypatch):
+        calls = {"rational_rank": 0, "smith_normal_form": 0, "determinant": 0}
+        for name in calls:
+            original = getattr(intlin, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(intlin, name, counted)
+        f = product(hirzebruch(2), hirzebruch(3))
+        assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+        assert calls == {"rational_rank": 0, "smith_normal_form": 0, "determinant": 16}
 
     def test_p1(self):
         f = Fan(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
