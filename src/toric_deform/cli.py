@@ -13,7 +13,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import re
 import sys
 import time
@@ -39,15 +38,12 @@ from .scrolls import (
 )
 from .triples import (
     AdmissibleTriple,
-    default_bound,
+    Support,
+    chamber_support,
     h1_closed_form,
-    pairing,
     require_smooth_complete,
-    scan_box,
     triples_at_degree,
 )
-
-BOUND_ENV = "TORIC_DEFORM_BOUND"
 
 _VECTOR_FLAGS = {"--m", "--degree", "--class", "--component"}
 _VECTOR_RE = re.compile(r"-?\d+(,-?\d+)*\Z")
@@ -130,15 +126,19 @@ def _triple_json(t: AdmissibleTriple) -> dict:
     return {"m": list(t.m), "rho": t.rho, "component": list(t.component)}
 
 
-def _resolve_bound(fan: Fan, flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BOUND_ENV)
-    if env is not None:
-        if not re.fullmatch(r"\d+", env.strip()):
-            raise InputError(f"{BOUND_ENV} must be a positive integer, got {env!r}")
-        return int(env)
-    return default_bound(fan)
+def _support_check(support: Support) -> dict:
+    """Every feasible chamber with two or more components was bounded."""
+    return {
+        "name": "support_complete",
+        "ok": support.unbounded is None,
+        "witness": support.unbounded,
+    }
+
+
+def _support_counters(support: Support | None) -> dict:
+    if support is None:
+        return {"chambers": 0, "fm_systems": 0}
+    return {"chambers": support.chambers, "fm_systems": support.fm_systems}
 
 
 def _s_labels(r: int) -> list[str]:
@@ -171,7 +171,7 @@ def _deformation_json(fan: Fan, d: DeformationData) -> dict:
             "terms": [
                 {"coefficient": c, "exponents": list(e)} for c, e in d.trinomial.terms
             ],
-            "rendered": d.trinomial.rendered(),
+            "rendered": render_terms(d.trinomial.terms, d.trinomial.labels),
         },
         "kernel_binomial": _ints(kernel_binomial(d)),
         "eta": eta_map(d),
@@ -213,17 +213,21 @@ def cmd_fan_check(args) -> tuple[dict, list[dict]]:
 
 
 def cmd_triples(args) -> tuple[dict, list[dict], dict]:
+    """The whole support, or with --bound B the triples with |m(v)| <= B.
+
+    Only the unbounded report claims completeness, so only it carries the
+    support_complete check.
+    """
     fan = parse_fan(args.fan)
-    bound = _resolve_bound(fan, args.bound)
     require_smooth_complete(fan, "triple enumeration")
-    scan = scan_box(fan, bound)
+    support = chamber_support(fan, args.bound)
     results = {
-        "bound": bound,
-        "count": len(scan.triples),
-        "triples": [_triple_json(t) for t in scan.triples],
+        "bound": args.bound,
+        "count": len(support.triples),
+        "triples": [_triple_json(t) for t in support.triples],
     }
-    counters = {"degrees_scanned": scan.degrees_scanned, "marker_graphs": scan.marker_graphs}
-    return results, [], counters
+    checks = [] if args.bound is not None else [_support_check(support)]
+    return results, checks, _support_counters(support)
 
 
 def cmd_h1(args) -> tuple[dict, list[dict], dict]:
@@ -231,9 +235,11 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
 
     The closed form (triples.h1_closed_form) is zero at every degree
     without admissible triples, so those degrees get no Cech work. The
-    sweep finds the others with triples.scan_box. At each, span_check
+    sweep finds the others with triples.chamber_support: all of them, or
+    with --bound B those with |m(v)| <= B on every ray. At each, span_check
     gives h1_dim and span_rank, and its h1_dim must agree with the closed
-    form. The rank_fallbacks counter reports the degrees where span_check's
+    form. Without a bound the report also carries support_complete. The
+    rank_fallbacks counter reports the degrees where span_check's
     rank mod p was not sharp and the exact rank of d1 ran.
     """
     fan = parse_fan(args.fan)
@@ -242,15 +248,11 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
         m = _parse_vector(args.degree, "--degree")
         if len(m) != fan.dim:
             raise InputError(f"--degree has length {len(m)}, fan dimension is {fan.dim}")
-        bound = None
+        support = None
         by_degree = [(m, triples_at_degree(fan, m))]
-        scanned = 1
-        graphs = sum(1 for r in fan.rays if pairing(m, r) == -1)
     else:
-        bound = _resolve_bound(fan, args.bound)
-        scan = scan_box(fan, bound)
-        by_degree = [(m, list(ts)) for m, ts in itertools.groupby(scan.triples, key=lambda t: t.m)]
-        scanned, graphs = scan.degrees_scanned, scan.marker_graphs
+        support = chamber_support(fan, args.bound)
+        by_degree = [(m, list(ts)) for m, ts in itertools.groupby(support.triples, key=lambda t: t.m)]
 
     entries = []
     total = 0
@@ -285,14 +287,12 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
                 "triples": [_triple_json(t) for t in triples],
             }
         )
-    results = {"bound": bound, "degrees": entries, "total_h1": total}
+    results = {"bound": None if support is None else args.bound, "degrees": entries, "total_h1": total}
     checks = [{"name": "cocycles_span", "ok": witness is None, "witness": witness}]
-    counters = {
-        "degrees_scanned": scanned,
-        "cech_degrees": cech_degrees,
-        "marker_graphs": graphs,
-        "rank_fallbacks": rank_fallbacks,
-    }
+    if support is not None and args.bound is None:
+        checks.append(_support_check(support))
+    counters = _support_counters(support)
+    counters.update(cech_degrees=cech_degrees, rank_fallbacks=rank_fallbacks)
     return results, checks, counters
 
 

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import intlin
 from .fan import Fan, validate
-from .triples import AdmissibleTriple, admissible_components, marker_graph, pairing
+from .triples import (
+    AdmissibleTriple,
+    admissible_components,
+    marker_graph,
+    pairing,
+    require_smooth_complete,
+)
 
 
 @dataclass(frozen=True)
@@ -107,19 +113,6 @@ class Trinomial:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
     labels: tuple[str, ...]
 
-    def rendered(self) -> str:
-        pieces = []
-        for coeff, exps in self.terms:
-            factors = [
-                f"{label}^{e}" if e > 1 else label
-                for label, e in zip(self.labels, exps)
-                if e
-            ]
-            mono = "*".join(factors) if factors else "1"
-            pieces.append(("- " if coeff < 0 else "+ ") + mono)
-        out = " ".join(pieces)
-        return out[2:] if out.startswith("+ ") else out
-
 
 @dataclass(frozen=True)
 class DeformationData:
@@ -156,8 +149,10 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     """Construct the deformation package of an admissible triple.
 
     Raises:
-        ValueError: when the triple is not admissible for the fan.
+        ValueError: when the fan is not smooth and complete, or the triple
+            is not admissible for it.
     """
+    require_smooth_complete(fan, "deformation")
     comp = tuple(sorted(int(i) for i in t.component))
     g = marker_graph(fan, t.m, t.rho)
     if comp not in admissible_components(g):

@@ -44,6 +44,8 @@ class Fan:
         cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
+        if self.dim < 1:
+            raise ValueError(f"fan dimension must be at least 1, got {self.dim}")
         for i, r in enumerate(rays):
             if len(r) != self.dim:
                 raise ValueError(f"ray {i} has length {len(r)}, expected {self.dim}")

@@ -15,6 +15,7 @@ an integer combination of integral rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,6 +408,74 @@ def _fm_chain(a, b):
     for v in range(n, 0, -1):
         chain[v - 1] = _fm_eliminate(chain[v], v - 1)
     return chain
+
+
+class FourierMotzkin:
+    """Exact Fourier-Motzkin feasibility, grown one row at a time.
+
+    The batch helpers above eliminate a whole system at once. A search
+    that adds one inequality per step keeps this object instead: a pushed
+    row is combined at once with every row of opposite sign already on
+    its level, so the levels always equal the batch elimination of the
+    rows pushed so far, and each step pays only for its own row. Rows
+    are divided by the gcd of their entries and kept once per level;
+    neither changes the rational polyhedron. ``mark`` and ``undo`` take
+    the system back to an earlier state.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        # per level v: rows over x_0..x_{v-1} with a positive, negative
+        # coefficient at x_{v-1}; rows with zero there pass straight down
+        self._signed: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
+        self._seen: list[set] = [set() for _ in range(n + 1)]
+        self._log: list[tuple[int, int, tuple]] = []
+        self._violated = 0  # rows 0 >= rhs with rhs > 0
+
+    def push(self, coeffs: tuple[int, ...], rhs: int) -> None:
+        """Add the row coeffs @ x >= rhs (Python ints) and all it eliminates to."""
+        signed, seen, log = self._signed, self._seen, self._log
+        todo = [(self.n, coeffs, rhs)]
+        while todo:
+            v, c, r = todo.pop()
+            g = math.gcd(*c, r)
+            if g > 1:
+                c = tuple(x // g for x in c)
+                r //= g
+            row = (c, r)
+            if row in seen[v]:
+                continue
+            seen[v].add(row)
+            cv = c[v - 1] if v else 0
+            if v == 0:
+                self._violated += r > 0
+            elif cv == 0:
+                todo.append((v - 1, c, r))
+            else:
+                t = abs(cv)
+                pos, neg = signed[v]
+                for c2, r2 in neg if cv > 0 else pos:
+                    s = abs(c2[v - 1])
+                    todo.append((v - 1, tuple(s * a + t * b for a, b in zip(c, c2)), s * r + t * r2))
+                (pos if cv > 0 else neg).append(row)
+            log.append((v, cv, row))
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def undo(self, mark: int) -> None:
+        """Drop every row added since ``mark()`` returned ``mark``."""
+        while len(self._log) > mark:
+            v, cv, row = self._log.pop()
+            self._seen[v].discard(row)
+            if cv:
+                self._signed[v][cv < 0].pop()
+            elif v == 0:
+                self._violated -= row[1] > 0
+
+    def feasible(self) -> bool:
+        """Whether the rows pushed so far have a rational solution."""
+        return self._violated == 0
 
 
 def rational_polyhedron_nonempty(a, b) -> bool:

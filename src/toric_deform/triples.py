@@ -1,10 +1,27 @@
-"""Marker graphs and enumeration of admissible degree/ray/component triples.
+"""Marker graphs and the exact enumeration of admissible triples.
 
 For a degree m in the character lattice and a ray rho with m(rho) = -1, the
 marker graph has as vertices all other rays where m is negative, with edges
 between rays spanning a common cone. A triple (m, rho, C) is admissible when
 C is a proper connected component of that graph. Such triples index the
 one-parameter deformations constructed downstream.
+
+The marker graph of (m, rho) depends on m only through the set S of other
+rays where m is negative, so the degrees carrying triples are the lattice
+points of the chambers
+
+    {m : m(v_rho) = -1, m(v_tau) <= -1 for tau in S, m(v_tau) >= 0 otherwise}
+
+whose S has at least two components, each point carrying one triple per
+component (Eisenbud-Mustata-Stillman 2000; Cox-Little-Schenck, ch. 9).
+chamber_support lists them without any degree box. On a smooth complete fan
+a nonzero m has H^0 = H^1 = 0 for O_X in degree m, so the subcomplex of
+the fan on the rays where m < 0 is acyclic: S + {rho} is connected, and
+rho is a cut vertex of it. The search therefore grows connected ray sets
+from rho, deciding the neighbours of rho first, and drops a branch as soon
+as rho cannot end up a cut vertex or the partial chamber is empty. Each
+feasible chamber with two or more components is bounded, because H^1(T_X)
+is finite-dimensional; one that is not fails the support_complete check.
 """
 
 from __future__ import annotations
@@ -12,17 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intlin
-from .fan import Fan, cone_containing, validate
+from .fan import Fan, validate
 
-# Box points per numpy chunk of the degree scan; bounds its memory.
-_CHUNK_ROWS = 4096
-_INT64_MAX = 2**63 - 1
-# Most box points one scan may visit: about 28x the largest box the tests
-# scan (F_2 x F_3 at bound 16, 33^4 points), so a bound that would run
-# for hours fails at once instead.
+# Most degrees degree_box may list, so that a large bound fails at once.
 _MAX_BOX_POINTS = 2**25
 
 
@@ -58,6 +68,39 @@ class AdmissibleTriple:
     component: tuple[int, ...]
 
 
+def ray_adjacency(fan: Fan) -> list[set[int]]:
+    """adj[i]: the rays other than i that share a maximal cone with ray i."""
+    adj: list[set[int]] = [set() for _ in range(fan.n_rays)]
+    for cone in fan.max_cones:
+        for i in cone:
+            adj[i].update(cone)
+    for i, a in enumerate(adj):
+        a.discard(i)
+    return adj
+
+
+def components(vertices, adj) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph adj induces on vertices.
+
+    Each component is sorted, and they are ordered by smallest vertex.
+    """
+    todo = set(vertices)
+    out = []
+    for v in sorted(todo):
+        if v not in todo:
+            continue
+        todo.discard(v)
+        comp = [v]
+        stack = [v]
+        while stack:
+            for nxt in adj[stack.pop()] & todo:
+                todo.discard(nxt)
+                comp.append(nxt)
+                stack.append(nxt)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
 def marker_graph(fan: Fan, m, rho: int) -> MarkerGraph:
     """Build the marker graph of (m, rho).
 
@@ -70,34 +113,10 @@ def marker_graph(fan: Fan, m, rho: int) -> MarkerGraph:
     vertices = tuple(
         i for i in range(fan.n_rays) if i != rho and pairing(m, fan.rays[i]) < 0
     )
-    edges = tuple(
-        (i, j)
-        for i, j in itertools.combinations(vertices, 2)
-        if cone_containing(fan, {i, j}) is not None
-    )
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    components = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    comp.add(nxt)
-                    stack.append(nxt)
-        components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
+    adj = ray_adjacency(fan)
+    edges = tuple((i, j) for i, j in itertools.combinations(vertices, 2) if j in adj[i])
     return MarkerGraph(
-        rho=rho, vertices=vertices, edges=edges, components=tuple(components)
+        rho=rho, vertices=vertices, edges=edges, components=components(vertices, adj)
     )
 
 
@@ -143,143 +162,194 @@ def h1_closed_form(triples) -> int:
     return len(triples) - len({t.rho for t in triples})
 
 
-def default_bound(fan: Fan) -> int:
-    """Degree-box half-width used when the caller gives none.
+def _cone_inverse(fan: Fan, sigma) -> list[list[int]]:
+    """Inverse of the matrix whose columns are the rays of sigma.
 
-    Heuristic: twice (1 + the largest absolute ray coordinate). Covers all
-    worked examples; the box used is always reported alongside results.
-    """
-    biggest = max(abs(x) for r in fan.rays for x in r)
-    return 2 * (1 + biggest)
-
-
-def _box_chunks(fan: Fan, bound: int):
-    """Yield the degree box as (degrees, values) int64 chunks.
-
-    Each chunk holds up to _CHUNK_ROWS box points, in itertools.product
-    order of their coordinates: rows of ``degrees`` are degrees m, and rows
-    of ``values`` their values m(v_rho) on every ray. The arithmetic is
-    exact because every magnitude it can reach is checked against int64, in
-    Python ints, before anything is allocated.
+    Row j of the inverse applied to v_tau is the j-th coordinate of v_tau
+    in the basis v_sigma, and column j is the degree m with
+    m(v_sigma_i) = [i == j].
 
     Raises:
-        ValueError: for bound < 1, a bound too large for int64, a box of
-            more than _MAX_BOX_POINTS points, or a first maximal cone that
-            is not unimodular.
+        ValueError: when sigma is not a unimodular full-dimensional cone.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     n = fan.dim
-    sigma = fan.max_cones[0]
-    vt = fan.cone_matrix(sigma).T
     cols = [None]
     if len(sigma) == n:
-        solver = intlin.Solver(vt)
+        solver = intlin.Solver(fan.cone_matrix(sigma))
         eye = intlin.identity(n)
         cols = [solver.solve(eye[:, j]) for j in range(n)]
     if any(c is None for c in cols):
-        raise ValueError("the degree box needs a unimodular first maximal cone")
-    # m = inv @ vals, where vals are m's values on the rays of sigma
-    inv = [[int(cols[j][i]) for j in range(n)] for i in range(n)]
-    # vals @ pair gives m's value on every ray
-    pair = [[sum(r[i] * inv[i][j] for i in range(n)) for r in fan.rays] for j in range(n)]
-    side = 2 * bound + 1
-    total = side**n
-    reach = {
-        "(2*bound+1)^dim box points": total,
-        "|m_i|": bound * max(sum(abs(x) for x in row) for row in inv),
-        "|m(v_rho)|": bound * max(sum(abs(pair[j][k]) for j in range(n)) for k in range(fan.n_rays)),
-    }
-    for what, value in reach.items():
-        if value > _INT64_MAX:
-            raise ValueError(f"bound {bound} is too large: {what} can reach {value}, beyond int64")
-    if total > _MAX_BOX_POINTS:
-        raise ValueError(
-            f"bound {bound} is too large: the box has (2*bound+1)^dim = {total} points, "
-            f"above the cap of {_MAX_BOX_POINTS}"
-        )
-    place = np.array([side ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    inv_t = np.array(inv, dtype=np.int64).T
-    pair = np.array(pair, dtype=np.int64)
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        vals = idx[:, None] // place % side - bound
-        values = vals @ pair
-        keep = (np.abs(values) <= bound).all(axis=1)
-        yield vals[keep] @ inv_t, values[keep]
+        raise ValueError(f"cone {list(sigma)} is not unimodular")
+    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
 
 
 def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:
     """All degrees m with |m(ray)| <= bound for every ray, sorted.
 
     Degrees are parametrized by their values on the rays of the first
-    maximal cone (unimodular for smooth fans), so the sweep is exact.
+    maximal cone (unimodular for smooth fans), so the list is exact.
 
     Raises:
-        ValueError: as _box_chunks.
+        ValueError: for bound < 1, a first maximal cone that is not
+            unimodular, or more than _MAX_BOX_POINTS candidate degrees.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    n = fan.dim
+    try:
+        inv = _cone_inverse(fan, fan.max_cones[0])
+    except ValueError:
+        raise ValueError("the degree box needs a unimodular first maximal cone") from None
+    total = (2 * bound + 1) ** n
+    if total > _MAX_BOX_POINTS:
+        raise ValueError(
+            f"bound {bound} is too large: the box has (2*bound+1)^dim = {total} points, "
+            f"above the cap of {_MAX_BOX_POINTS}"
+        )
     out = []
-    for degrees, _ in _box_chunks(fan, bound):
-        out.extend(map(tuple, degrees.tolist()))
+    for vals in itertools.product(range(-bound, bound + 1), repeat=n):
+        m = tuple(sum(inv[j][i] * vals[j] for j in range(n)) for i in range(n))
+        if all(abs(pairing(m, r)) <= bound for r in fan.rays):
+            out.append(m)
     out.sort()
     return out
 
 
-@dataclass(frozen=True)
-class BoxScan:
-    """The admissible triples of a degree box and the work that found them.
+@dataclass
+class Support:
+    """The admissible triples found by chamber_support and the work done.
 
     Attributes:
         triples: sorted by (m, rho, component).
-        degrees_scanned: degrees in the box.
-        marker_graphs: marker_graph calls, one per sign class.
+        chambers: candidate sets S the search completed, whatever their
+            component count.
+        fm_systems: Fourier-Motzkin systems decided: one partial chamber
+            per ray decision of the search, and one per chamber listed.
+        unbounded: None, or the first chamber with two or more components
+            that turned out unbounded, as {"rho", "negative_rays"}.
     """
 
     triples: list[AdmissibleTriple]
-    degrees_scanned: int
-    marker_graphs: int
+    chambers: int
+    fm_systems: int
+    unbounded: dict | None
 
 
-def scan_box(fan: Fan, bound: int) -> BoxScan:
-    """All admissible triples with m in the degree box, in int64 chunks.
+class _ChamberSearch:
+    """The search of chamber_support for one ray rho.
 
-    The marker graph of (m, rho) depends on m only through its sign class:
-    rho and the set of rays where m is negative. So for each rho the box
-    degrees with m(v_rho) = -1 are grouped by that set, and marker_graph
-    runs once per class, on the first degree met in it. Every degree of a
-    class with at least two components carries one triple per component.
-    The triples mean something only on a smooth complete fan;
-    enumerate_triples and the CLI gate on that first.
+    Degrees are written in the coordinates y_j = m(v_j) for the rays j of a
+    unimodular maximal cone sigma containing rho. m(v_rho) = -1 fixes one of
+    them, and the n - 1 others are the variables of every chamber system:
+    m(v_tau) = a[tau] @ y - c[tau].
+    """
+
+    def __init__(self, fan: Fan, adj, rho: int, sigma, inv, bound, support):
+        self.fan, self.adj, self.rho, self.bound, self.support = fan, adj, rho, bound, support
+        self.inv = inv
+        self.k = sigma.index(rho)
+        self.free = [j for j in range(fan.dim) if j != self.k]
+        # coords[tau][j]: the j-th coordinate of v_tau in the basis v_sigma
+        coords = [[sum(x * y for x, y in zip(row, v)) for row in inv] for v in fan.rays]
+        self.a = [tuple(v[j] for j in self.free) for v in coords]
+        self.c = [v[self.k] for v in coords]
+        self.fm = intlin.FourierMotzkin(fan.dim - 1)
+
+    def row(self, tau: int, negative: bool):
+        """m(v_tau) <= -1 or m(v_tau) >= 0, as coeffs @ y >= rhs."""
+        if negative:
+            return tuple(-x for x in self.a[tau]), 1 - self.c[tau]
+        return self.a[tau], self.c[tau]
+
+    def grow(self, negative: frozenset, frontier: list, decided: frozenset) -> None:
+        """Decide frontier[0], the next ray next to S + {rho}, both ways."""
+        if not frontier:
+            self.leaf(negative)
+            return
+        adj, rho = self.adj, self.rho
+        u, rest = frontier[0], frontier[1:]
+        for into in (True, False):
+            grown, nxt = negative, rest
+            if into:
+                grown = negative | {u}
+                nxt = rest + [w for w in sorted(adj[u]) if w not in decided and w not in frontier]
+            # rho must end up a cut vertex. Components of S only merge as S
+            # grows, and only a neighbour of rho touching no ray of S yet
+            # can start a new one.
+            fresh = sum(1 for w in nxt if w in adj[rho] and not adj[w] & grown)
+            if fresh < 2 and len(components(grown, adj)) + fresh < 2:
+                continue
+            mark = self.fm.mark()
+            self.fm.push(*self.row(u, into))
+            self.support.fm_systems += 1
+            if self.fm.feasible():
+                self.grow(grown, nxt, decided | {u})
+            self.fm.undo(mark)
+
+    def leaf(self, negative: frozenset) -> None:
+        """List the chamber of S = negative if S has two or more components.
+
+        Rays never decided touch no ray of S + {rho}; they get m >= 0.
+        """
+        self.support.chambers += 1
+        comps = components(negative, self.adj)
+        if len(comps) < 2:
+            return
+        others = [t for t in range(self.fan.n_rays) if t != self.rho]
+        rows = [self.row(t, t in negative) for t in others]
+        if self.bound is not None:
+            # -bound <= m(v_t) on S, m(v_t) <= bound elsewhere
+            rows += [
+                (self.a[t], self.c[t] - self.bound) if t in negative
+                else (tuple(-x for x in self.a[t]), -self.c[t] - self.bound)
+                for t in others
+            ]
+        self.support.fm_systems += 1
+        try:
+            points = intlin.polyhedron_lattice_points([q for q, _ in rows], [b for _, b in rows])
+        except ValueError:
+            if self.support.unbounded is None:
+                self.support.unbounded = {"rho": self.rho, "negative_rays": sorted(negative)}
+            return
+        n = self.fan.dim
+        for y in points:
+            vals = [-1] * n
+            for j, x in zip(self.free, y):
+                vals[j] = x
+            m = tuple(sum(self.inv[j][i] * vals[j] for j in range(n)) for i in range(n))
+            self.support.triples.extend(AdmissibleTriple(m=m, rho=self.rho, component=c) for c in comps)
+
+
+def chamber_support(fan: Fan, bound: int | None = None) -> Support:
+    """All admissible triples, found chamber by chamber (module docstring).
+
+    For each ray rho the search decides rays one at a time, negative (in S)
+    or not: first the neighbours of rho, then the rays next to S. Each
+    decision adds one row to an incremental Fourier-Motzkin system, and an
+    empty partial chamber ends its branch. With a bound, each ray also gets
+    |m(v_tau)| <= bound when the points of a chamber are listed, so only
+    degrees inside the bound are ever produced.
+
+    The triples mean something only on a smooth complete fan; callers gate
+    on that first.
 
     Raises:
-        ValueError: as _box_chunks.
+        ValueError: for bound < 1, or a ray whose first maximal cone is not
+            unimodular.
     """
-    components: dict[tuple[int, bytes], list[tuple[int, ...]]] = {}
-    triples = []
-    scanned = 0
-    for degrees, values in _box_chunks(fan, bound):
-        scanned += len(degrees)
-        negative = values < 0
-        for rho in range(fan.n_rays):
-            hit = values[:, rho] == -1
-            if not hit.any():
-                continue
-            at_rho = degrees[hit]
-            classes, first, inverse = np.unique(
-                negative[hit], axis=0, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            for k, cls in enumerate(classes):
-                key = (rho, cls.tobytes())
-                if key not in components:
-                    g = marker_graph(fan, at_rho[first[k]].tolist(), rho)
-                    components[key] = admissible_components(g)
-                comps = components[key]
-                if comps:
-                    for m in map(tuple, at_rho[inverse == k].tolist()):
-                        triples.extend(AdmissibleTriple(m=m, rho=rho, component=c) for c in comps)
-    triples.sort(key=lambda t: (t.m, t.rho, t.component))
-    return BoxScan(triples=triples, degrees_scanned=scanned, marker_graphs=len(components))
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be >= 1")
+    adj = ray_adjacency(fan)
+    support = Support(triples=[], chambers=0, fm_systems=0, unbounded=None)
+    inverses: dict[tuple[int, ...], list[list[int]]] = {}
+    for rho in range(fan.n_rays):
+        sigma = next(c for c in fan.max_cones if rho in c)
+        if sigma not in inverses:
+            inverses[sigma] = _cone_inverse(fan, sigma)
+        search = _ChamberSearch(fan, adj, rho, sigma, inverses[sigma], bound, support)
+        search.grow(frozenset(), sorted(adj[rho]), frozenset({rho}))
+    support.triples.sort(key=lambda t: (t.m, t.rho, t.component))
+    return support
 
 
 def require_smooth_complete(fan: Fan, what: str) -> None:
@@ -294,15 +364,16 @@ def require_smooth_complete(fan: Fan, what: str) -> None:
 
 
 def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTriple]:
-    """All admissible triples with m in the degree box (see scan_box).
+    """All admissible triples, or those with |m(v_tau)| <= bound on every ray.
 
-    With no bound, uses default_bound(fan).
+    Sorted by (m, rho, component); see chamber_support.
 
     Raises:
-        ValueError: for a bound < 1 or too large for int64, or a fan that
-            is not smooth and complete.
+        ValueError: for a bound < 1, a fan that is not smooth and
+            complete, or (without a bound) an unbounded chamber.
     """
     require_smooth_complete(fan, "triple enumeration")
-    if bound is None:
-        bound = default_bound(fan)
-    return scan_box(fan, bound).triples
+    support = chamber_support(fan, bound)
+    if support.unbounded is not None:
+        raise ValueError(f"the support of H^1 is not finite: unbounded chamber {support.unbounded}")
+    return support.triples

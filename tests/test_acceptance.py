@@ -19,7 +19,7 @@ from toric_deform.deform import (
     kernel_binomial,
     verify_central_fiber,
 )
-from toric_deform.fan import Fan, cox_data
+from toric_deform.fan import Fan, cox_data, hirzebruch, product_of_lines
 from toric_deform.hypersurf import (
     hilbert_basis_check,
     is_liftable,
@@ -37,36 +37,20 @@ from toric_deform.scrolls import (
 from toric_deform.triples import (
     AdmissibleTriple,
     admissible_components,
-    default_bound,
     degree_box,
     enumerate_triples,
     marker_graph,
 )
 
 
-def hirzebruch(n: int) -> Fan:
-    return Fan(
-        dim=2,
-        rays=((1, 0), (0, 1), (-1, n), (0, -1)),
-        max_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
-    )
-
-
 def hirzebruch_triple(alpha: int) -> AdmissibleTriple:
     return AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
 
 
-def product_of_lines(k: int) -> Fan:
-    rays = tuple(
-        tuple(s if j == i else 0 for j in range(k))
-        for s in (1, -1)
-        for i in range(k)
-    )
-    cones = tuple(
-        tuple(i + k * signs[i] for i in range(k))
-        for signs in itertools.product((0, 1), repeat=k)
-    )
-    return Fan(dim=k, rays=rays, max_cones=cones)
+def default_box_bound(fan: Fan) -> int:
+    """Half-width of the degree box the Cech oracles sweep: twice (1 + the
+    largest absolute ray coordinate), the former default box."""
+    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
 
 
 def suite_deformations():
@@ -143,7 +127,7 @@ def test_criterion_3_cohomology_cross_validation():
         triples = enumerate_triples(fan)
         assert len(triples) == 2 * (n - 1)
         total = 0
-        for m in degree_box(fan, default_bound(fan)):
+        for m in degree_box(fan, default_box_bound(fan)):
             at_m = [t for t in triples if tuple(t.m) == tuple(m)]
             rep = span_check(fan, m, at_m)
             assert rep["spans"], f"F_{n} cocycles do not span at degree {m}"
@@ -170,7 +154,7 @@ def test_criterion_4_rigidity_sweep():
         fan = scroll_fan(spec)
         triples = enumerate_triples(fan)
         total = sum(
-            h1_dimension(fan, m) for m in degree_box(fan, default_bound(fan))
+            h1_dimension(fan, m) for m in degree_box(fan, default_box_bound(fan))
         )
         rigid = is_rigid(spec)
         assert rigid == (not triples) == (total == 0), (

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from toric_deform import cli
+from toric_deform import cli, intlin
 from toric_deform.cohomology import span_check
 from toric_deform.fan import hirzebruch
 from toric_deform.scrolls import ScrollSpec, scroll_fan
@@ -38,6 +38,14 @@ F2_TWO_CONES = {
     "dim": 2,
     "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
     "max_cones": [[0, 1], [2, 3]],
+}
+
+# F2 without the ray -e2: smooth, not complete, yet (-1,-1), ray 1, {0}
+# still splits its marker graph
+F2_INCOMPLETE = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, 2]],
+    "max_cones": [[0, 1], [1, 2]],
 }
 
 
@@ -123,6 +131,13 @@ class TestFanInputErrors:
         assert not out.strip()
         return json.loads(err)["error"]
 
+    def test_zero_dimensional_fan(self, tmp_path):
+        path = tmp_path / "dim0.json"
+        path.write_text(json.dumps({"dim": 0, "rays": [], "max_cones": []}))
+        for command in (["triples"], ["h1"], ["fan", "check"]):
+            msg = self.error_of([*command, "--fan", str(path)])
+            assert msg == "fan dimension must be at least 1, got 0"
+
     def test_missing_file(self, tmp_path):
         msg = self.error_of(["fan", "check", "--fan", str(tmp_path / "nope.json")])
         assert "cannot read fan file" in msg
@@ -183,26 +198,31 @@ class TestFanInputErrors:
 
 class TestTriples:
     def test_f2_default_bound(self, f2_path):
+        # no bound: the whole support, proven complete
         code, payload, _ = run_json(["triples", "--fan", f2_path])
         assert code == 0
         res = payload["results"]
-        assert res["bound"] == 6
+        assert res["bound"] is None
         assert res["count"] == 2
         assert res["triples"] == [
             {"m": [-1, -1], "rho": 1, "component": [0]},
             {"m": [-1, -1], "rho": 1, "component": [2]},
         ]
+        assert payload["checks"] == [{"name": "support_complete", "ok": True, "witness": None}]
 
     def test_explicit_bound_flag(self, f2_path):
         _, payload, _ = run_json(["triples", "--fan", f2_path, "--bound", "1"])
         assert payload["results"]["bound"] == 1
         assert payload["results"]["count"] == 2
+        # a bounded report claims nothing about completeness
+        assert payload["checks"] == []
 
     def test_env_bound_override(self, f2_path):
+        # TORIC_DEFORM_BOUND is gone: it no longer overrides the default
         _, payload, _ = run_json(
             ["triples", "--fan", f2_path], env_extra={"TORIC_DEFORM_BOUND": "2"}
         )
-        assert payload["results"]["bound"] == 2
+        assert payload["results"]["bound"] is None
 
     def test_flag_beats_env(self, f2_path):
         _, payload, _ = run_json(
@@ -212,54 +232,55 @@ class TestTriples:
         assert payload["results"]["bound"] == 3
 
     def test_bad_env_bound(self, f2_path):
-        code, _, err = run_cli(
+        # a value the former TORIC_DEFORM_BOUND rejected is now ignored
+        code, payload, _ = run_json(
             ["triples", "--fan", f2_path], env_extra={"TORIC_DEFORM_BOUND": "-3"}
         )
-        assert code == 2
-        assert "TORIC_DEFORM_BOUND" in json.loads(err)["error"]
+        assert code == 0
+        assert payload["results"]["count"] == 2
 
     def test_counters_in_timing(self, f2_path):
         _, payload, _ = run_json(["triples", "--fan", f2_path])
-        # 12 sign classes (rho, negative set) with m(v_rho) = -1 in F_2's box
-        assert payload["timing"]["counters"] == {
-            "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
-            "marker_graphs": 12,
-        }
+        # F_2's search completes one candidate set, rho = ray 1 with S = {0, 2},
+        # after nine partial chambers; listing its points is the tenth system
+        assert payload["timing"]["counters"] == {"chambers": 1, "fm_systems": 10}
         assert "counters" not in payload["results"]
+
+    def test_unbounded_chamber_fails_support_complete(self, f2_path, monkeypatch, capsys):
+        def unbounded(a, b):
+            raise ValueError("polyhedron is unbounded")
+
+        monkeypatch.setattr(intlin, "polyhedron_lattice_points", unbounded)
+        witness = {"rho": 1, "negative_rays": [0, 2]}
+        for command in ("triples", "h1"):
+            code = cli.main([command, "--fan", f2_path])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 1
+            assert {"name": "support_complete", "ok": False, "witness": witness} in payload["checks"]
 
 
 class TestBoxGuard:
-    """A bound that int64 cannot scan exactly is an input error, raised
-    before any box is allocated."""
+    """Bounds the former degree-box scan rejected. The bound now filters
+    the chamber support, so every bound runs at once."""
 
     @pytest.mark.parametrize("command", ["triples", "h1"])
-    def test_huge_bound_exits_2_at_once(self, f2_path, command, capsys):
+    @pytest.mark.parametrize("bound", ["1000000000", "1000000000000000"])
+    def test_huge_bound_exits_0_at_once(self, f2_path, command, bound, capsys):
         started = time.perf_counter()
-        code = cli.main([command, "--fan", f2_path, "--bound", "1000000000000000"])
+        code = cli.main([command, "--fan", f2_path, "--bound", bound])
         elapsed = time.perf_counter() - started
-        captured = capsys.readouterr()
-        assert code == 2
-        assert not captured.out
-        assert "bound 1000000000000000 is too large" in json.loads(captured.err)["error"]
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["results"]["bound"] == int(bound)
+        if command == "triples":
+            assert payload["results"]["count"] == 2
+        else:
+            assert payload["results"]["total_h1"] == 1
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("command", ["triples", "h1"])
-    def test_box_point_cap_exits_2_at_once(self, f2_path, command, capsys):
-        # (2*10^9+1)^2 box points fit int64 but exceed the box-point cap
-        started = time.perf_counter()
-        code = cli.main([command, "--fan", f2_path, "--bound", "1000000000"])
-        elapsed = time.perf_counter() - started
-        captured = capsys.readouterr()
-        assert code == 2
-        assert not captured.out
-        error = json.loads(captured.err)["error"]
-        assert "bound 1000000000 is too large" in error
-        assert "cap of 33554432" in error
-        assert elapsed < 1.0
-
-    @pytest.mark.parametrize("command", ["triples", "h1"])
-    def test_zero_env_bound_exits_2(self, f2_path, command):
-        code, out, err = run_cli([command, "--fan", f2_path], env_extra={"TORIC_DEFORM_BOUND": "0"})
+    def test_zero_bound_exits_2(self, f2_path, command):
+        code, out, err = run_cli([command, "--fan", f2_path, "--bound", "0"])
         assert code == 2
         assert not out.strip()
         assert "bound must be >= 1" in json.loads(err)["error"]
@@ -291,15 +312,16 @@ class TestH1:
         code, payload, _ = run_json(["h1", "--fan", f2_path])
         assert code == 0
         res = payload["results"]
-        assert res["bound"] == 6
+        assert res["bound"] is None
         assert res["total_h1"] == 1
+        assert check_map(payload) == {"cocycles_span": True, "support_complete": True}
         nonzero = [e for e in res["degrees"] if e["h1_dim"]]
         assert len(nonzero) == 1
         assert nonzero[0]["degree"] == [-1, -1]
 
     def test_degree_outside_default_box(self, f2_path):
         # triples at the requested degree are computed directly, not
-        # filtered from the sweep box
+        # taken from the chamber sweep; (-9, 0) lies outside the old default box
         code, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "-9,0"])
         assert code == 0
         assert payload["results"]["degrees"][0]["h1_dim"] == 0
@@ -312,22 +334,22 @@ class TestH1:
     def test_counters_in_timing(self, f2_path):
         _, payload, _ = run_json(["h1", "--fan", f2_path])
         assert payload["timing"]["counters"] == {
-            "degrees_scanned": len(degree_box(hirzebruch(2), 6)),
+            "chambers": 1,
             "cech_degrees": 1,
-            "marker_graphs": 12,
+            "fm_systems": 10,
             "rank_fallbacks": 0,
         }
         assert "counters" not in payload["results"]
+        # a single degree searches no chambers
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
         assert payload["timing"]["counters"] == {
-            "degrees_scanned": 1,
+            "chambers": 0,
             "cech_degrees": 0,
-            "marker_graphs": 0,
+            "fm_systems": 0,
             "rank_fallbacks": 0,
         }
-        # (-1,-1) takes the values -1, -1, -1, 1 on the rays: three marker graphs
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "-1,-1"])
-        assert payload["timing"]["counters"]["marker_graphs"] == 3
+        assert payload["timing"]["counters"]["cech_degrees"] == 1
 
     def test_other_commands_keep_plain_timing(self, f2_path):
         _, payload, _ = run_json(["fan", "check", "--fan", f2_path])
@@ -519,6 +541,18 @@ class TestDeform:
             assert entry["labels"] == [
                 res["column_labels"][c] for c in entry["columns"]
             ]
+
+    @pytest.mark.parametrize("command", ["deform", "lift"])
+    def test_incomplete_fan_exits_2(self, tmp_path, command):
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(F2_INCOMPLETE))
+        extra = ["--class", "1", "--poly", "S1"] if command == "lift" else []
+        code, out, err = run_cli([command, "--fan", str(path), *GOLDEN_DEFORM_ARGS, *extra])
+        assert code == 2
+        assert not out.strip()
+        assert json.loads(err)["error"] == (
+            "deformation needs a smooth complete fan; this fan is not complete"
+        )
 
     def test_inadmissible_component(self, f2_path):
         code, _, err = run_cli(

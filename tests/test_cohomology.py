@@ -38,13 +38,18 @@ from toric_deform.kernels import PRIME, _rank_exact, matrix_rank, rank_mod_p
 from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import (
     AdmissibleTriple,
-    default_bound,
     degree_box,
     enumerate_triples,
     h1_closed_form,
     marker_graph,
     triples_at_degree,
 )
+
+
+def default_box_bound(fan: Fan) -> int:
+    """Half-width of the degree box the Cech oracles sweep: twice (1 + the
+    largest absolute ray coordinate), the former default box."""
+    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
 
 
 def rank_oracle(rows) -> int:
@@ -292,9 +297,9 @@ CERTIFICATE_FANS = {
 
 
 def triples_by_degree(fan, box_bound=None) -> dict:
-    """Triples of the default box grouped by degree, plus empty degrees."""
+    """Every triple grouped by degree, plus the empty degrees of a box."""
     by_degree = {m: [] for m in (degree_box(fan, box_bound) if box_bound else [])}
-    for t in enumerate_triples(fan, default_bound(fan)):
+    for t in enumerate_triples(fan):
         by_degree.setdefault(t.m, []).append(t)
     return by_degree
 
@@ -410,7 +415,7 @@ class TestClosedFormOracle:
              "S(2,1,0)", "S(3,1,0)", "P^3", "P1xP1xP1"],
     )
     def test_matches_cech_on_box(self, fan, bound):
-        box = degree_box(fan, default_bound(fan) if bound is None else bound)
+        box = degree_box(fan, default_box_bound(fan) if bound is None else bound)
         mismatches = []
         for m in box:
             closed = h1_closed_form(triples_at_degree(fan, m))

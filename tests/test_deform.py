@@ -36,6 +36,7 @@ from toric_deform.deform import (
     verify_central_fiber,
 )
 from toric_deform.fan import Fan, hirzebruch, product_of_lines, validate
+from toric_deform.hypersurf import render_terms
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
 
@@ -119,11 +120,12 @@ class TestGoldenHirzebruch:
 
     def test_trinomial_rendering(self):
         d = hirzebruch_package(2, 1)
-        assert d.trinomial.rendered() == "T1*T(1,4) - T(2,1)*T(2,2) + T(3,2)*T(3,3)"
+        assert render_terms(d.trinomial.terms, d.trinomial.labels) == (
+            "T1*T(1,4) - T(2,1)*T(2,2) + T(3,2)*T(3,3)"
+        )
         d = hirzebruch_package(5, 2)
-        assert (
-            d.trinomial.rendered()
-            == "T1*T(1,4) - T(2,1)^2*T(2,2) + T(3,2)*T(3,3)^3"
+        assert render_terms(d.trinomial.terms, d.trinomial.labels) == (
+            "T1*T(1,4) - T(2,1)^2*T(2,2) + T(3,2)*T(3,3)^3"
         )
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
@@ -228,6 +230,21 @@ class TestBuildValidation:
         fan = hirzebruch(2)
         t = AdmissibleTriple(m=(-1, -1), rho=3, component=(0,))
         with pytest.raises(ValueError, match="expected -1"):
+            build_deformation(fan, t)
+
+    def test_rejects_incomplete_fan(self):
+        # F_2 without its ray -e2: (-1,-1), ray 1, {0} is still a proper
+        # component of the marker graph, but the fan is not complete
+        fan = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 2)), max_cones=((0, 1), (1, 2)))
+        t = AdmissibleTriple(m=(-1, -1), rho=1, component=(0,))
+        with pytest.raises(ValueError, match="^deformation needs a smooth complete fan; this fan is not complete$"):
+            build_deformation(fan, t)
+
+    def test_rejects_non_smooth_fan(self):
+        # P(1,1,2): the cones on ray 2 have index 2
+        fan = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -2)), max_cones=((0, 1), (1, 2), (0, 2)))
+        t = AdmissibleTriple(m=(0, 0), rho=0, component=(1,))
+        with pytest.raises(ValueError, match="^deformation needs a smooth complete fan; this fan is not smooth$"):
             build_deformation(fan, t)
 
 

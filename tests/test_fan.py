@@ -63,6 +63,11 @@ class TestFanStructure:
         with pytest.raises(ValueError, match="cone 1 is empty"):
             Fan(dim=1, rays=((1,), (-1,)), max_cones=((0, 1), ()))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dimension_below_one(self, dim):
+        with pytest.raises(ValueError, match=f"^fan dimension must be at least 1, got {dim}$"):
+            Fan(dim=dim, rays=(), max_cones=())
+
     def test_cone_indices_sorted(self):
         f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -1)), max_cones=((1, 0), (2, 1), (0, 2)))
         assert f.max_cones == ((0, 1), (1, 2), (0, 2))

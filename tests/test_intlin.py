@@ -537,6 +537,28 @@ class TestIntegerFourierMotzkin:
         if polyhedron_lattice_points(imat(a), ivec(b)):
             assert got
 
+    @given(bounded_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_incremental_rows_and_undo(self, system, data):
+        # rows pushed one at a time decide like the batch elimination, and
+        # undo takes the system back to where it was at the mark
+        a, b = system
+        k = data.draw(st.integers(0, len(a)))
+        fm = intlin.FourierMotzkin(len(a[0]))
+        for row, r in zip(a[:k], b[:k]):
+            fm.push(tuple(row), r)
+        prefix = rational_polyhedron_nonempty(a[:k], b[:k])
+        assert fm.feasible() == prefix
+        mark = fm.mark()
+        for row, r in zip(a[k:], b[k:]):
+            fm.push(tuple(row), r)
+        assert fm.feasible() == rational_polyhedron_nonempty(imat(a), ivec(b))
+        fm.undo(mark)
+        assert fm.feasible() == prefix
+        for row, r in reversed(list(zip(a[k:], b[k:]))):
+            fm.push(tuple(row), r)
+        assert fm.feasible() == rational_polyhedron_nonempty(imat(a), ivec(b))
+
     def test_rational_point_without_lattice_point(self):
         # 1 <= 3x - 3y <= 2 and 0 <= x, y <= 2: a strip between lattice lines
         a = [[3, -3], [-3, 3], [1, 0], [-1, 0], [0, 1], [0, -1]]

@@ -1,10 +1,15 @@
 """Marker graphs and admissible-triple enumeration.
 
-Oracle: an independent brute-force enumerator in this file loops over raw
-degree coordinates, evaluates the degree on every ray directly, builds the
-graph by pairwise cone queries and takes components by union-find. The
-int64 box scan is checked against it on fans moved by ray permutations and
-GL_n(Z) changes of basis, where the triples move with the fan.
+Oracles, both independent of the chamber enumerator:
+- brute_triples loops over raw degree coordinates, evaluates the degree on
+  every ray directly, builds the graph by pairwise cone queries and takes
+  components by union-find. The enumerator is checked against it on fans
+  moved by ray permutations and GL_n(Z) changes of basis, where the
+  triples move with the fan.
+- slice_triples scans, for each ray rho, the slice m(v_rho) = -1 of a
+  degree box in numpy int64, with one union-find marker graph per sign
+  class. It is fast enough to check the unbounded support against boxes
+  twice as wide as the old default box on 3- and 4-folds.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import functools
 import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +30,7 @@ from toric_deform.fan import (
     cone_containing,
     hirzebruch,
     product,
+    product_of_lines,
     projective_space,
     validate,
 )
@@ -32,13 +39,14 @@ from toric_deform.triples import (
     AdmissibleTriple,
     MarkerGraph,
     admissible_components,
-    default_bound,
+    chamber_support,
+    components,
     degree_box,
     enumerate_triples,
     h1_closed_form,
     marker_graph,
     pairing,
-    scan_box,
+    ray_adjacency,
     triples_at_degree,
 )
 
@@ -50,6 +58,79 @@ def scroll_110_fan() -> Fan:
         rays=((1, 0, 0), (-1, 1, 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
         max_cones=((0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)),
     )
+
+
+def default_box_bound(fan: Fan) -> int:
+    """Half-width of the degree box the h1 and triples commands once used
+    by default: twice (1 + the largest absolute ray coordinate)."""
+    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
+
+
+def blown_up_plane(r: int) -> Fan:
+    """P^2 blown up r - 3 times at torus-fixed points.
+
+    Each step inserts the sum of two adjacent rays between them, two
+    positions further round the fan than the step before.
+    """
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    pos = 0
+    while len(rays) < r:
+        a, b = rays[pos % len(rays)], rays[(pos + 1) % len(rays)]
+        rays.insert(pos % len(rays) + 1, (a[0] + b[0], a[1] + b[1]))
+        pos = pos % (len(rays) - 1) + 2
+    k = len(rays)
+    return Fan(dim=2, rays=tuple(rays), max_cones=tuple(tuple(sorted((i, (i + 1) % k))) for i in range(k)))
+
+
+def union_find_components(fan: Fan, vertices) -> list[tuple[int, ...]]:
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(vertices, 2):
+        if cone_containing(fan, {i, j}) is not None:
+            parent[find(i)] = find(j)
+    comps = {}
+    for v in vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return [tuple(sorted(c)) for c in comps.values()]
+
+
+def slice_triples(fan: Fan, bound: int) -> list[tuple]:
+    """Sorted (m, rho, component) with |m(v)| <= bound, slice by slice.
+
+    For each rho, m is written by its values on the rays of the first
+    maximal cone containing rho, which is unimodular; m(v_rho) = -1 leaves
+    a (2*bound + 1)^(n-1) grid of the other values, evaluated on every ray
+    in int64.
+    """
+    n = fan.dim
+    found = []
+    for rho in range(fan.n_rays):
+        sigma = next(c for c in fan.max_cones if rho in c)
+        solver = intlin.Solver(fan.cone_matrix(sigma))
+        # inv[i][j] = (V_sigma^-1)[i][j]; m = inv^T @ values on sigma
+        cols = [solver.solve(intlin.identity(n)[:, j]) for j in range(n)]
+        inv = np.array([[int(cols[j][i]) for j in range(n)] for i in range(n)], dtype=np.int64)
+        axes = [np.array([-1]) if sigma[j] == rho else np.arange(-bound, bound + 1) for j in range(n)]
+        vals = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        degrees = vals @ inv
+        values = degrees @ np.array(fan.rays, dtype=np.int64).T
+        keep = (np.abs(values) <= bound).all(axis=1)
+        degrees, values = degrees[keep], values[keep]
+        assert (values[:, rho] == -1).all()
+        graphs = {}
+        for m, row in zip(degrees.tolist(), values.tolist()):
+            negative = tuple(i for i, x in enumerate(row) if x < 0 and i != rho)
+            if negative not in graphs:
+                graphs[negative] = union_find_components(fan, negative)
+            if len(graphs[negative]) >= 2:
+                found.extend((tuple(m), rho, c) for c in graphs[negative])
+    return sorted(found)
 
 
 def brute_triples(fan: Fan, bound: int) -> set[tuple]:
@@ -70,25 +151,11 @@ def brute_triples(fan: Fan, bound: int) -> set[tuple]:
                 for i in range(fan.n_rays)
                 if i != rho and pairing(m, fan.rays[i]) < 0
             ]
-            parent = {v: v for v in vertices}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i, j in itertools.combinations(vertices, 2):
-                if cone_containing(fan, {i, j}) is not None:
-                    parent[find(i)] = find(j)
-            comps = {}
-            for v in vertices:
-                comps.setdefault(find(v), set()).add(v)
-            comps = list(comps.values())
+            comps = union_find_components(fan, vertices)
             if len(comps) < 2:
                 continue
             for c in comps:
-                found.add((m, rho, tuple(sorted(c))))
+                found.add((m, rho, c))
     return found
 
 
@@ -168,8 +235,12 @@ class TestDegreeBox:
             degree_box(f, 2)
 
     def test_default_bound(self):
-        assert default_bound(hirzebruch(5)) == 12
-        assert default_bound(projective_space(2)) == 4
+        # with no bound the whole support is listed; it lies inside the
+        # box the old default bound, 2 * (1 + largest |ray coordinate|), gave
+        assert default_box_bound(hirzebruch(5)) == 12
+        assert default_box_bound(projective_space(2)) == 4
+        for f in (hirzebruch(5), projective_space(2)):
+            assert enumerate_triples(f) == enumerate_triples(f, default_box_bound(f))
 
 
 class TestEnumerateTriples:
@@ -297,8 +368,8 @@ def unimodular_pairs(draw, n):
 
 
 class TestScanMatchesBruteForce:
-    """scan_box against brute_triples, never against degree_box, which
-    shares the scan's chunk generator."""
+    """chamber_support with a bound against brute_triples, which shares no
+    code with it."""
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -331,29 +402,100 @@ class TestScanMatchesBruteForce:
             )
             for m, rho, comp in cached_brute(fan, bound)
         )
-        chunk = data.draw(st.sampled_from((5, 64, 4096)))
-        with mock.patch.object(triples_mod, "_CHUNK_ROWS", chunk):
-            scan = scan_box(moved, bound)
-        assert [(t.m, t.rho, t.component) for t in scan.triples] == expected
+        support = chamber_support(moved, bound)
+        assert [(t.m, t.rho, t.component) for t in support.triples] == expected
 
-    def test_box_wider_than_one_chunk(self):
-        # 67^2 = 4,489 grid points, so the default chunk size leaves a seam
+    def test_wide_bound_matches_brute_force(self):
         f = hirzebruch(2)
         bound = 33
-        assert (2 * bound + 1) ** 2 > triples_mod._CHUNK_ROWS
         got = {(t.m, t.rho, t.component) for t in enumerate_triples(f, bound)}
         assert got == brute_triples(f, bound)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 4096])
-    def test_chunk_size_changes_nothing(self, chunk):
-        f = scroll_fan(ScrollSpec((2, 1, 0)))
-        reference = scan_box(f, 3)
-        with mock.patch.object(triples_mod, "_CHUNK_ROWS", chunk):
-            scan = scan_box(f, 3)
-        assert scan == reference
+    @pytest.mark.parametrize("bound", [1, 3, 4096])
+    def test_bound_filters_the_support(self, bound):
+        # --bound B keeps exactly the triples with |m(v)| <= B on every ray
+        f = scroll_fan(ScrollSpec((5, 2, 0)))
+        whole = enumerate_triples(f)
+        assert enumerate_triples(f, bound) == [
+            t for t in whole if all(abs(pairing(t.m, r)) <= bound for r in f.rays)
+        ]
+
+
+# Fans on which the unbounded support is checked against slice_triples at
+# twice the old default bound.
+SUPPORT_FANS = {
+    **{f"F_{n}": hirzebruch(n) for n in range(6)},
+    **{
+        f"S{a}": scroll_fan(ScrollSpec(a))
+        for a in ((2, 1, 0), (3, 1, 0), (4, 0, 0), (3, 0, 0, 0), (4, 0, 0, 0), (5, 2, 0))
+    },
+    "F_2xF_3": product(hirzebruch(2), hirzebruch(3)),
+    "F_3xP^1": product(hirzebruch(3), projective_space(1)),
+    "P1xP1xP1": product_of_lines(3),
+}
+
+
+class TestChamberSupport:
+    @pytest.mark.parametrize("key", sorted(SUPPORT_FANS))
+    def test_support_equals_doubled_box(self, key):
+        f = SUPPORT_FANS[key]
+        support = chamber_support(f)
+        assert support.unbounded is None
+        got = [(t.m, t.rho, t.component) for t in support.triples]
+        assert got == slice_triples(f, 2 * default_box_bound(f))
+
+    @pytest.mark.parametrize("r,count", [(8, 8), (12, 24), (20, 56), (28, 88)])
+    def test_blown_up_planes(self, r, count):
+        f = blown_up_plane(r)
+        assert f.n_rays == r
+        assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+        support = chamber_support(f)
+        assert support.unbounded is None
+        got = [(t.m, t.rho, t.component) for t in support.triples]
+        assert len(got) == count
+        assert got == slice_triples(f, default_box_bound(f))
+
+    def test_fm_systems_stay_few_on_many_rays(self):
+        # 20 rays: 20 * 2^19 candidate sets, and 3,820 connected ones
+        support = chamber_support(blown_up_plane(20))
+        assert support.fm_systems < 1000
+        assert support.chambers == 28
+
+    def test_lists_each_feasible_chamber_once(self):
+        # F_4: rho = ray 1 with S = {0, 2} carries the degrees (-a, -1),
+        # a = 1, 2, 3; that chamber is the only one listed
+        f = hirzebruch(4)
+        with mock.patch.object(
+            intlin, "polyhedron_lattice_points", wraps=intlin.polyhedron_lattice_points
+        ) as spy:
+            support = chamber_support(f)
+        assert spy.call_count == 1
+        assert {t.m for t in support.triples} == {(-1, -1), (-2, -1), (-3, -1)}
+
+    def test_unbounded_chamber_is_reported(self):
+        def unbounded(a, b):
+            raise ValueError("polyhedron is unbounded")
+
+        with mock.patch.object(intlin, "polyhedron_lattice_points", unbounded):
+            support = chamber_support(hirzebruch(2))
+            assert support.unbounded == {"rho": 1, "negative_rays": [0, 2]}
+            assert support.triples == []
+            with pytest.raises(ValueError, match="not finite: unbounded chamber"):
+                enumerate_triples(hirzebruch(2))
+
+    @pytest.mark.parametrize("key", sorted(SUPPORT_FANS))
+    def test_components_helper_matches_union_find(self, key):
+        f = SUPPORT_FANS[key]
+        adj = ray_adjacency(f)
+        for k in range(f.n_rays + 1):
+            for vertices in itertools.combinations(range(f.n_rays), k):
+                assert list(components(vertices, adj)) == sorted(union_find_components(f, vertices))
 
 
 class TestScanBox:
+    """Work counters. The class keeps the name it had when it tested the
+    degree-box scan, which the chamber search replaced."""
+
     @pytest.mark.parametrize("fan_builder,bound", [
         (lambda: hirzebruch(3), 4),
         (lambda: scroll_fan(ScrollSpec((3, 1, 0))), 2),
@@ -361,67 +503,80 @@ class TestScanBox:
     ])
     def test_counters(self, fan_builder, bound):
         f = fan_builder()
-        scan = scan_box(f, bound)
-        assert scan.degrees_scanned == len(degree_box(f, bound))
-        # one marker graph per (rho, negative set) met in the box
-        classes = {
-            (rho, tuple(i for i, r in enumerate(f.rays) if pairing(m, r) < 0))
-            for m in degree_box(f, bound)
-            for rho, r in enumerate(f.rays)
-            if pairing(m, r) == -1
+        support = chamber_support(f, bound)
+        assert support == chamber_support(f, bound)
+        # the bound filters points, it never changes the search
+        unbounded = chamber_support(f)
+        assert (support.chambers, support.fm_systems) == (unbounded.chambers, unbounded.fm_systems)
+        # every chamber that carries triples was reached, and decided
+        carrying = {
+            (t.rho, tuple(i for i, r in enumerate(f.rays) if pairing(t.m, r) < 0))
+            for t in unbounded.triples
         }
-        assert scan.marker_graphs == len(classes)
+        assert len(carrying) <= support.chambers <= support.fm_systems
 
     def test_one_marker_graph_per_sign_class(self):
+        # at one degree, triples_at_degree builds one marker graph per ray
+        # with m(v_rho) = -1, that is per sign class (rho, S) met; the
+        # chamber search builds none, it takes components of S directly
         f = hirzebruch(4)
+        m = (-2, -1)  # values -2, -1, -2, 1
         with mock.patch.object(triples_mod, "marker_graph", wraps=marker_graph) as spy:
-            scan = scan_box(f, 6)
-        assert spy.call_count == scan.marker_graphs < scan.degrees_scanned
+            at_m = triples_at_degree(f, m)
+            assert spy.call_count == 1
+            support = chamber_support(f)
+            assert spy.call_count == 1
+        assert [t for t in support.triples if t.m == m] == at_m
 
 
 class TestBoxGuard:
+    """degree_box keeps a point cap; the chamber enumerator needs none and
+    works in Python ints, so it stays exact beyond int64."""
+
     def test_box_too_large_to_index(self):
-        with pytest.raises(ValueError, match=r"bound 1000000000000000 is too large: \(2\*bound\+1\)\^dim"):
-            scan_box(hirzebruch(2), 10**15)
-        with pytest.raises(ValueError, match="bound 1000000000000000 is too large"):
+        with pytest.raises(ValueError, match=r"bound 1000000000000000 is too large: the box has \(2\*bound\+1\)\^dim"):
             degree_box(hirzebruch(2), 10**15)
+        # the bound is a filter on the support, so it is never too large
+        assert enumerate_triples(hirzebruch(2), 10**15) == enumerate_triples(hirzebruch(2))
 
     def test_ray_values_beyond_int64(self):
-        # 2,000,001^2 box points fit, but m(v) on (-1, 10^13) reaches ~10^19
-        with pytest.raises(ValueError, match=r"bound 1000000 is too large: \|m\(v_rho\)\|"):
-            scan_box(hirzebruch(10**13), 10**6)
+        # F_n with n = 10^20 at bound n/2 + 1: the degrees (-a, -1) with
+        # n - bound <= a <= bound, whose values a - n pass 2^63
+        n = 10**20
+        got = enumerate_triples(hirzebruch(n), n // 2 + 1)
+        assert [(t.m, t.component) for t in got] == [
+            ((-a, -1), c) for a in (n // 2 + 1, n // 2, n // 2 - 1) for c in ((0,), (2,))
+        ]
+        assert max(abs(pairing(t.m, r)) for t in got for r in hirzebruch(n).rays) > 2**63
 
     def test_coordinates_beyond_int64(self):
-        # F_0 moved by [[1, N], [0, 1]]: ray values stay within the bound,
-        # coordinates of m do not
-        big = 10**13
+        # F_2 moved by g = [[1, N], [0, 1]]: its triple (-1, -1) moves to
+        # g^-T (-1, -1) = (-1, N - 1), a coordinate beyond int64
+        big = 10**20
         f = Fan(
             dim=2,
-            rays=((1, 0), (big, 1), (-1, 0), (-big, -1)),
+            rays=((1, 0), (big, 1), (-1 + 2 * big, 2), (-big, -1)),
             max_cones=((0, 1), (1, 2), (2, 3), (3, 0)),
         )
-        with pytest.raises(ValueError, match=r"bound 1000000 is too large: \|m_i\|"):
-            scan_box(f, 10**6)
+        got = enumerate_triples(f)
+        assert [(t.m, t.rho, t.component) for t in got] == [
+            ((-1, big - 1), 1, (0,)), ((-1, big - 1), 1, (2,))
+        ]
 
     def test_largest_safe_box_is_accepted(self):
-        # the int64 guard is exact: P^1 at bound 2^61 fits int64, so with
-        # the box-point cap lifted the scan starts
-        with mock.patch.object(triples_mod, "_MAX_BOX_POINTS", 2**63):
-            box = triples_mod._box_chunks(projective_space(1), 2**61)
-            degrees, values = next(box)
-        assert abs(degrees[0, 0]) == 2**61
-        assert sorted(values[0].tolist()) == [-(2**61), 2**61]
-        box.close()
+        # there is no largest safe bound any more: P^1 at 2^61 (the int64
+        # edge of the former box scan) and far beyond it list the empty support
+        for bound in (2**61, 2**200):
+            assert enumerate_triples(projective_space(1), bound) == []
 
     def test_box_point_cap(self):
-        # (2*10^9+1)^2 points fit int64 but would never finish
-        for scan in (scan_box, degree_box):
-            with pytest.raises(
-                ValueError,
-                match=r"bound 1000000000 is too large: .* above the cap of 33554432",
-            ):
-                scan(hirzebruch(2), 10**9)
-        # the cap sits well above the largest box the tests scan
+        # (2*10^9+1)^2 degrees would never finish
+        with pytest.raises(
+            ValueError,
+            match=r"bound 1000000000 is too large: .* above the cap of 33554432",
+        ):
+            degree_box(hirzebruch(2), 10**9)
+        # the cap sits well above the largest box the tests list
         assert 33**4 < triples_mod._MAX_BOX_POINTS
         side = 2 * 2**12 + 1  # P^1: exactly at and just past the cap
         with mock.patch.object(triples_mod, "_MAX_BOX_POINTS", side):
@@ -434,12 +589,12 @@ class TestBoxGuard:
         with mock.patch.object(
             intlin, "smith_normal_form", wraps=intlin.smith_normal_form
         ) as spy:
-            next(triples_mod._box_chunks(f, 2))
+            degree_box(f, 1)
         assert spy.call_count == 1
 
 
 class TestBoundRegression:
-    """Doubling the default bound finds no new triples (ROADMAP item 4)."""
+    """The unbounded support equals the box at twice the old default bound."""
 
     @pytest.mark.parametrize("fan_builder,count,h1", [
         (lambda: product(hirzebruch(3), projective_space(1)), 4, 2),
@@ -448,8 +603,8 @@ class TestBoundRegression:
     ])
     def test_doubling_changes_nothing(self, fan_builder, count, h1):
         f = fan_builder()
-        small = enumerate_triples(f)
-        assert len(small) == count
-        assert len(enumerate_triples(f, 2 * default_bound(f))) == count
-        by_degree = itertools.groupby(small, key=lambda t: t.m)
+        whole = enumerate_triples(f)
+        assert len(whole) == count
+        assert enumerate_triples(f, 2 * default_box_bound(f)) == whole
+        by_degree = itertools.groupby(whole, key=lambda t: t.m)
         assert sum(h1_closed_form(list(ts)) for _, ts in by_degree) == h1
