@@ -417,8 +417,7 @@ def cmd_scroll_fan(args) -> tuple[dict, list[dict]]:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
         results["written"] = args.output
@@ -528,8 +527,7 @@ def main(argv=None) -> int:
         # handlers return (results, checks), plus work counters where kept
         results, checks, *counters = args.handler(args)
     except (InputError, ValueError) as exc:
-        json.dump({"command": command, "error": str(exc)}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        sys.stderr.write(json.dumps({"command": command, "error": str(exc)}, indent=2) + "\n")
         return 2
     elapsed = time.perf_counter() - started
 
@@ -543,8 +541,8 @@ def main(argv=None) -> int:
         "checks": checks,
         "timing": timing,
     }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: json.dump would stream the encoder's many small chunks
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if all(c["ok"] for c in checks) else 1
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intlin
-from .fan import Fan, validate
+from .fan import Fan
 from .triples import (
     AdmissibleTriple,
     admissible_components,
@@ -280,17 +280,12 @@ def eta_map(d: DeformationData) -> dict:
 def ambient_fan(d: DeformationData) -> Fan:
     """The toric ambient: rays are the columns of P, cones the sigma-tilde.
 
-    Raises:
-        RuntimeError: if some ambient cone fails to be smooth (cannot
-            happen for data built from an admissible triple; indicates an
-            internal construction error).
+    A plain constructor. That every sigma-tilde is unimodular is proved by
+    the fiber_fan_roundtrip check of verify_central_fiber, from the one
+    factorisation per cone that it makes anyway.
     """
     rays = tuple(tuple(int(x) for x in d.P[:, j]) for j in range(d.P.shape[1]))
-    fan = Fan(dim=d.P.shape[0], rays=rays, max_cones=d.ambient_cones)
-    rep = validate(fan)
-    if not rep["smooth"]:
-        raise RuntimeError("ambient cones are not unimodular; construction is broken")
-    return fan
+    return Fan(dim=d.P.shape[0], rays=rays, max_cones=d.ambient_cones)
 
 
 def _iota_matrix(fan: Fan, d: DeformationData) -> np.ndarray:
@@ -308,32 +303,49 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
 
     Returns a report {"passes": bool, "checks": {name: {"ok": bool,
     "witness": ...}}, "work": {"cone_factorisations": int, "fm_systems":
-    int}}. ``work`` counts the Smith factorisations of cone matrices (each
-    P[:, sigma-tilde] and each cone_matrix(sigma) is factored at most once)
-    and the Fourier-Motzkin systems decided. The named checks are:
+    int}}. ``work`` counts the Smith factorisations of cone matrices (one
+    per P[:, sigma-tilde]) and the Fourier-Motzkin systems decided (none
+    on a valid package; see _roundtrip_check).
+
+    Each B = P[:, sigma-tilde] is factored once. When B is unimodular its
+    inverse V @ U comes straight off that factorisation, and
+    X_sigma = B^-1 @ iota @ V_sigma, an (n+2) x n integer matrix, holds
+    in column i the sigma-tilde coordinates of iota(v_sigma[i]). Both
+    cone_membership and fiber_fan_roundtrip read X_sigma. The named
+    checks are:
 
     * cone_membership: iota of every ray of every maximal cone is a
-      nonnegative integer combination of its sigma-tilde columns,
+      nonnegative integer combination of its sigma-tilde columns, i.e.
+      X_sigma >= 0 (a solve per ray when B is not unimodular),
     * lattice_identification: iota embeds N onto the sublattice cut out by
       the binomial character u and the last coordinate,
     * diagram_commutes: Ptilde composed with psi equals iota (truncated)
       composed with the ray matrix,
     * cox_cone_mapping: psi sends each Cox cone of the base into the
       matching ambient Cox cone,
-    * fiber_fan_roundtrip: pulling each sigma-tilde back through iota
-      recovers exactly the original maximal cone.
+    * fiber_fan_roundtrip: every sigma-tilde is unimodular, and pulling it
+      back through iota recovers exactly the original maximal cone.
     """
     n = fan.dim
     iota = _iota_matrix(fan, d)
+    images = iota @ fan.ray_matrix()  # column j: iota(v_j)
     checks: dict[str, dict] = {}
     ambient = [intlin.Solver(d.P[:, list(st)]) for st in d.ambient_cones]
     work = {"cone_factorisations": len(ambient), "fm_systems": 0}
+    coords = []  # X_sigma as lists of rows, or None when B is not unimodular
+    for sigma, b in zip(fan.max_cones, ambient):
+        inv = b.inverse()
+        coords.append(None if inv is None else (inv @ images[:, list(sigma)]).tolist())
 
     witness = None
-    for ci, (sigma, b) in enumerate(zip(fan.max_cones, ambient)):
-        for j in sigma:
-            x = b.solve(iota @ intlin.ivec(fan.rays[j]))
-            if x is None or any(v < 0 for v in x):
+    for ci, (sigma, b, x) in enumerate(zip(fan.max_cones, ambient, coords)):
+        for i, j in enumerate(sigma):
+            if x is None:
+                y = b.solve(images[:, j])
+                bad = y is None or any(v < 0 for v in y)
+            else:
+                bad = any(row[i] < 0 for row in x)
+            if bad:
                 witness = {"cone": ci, "ray": j}
                 break
         if witness:
@@ -365,7 +377,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
         }
 
     lhs = d.Ptilde @ d.psi
-    rhs = iota[: n + 1] @ fan.ray_matrix()
+    rhs = images[: n + 1]
     ok = lhs.shape == rhs.shape and all(
         int(x) == int(y) for x, y in zip(np.ravel(lhs), np.ravel(rhs))
     )
@@ -386,40 +398,58 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             break
     checks["cox_cone_mapping"] = {"ok": witness is None, "witness": witness}
 
-    checks["fiber_fan_roundtrip"] = _roundtrip_check(fan, iota, ambient, work)
+    checks["fiber_fan_roundtrip"] = _roundtrip_check(coords, work)
 
     return {"passes": all(c["ok"] for c in checks.values()), "checks": checks, "work": work}
 
 
-def _roundtrip_check(fan: Fan, iota, ambient, work: dict) -> dict:
+def _roundtrip_check(coords, work: dict) -> dict:
     """Pull each sigma-tilde back through iota; the result must be sigma.
 
-    ``ambient`` holds the factorisations of the P[:, sigma-tilde], in
-    max_cones order; ``work`` counts the factorisations and FM systems
-    added here. Containment of sigma is implied by cone_membership; the
-    reverse containment is a rational infeasibility statement checked
-    exactly.
+    ``coords`` holds X_sigma for each maximal cone, in max_cones order, or
+    None where P[:, sigma-tilde] is not unimodular; the first such cone is
+    the witness. Containment of sigma in the pull-back is cone_membership.
+    The reverse containment rests on this lemma.
+
+    Lemma. With D = V_sigma^-1 the pull-back is {v : X_sigma D v >= 0};
+    put w = D v. It lies in sigma = {w >= 0} exactly when each e_i is a
+    nonnegative combination of the rows of X_sigma (Farkas). When
+    X_sigma >= 0 this holds exactly when some row of X_sigma is positive
+    at i and zero elsewhere.
+
+    Proof of the last step. Such a row is a positive multiple of e_i.
+    Conversely, if nonnegative multiples of nonnegative rows sum to e_i,
+    then at every k != i each term is 0, so every row used is supported
+    on {i}, and one of them is positive at i because the sum there is 1.
+
+    A negative entry in X_sigma (cone_membership has failed) falls back to
+    exact Fourier-Motzkin on {X_sigma w >= 0, -w_i >= 1}, one system per i,
+    counted in ``work["fm_systems"]``.
     """
-    n = fan.dim
-    eye = intlin.identity(n + 2)
-    for ci, (sigma, b) in enumerate(zip(fan.max_cones, ambient)):
-        binv_cols = [b.solve(eye[:, k]) for k in range(n + 2)]
-        if any(c is None for c in binv_cols):
+    for ci, x in enumerate(coords):
+        if x is None:
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
-        binv = np.stack(binv_cols, axis=1)
-        pull = binv @ iota  # (n+2) x n: rows are the pulled-back inequalities
-        bs = intlin.Solver(fan.cone_matrix(sigma))
-        work["cone_factorisations"] += 1
-        dual = np.stack([bs.solve(eye[:n, i]) for i in range(n)], axis=1)  # rows: dual basis
-        pull_rows = [[int(x) for x in row] for row in pull]
-        rhs = intlin.ivec([0] * (n + 2) + [1])
-        for i in range(n):
-            # feasible point would satisfy pull*v >= 0 and dual_i*v <= -1
-            ineq_rows = pull_rows + [[-int(x) for x in dual[i]]]
-            work["fm_systems"] += 1
-            if intlin.rational_polyhedron_nonempty(intlin.imat(ineq_rows, cols=n), rhs):
+        for i in range(len(x[0])):
+            if _pullback_leaves_orthant(x, i, work):
                 return {"ok": False, "witness": {"cone": ci, "functional": i}}
     return {"ok": True, "witness": None}
+
+
+def _pullback_leaves_orthant(x, i: int, work: dict) -> bool:
+    """Whether some rational w with x @ w >= 0 has w_i < 0.
+
+    ``x`` is a list of integer rows; see _roundtrip_check for the lemma
+    that decides the nonnegative case without Fourier-Motzkin.
+    """
+    if all(v >= 0 for row in x for v in row):
+        return not any(
+            row[i] > 0 and not any(row[:i]) and not any(row[i + 1:]) for row in x
+        )
+    n = len(x[0])
+    work["fm_systems"] += 1
+    rows = x + [[-1 if k == i else 0 for k in range(n)]]
+    rhs = intlin.ivec([0] * len(x) + [1])
+    return intlin.rational_polyhedron_nonempty(intlin.imat(rows, cols=n), rhs)
 
 
 def ambient_irrelevant_primes(d: DeformationData) -> tuple[tuple[int, ...], ...]:

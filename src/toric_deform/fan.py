@@ -10,6 +10,7 @@ grading and the irrelevant-ideal combinatorics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,12 +82,26 @@ class Fan:
         """n x k matrix of the generators of the given ray-index set."""
         return intlin.imat([list(self.rays[i]) for i in cone], cols=self.dim).T
 
+    @functools.cached_property
+    def cone_determinants(self) -> tuple[int | None, ...]:
+        """Determinant of each maximal cone with dim rays; None for the others.
 
-def _cone_is_unimodular(fan: Fan, cone) -> bool:
-    m = fan.cone_matrix(cone)
-    if len(cone) == fan.dim:
-        return abs(intlin.determinant(m)) == 1
-    snf = intlin.smith_normal_form(m)
+        Taken once per Fan object, on first use: validate and cox_data
+        both read their per-cone verdicts from it.
+        """
+        return tuple(
+            intlin.determinant(self.cone_matrix(c)) if len(c) == self.dim else None
+            for c in self.max_cones
+        )
+
+
+def _cone_is_unimodular(fan: Fan, ci: int) -> bool:
+    """Whether maximal cone ci is generated by part of a lattice basis."""
+    det = fan.cone_determinants[ci]
+    if det is not None:
+        return abs(det) == 1
+    cone = fan.max_cones[ci]
+    snf = intlin.smith_normal_form(fan.cone_matrix(cone))
     d = snf.diagonal
     return len([x for x in d if x != 0]) == len(cone) and all(x in (0, 1) for x in d)
 
@@ -107,8 +122,6 @@ def _complete_2d(fan: Fan) -> bool:
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
-
-    import functools
 
     def cmp(i, j):
         vi, vj = fan.rays[i], fan.rays[j]
@@ -173,14 +186,14 @@ def validate(fan: Fan) -> dict:
             raise ValueError(f"cone {ci} has {len(c)} rays in dimension {fan.dim}")
         if len(c) == fan.dim:
             # det != 0 makes the cone simplicial, and |det| == 1 smooth
-            det = intlin.determinant(fan.cone_matrix(c))
+            det = fan.cone_determinants[ci]
             if det == 0:
                 raise ValueError(f"cone {ci} is not simplicial")
             smooth = smooth and abs(det) == 1
         else:
             if intlin.rational_rank(fan.cone_matrix(c).T) != len(c):
                 raise ValueError(f"cone {ci} is not simplicial")
-            smooth = smooth and _cone_is_unimodular(fan, c)
+            smooth = smooth and _cone_is_unimodular(fan, ci)
     complete = _complete_facet_pairing(fan)
     if complete and fan.dim == 1:
         complete = set(fan.rays) == {(1,), (-1,)}
@@ -209,8 +222,8 @@ class CoxData:
 
 
 def cox_data(fan: Fan) -> CoxData:
-    for ci, c in enumerate(fan.max_cones):
-        if not _cone_is_unimodular(fan, c):
+    for ci in range(len(fan.max_cones)):
+        if not _cone_is_unimodular(fan, ci):
             raise ValueError(f"cone {ci} is not unimodular; fan is not smooth")
     p = fan.ray_matrix()
     grading, invariants = intlin.cokernel_map(p.T)

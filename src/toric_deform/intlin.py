@@ -307,6 +307,17 @@ class Solver:
         status, x = self.status(b)
         return x if status == "ok" else None
 
+    def inverse(self) -> np.ndarray | None:
+        """The integer inverse V @ U of a square ``a`` whose invariant factors are all 1.
+
+        U @ a @ V = I gives a^-1 = V @ U with no further solve. Returns None
+        when ``a`` is not square or not unimodular.
+        """
+        m, n = self.a.shape
+        if m != n or any(d != 1 for d in self._diag):
+            return None
+        return self.snf.v @ self.snf.u
+
     def nonneg_line(self, e, k) -> np.ndarray | None:
         """Nonnegative integer solution of a @ x = e on the line x0 + t*k.
 

@@ -172,15 +172,10 @@ def _cone_inverse(fan: Fan, sigma) -> list[list[int]]:
     Raises:
         ValueError: when sigma is not a unimodular full-dimensional cone.
     """
-    n = fan.dim
-    cols = [None]
-    if len(sigma) == n:
-        solver = intlin.Solver(fan.cone_matrix(sigma))
-        eye = intlin.identity(n)
-        cols = [solver.solve(eye[:, j]) for j in range(n)]
-    if any(c is None for c in cols):
+    inv = intlin.Solver(fan.cone_matrix(sigma)).inverse()
+    if inv is None:
         raise ValueError(f"cone {list(sigma)} is not unimodular")
-    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
+    return inv.tolist()
 
 
 def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:

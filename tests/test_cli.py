@@ -4,12 +4,14 @@ Every command runs as a real subprocess on the Hirzebruch F2 fan,
 checking payload shape, golden values, exit codes and determinism.
 """
 
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -474,12 +476,12 @@ class TestDeform:
         }
 
     def test_counters_in_timing(self, f2_path):
-        # four cones: each P[:, sigma-tilde] and each cone_matrix(sigma) is
-        # factored once, and each cone pulls back two dual functionals
+        # four cones: each P[:, sigma-tilde] is factored once, and the round
+        # trip of a valid package needs no Fourier-Motzkin system
         _, payload, _ = self.run_golden(f2_path)
         assert payload["timing"]["counters"] == {
-            "cone_factorisations": 8,
-            "fm_systems": 8,
+            "cone_factorisations": 4,
+            "fm_systems": 0,
         }
         assert "counters" not in payload["results"]
 
@@ -527,6 +529,31 @@ class TestDeform:
             "T(3,2)": {"S1": 1, "S2": 1},
             "T(3,3)": {"S3": 1},
         }
+
+    def test_non_unimodular_ambient_cone_exits_1(self, tmp_path, monkeypatch, capsys):
+        # F_3's first package with a sigma-tilde column swapped for one
+        # outside it (determinant 2): a failed check with a witness, not a crash
+        path = tmp_path / "f3.json"
+        path.write_text(json.dumps(cli.fan_to_json(hirzebruch(3))))
+
+        build = cli.build_deformation
+
+        def corrupted(fan, triple):
+            d = build(fan, triple)
+            first = tuple(sorted(set(d.ambient_cones[0]) - {3} | {5}))
+            return dataclasses.replace(d, ambient_cones=(first,) + d.ambient_cones[1:])
+
+        monkeypatch.setattr(cli, "build_deformation", corrupted)
+        code = cli.main(["deform", "--fan", str(path), "--m", "-2,-1", "--rho", "1", "--component", "0"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == ""
+        payload = json.loads(out)
+        assert {
+            "name": "fiber_fan_roundtrip",
+            "ok": False,
+            "witness": {"cone": 0, "reason": "non-unimodular"},
+        } in payload["checks"]
 
     def test_ambient_fan_block(self, f2_path):
         _, payload, _ = self.run_golden(f2_path)
@@ -589,6 +616,19 @@ class TestDeform:
 
 class TestLift:
     BASE = ["lift", "--fan"]
+
+    def test_one_determinant_per_cone(self, f2_path, capsys):
+        # the gate's validate and lift_polynomial's cox_data share the
+        # determinants of the one Fan object the command parsed
+        argv = [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1", "--poly", "S1^3*S2"]
+        with mock.patch.object(intlin, "determinant", wraps=intlin.determinant) as spy:
+            assert cli.main(argv) == 0
+        assert spy.call_count == len(F2["max_cones"])
+        # a second command parses a new Fan and takes them again
+        with mock.patch.object(intlin, "determinant", wraps=intlin.determinant) as spy:
+            assert cli.main(argv) == 0
+        assert spy.call_count == len(F2["max_cones"])
+        capsys.readouterr()
 
     def test_liftable_polynomial(self, f2_path):
         code, payload, _ = run_json(
@@ -778,3 +818,22 @@ class TestParserBuiltOnce:
                 out.pop("timing")
                 fresh_out.pop("timing")
             assert out == fresh_out, args
+
+
+class TestReportFormat:
+    @pytest.mark.parametrize("argv", [
+        ["deform", "--fan", None, *GOLDEN_DEFORM_ARGS],
+        ["h1", "--fan", None],
+    ], ids=["deform", "h1"])
+    def test_stdout_is_indented_sorted_json(self, f2_path, capsys, argv):
+        argv = [f2_path if a is None else a for a in argv]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_stderr_error_report(self, tmp_path, capsys):
+        assert cli.main(["h1", "--fan", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        payload = json.loads(err)
+        assert err == json.dumps(payload, indent=2) + "\n"
+        assert payload["command"] == "h1"

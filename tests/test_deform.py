@@ -19,13 +19,19 @@ from __future__ import annotations
 import itertools
 from unittest import mock
 
+import dataclasses
+
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_deform import intlin
 from toric_deform.deform import (
     DeformationData,
     _iota_matrix,
+    _pullback_leaves_orthant,
     ambient_fan,
     ambient_irrelevant_primes,
     build_deformation,
@@ -386,18 +392,141 @@ class TestCentralFiber:
         ) as spy:
             report = verify_central_fiber(fan, d)
         assert report["passes"]
-        # one factorisation per P[:, sigma-tilde] and per cone_matrix(sigma),
-        # plus the two of lattice_identification (solve_int of P^T, kernel_basis)
+        # one factorisation per P[:, sigma-tilde], plus the two of
+        # lattice_identification (solve_int of P^T, kernel_basis); a valid
+        # package decides the round trip without Fourier-Motzkin
         cones = len(fan.max_cones)
-        assert spy.call_count == 2 * cones + 2
-        assert report["work"] == {
-            "cone_factorisations": 2 * cones,
-            "fm_systems": cones * fan.dim,
-        }
+        assert spy.call_count == cones + 2
+        assert report["work"] == {"cone_factorisations": cones, "fm_systems": 0}
 
     def test_product_of_lines_has_no_triples(self):
         fan = product_of_lines(3)
         assert enumerate_triples(fan) == []
+
+
+def escapes_by_fm(pull, dual_row) -> bool:
+    """Whether {v : pull @ v >= 0, dual_row @ v <= -1} is nonempty (FM)."""
+    rows = [[int(x) for x in r] for r in pull] + [[-int(x) for x in dual_row]]
+    rhs = [0] * len(pull) + [1]
+    return intlin.rational_polyhedron_nonempty(intlin.imat(rows, cols=len(dual_row)), rhs)
+
+
+def fm_roundtrip_reference(fan, d):
+    """fiber_fan_roundtrip's witness decided the long way, as a test oracle.
+
+    sympy inverts each P[:, sigma-tilde] and each cone matrix; the pulled
+    back inequalities B^-1 @ iota and the dual basis of sigma then go to
+    Fourier-Motzkin in N-coordinates, one system per functional.
+    """
+    iota = sympy.Matrix(_iota_matrix(fan, d).tolist())
+    for ci, (sigma, cols) in enumerate(zip(fan.max_cones, d.ambient_cones)):
+        b = sympy.Matrix(d.P[:, list(cols)].tolist())
+        if not b.is_square or abs(b.det()) != 1:
+            return {"cone": ci, "reason": "non-unimodular"}
+        pull = (b.inv() * iota).tolist()
+        dual = sympy.Matrix(fan.cone_matrix(sigma).tolist()).inv()
+        for i in range(fan.dim):
+            if escapes_by_fm(pull, dual.row(i)):
+                return {"cone": ci, "functional": i}
+    return None
+
+
+def unimodular(data, n):
+    """A unimodular n x n integer matrix drawn by hypothesis."""
+    el, er = sympy.eye(n), sympy.eye(n)
+    for i in range(n):
+        for j in range(i):
+            el[i, j] = data.draw(st.integers(-2, 2))
+            er[j, i] = data.draw(st.integers(-2, 2))
+    return (el * er).permute_rows(data.draw(st.permutations(range(n))))
+
+
+class TestRoundTripLemma:
+    """The unit-row criterion and its fallback against Fourier-Motzkin.
+
+    X_sigma decides, per functional i, whether {w : X w >= 0} leaves the
+    orthant through w_i < 0. In the N-coordinates v = V w of the cone
+    sigma this is the system {X D v >= 0, D_i v <= -1}, D = V^-1; a random
+    unimodular D stands for the inverse of the cone matrix.
+    """
+
+    @staticmethod
+    def draw_x(data, low):
+        n = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(1, n + 3))
+        entries = st.integers(low, 3)
+        return [[data.draw(entries) for _ in range(n)] for _ in range(rows)]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_row_criterion_on_nonnegative_x(self, data):
+        x = self.draw_x(data, 0)
+        n = len(x[0])
+        d = unimodular(data, n)
+        pull = (sympy.Matrix(x) * d).tolist()
+        for i in range(n):
+            work = {"fm_systems": 0}
+            got = _pullback_leaves_orthant(x, i, work)
+            assert work["fm_systems"] == 0
+            assert got == escapes_by_fm(x, [int(k == i) for k in range(n)])
+            assert got == escapes_by_fm(pull, d.row(i))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fallback_on_x_with_a_negative_entry(self, data):
+        x = self.draw_x(data, -2)
+        n = len(x[0])
+        x[data.draw(st.integers(0, len(x) - 1))][data.draw(st.integers(0, n - 1))] = -1
+        d = unimodular(data, n)
+        pull = (sympy.Matrix(x) * d).tolist()
+        for i in range(n):
+            work = {"fm_systems": 0}
+            assert _pullback_leaves_orthant(x, i, work) == escapes_by_fm(pull, d.row(i))
+            assert work["fm_systems"] == 1
+
+
+def f3_with_non_unimodular_cone():
+    """F_3's first package with column 3 of its first sigma-tilde replaced by column 5.
+
+    The swapped column matrix has determinant 2, so that cone is no
+    longer unimodular; columns 3 and 5 stay in other cones.
+    """
+    fan = hirzebruch(3)
+    d = build_deformation(fan, enumerate_triples(fan)[0])
+    first = tuple(sorted(set(d.ambient_cones[0]) - {3} | {5}))
+    assert abs(intlin.determinant(d.P[:, list(first)])) == 2
+    return fan, dataclasses.replace(d, ambient_cones=(first,) + d.ambient_cones[1:])
+
+
+class TestCorruptedPackages:
+    def test_non_unimodular_cone_is_a_witness(self):
+        fan, bad = f3_with_non_unimodular_cone()
+        report = verify_central_fiber(fan, bad)
+        witness = {"cone": 0, "reason": "non-unimodular"}
+        assert report["checks"]["fiber_fan_roundtrip"] == {"ok": False, "witness": witness}
+        assert fm_roundtrip_reference(fan, bad) == witness
+        assert not report["passes"]
+        # the ambient fan is still built; validate is the independent oracle
+        assert not validate(ambient_fan(bad))["smooth"]
+
+    @pytest.mark.parametrize("fan_builder", [lambda: hirzebruch(3), scroll_210_fan])
+    def test_negative_coordinates_fall_back_to_fm(self, fan_builder):
+        # rotating the sigma-tilde pairs each sigma with a wrong ambient cone
+        fan = fan_builder()
+        for t in enumerate_triples(fan):
+            d = build_deformation(fan, t)
+            bad = dataclasses.replace(d, ambient_cones=d.ambient_cones[1:] + d.ambient_cones[:1])
+            report = verify_central_fiber(fan, bad)
+            assert not report["checks"]["cone_membership"]["ok"]
+            assert report["work"]["fm_systems"] > 0
+            want = fm_roundtrip_reference(fan, bad)
+            assert want is not None
+            assert report["checks"]["fiber_fan_roundtrip"] == {"ok": False, "witness": want}
+
+    def test_valid_packages_agree_with_the_reference(self):
+        for fan, d in all_packages():
+            assert fm_roundtrip_reference(fan, d) is None
+            assert verify_central_fiber(fan, d)["work"]["fm_systems"] == 0
 
 
 class TestAmbientFan:

@@ -311,6 +311,36 @@ class TestSolver:
             assert got.tolist() == [max(r, 0), max(-r, 0)]
 
 
+class TestSolverInverse:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_of_unimodular(self, data):
+        # unit lower times unit upper triangular, rows permuted: unimodular
+        n = data.draw(st.integers(1, 4))
+        entries = st.integers(-3, 3)
+        el, er = identity(n), identity(n)
+        for i in range(n):
+            for j in range(i):
+                el[i, j] = data.draw(entries)
+                er[j, i] = data.draw(entries)
+        a = (el @ er)[data.draw(st.permutations(range(n)))]
+        with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
+            inv = Solver(a).inverse()
+        assert spy.call_count == 1
+        assert (inv @ a).tolist() == identity(n).tolist()
+        assert (a @ inv).tolist() == identity(n).tolist()
+        assert all(type(x) is int for x in np.ravel(inv))
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0], [0, 1]],  # invariant factor 2
+        [[1, 2], [2, 4]],  # singular
+        [[1, 0, 0], [0, 1, 0]],  # not square, though every factor is 1
+        [[1, 0], [0, 1], [0, 0]],
+    ])
+    def test_no_inverse(self, rows):
+        assert Solver(imat(rows)).inverse() is None
+
+
 class TestSolveNonnegLine:
     def fixture(self, seed):
         # Random 2x3 systems with 1-dim kernel keep the brute force cheap.
