@@ -320,6 +320,9 @@ def cmd_lift(args) -> tuple[dict, list[dict]]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     w = _parse_vector(args.cls, "--class")
+    rank = fan.n_rays - fan.dim  # Cl(X) is free of this rank on a smooth complete fan
+    if len(w) != rank:
+        raise InputError(f"--class has length {len(w)}, class group rank is {rank}")
     try:
         monomials = parse_polynomial(args.poly, fan.n_rays)
         res = lift_polynomial(

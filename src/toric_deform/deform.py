@@ -282,7 +282,7 @@ def ambient_fan(d: DeformationData) -> Fan:
 
     A plain constructor. That every sigma-tilde is unimodular is proved by
     the fiber_fan_roundtrip check of verify_central_fiber, from the one
-    factorisation per cone that it makes anyway.
+    elimination per cone that it makes anyway.
     """
     rays = tuple(tuple(int(x) for x in d.P[:, j]) for j in range(d.P.shape[1]))
     return Fan(dim=d.P.shape[0], rays=rays, max_cones=d.ambient_cones)
@@ -303,16 +303,19 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
 
     Returns a report {"passes": bool, "checks": {name: {"ok": bool,
     "witness": ...}}, "work": {"cone_factorisations": int, "fm_systems":
-    int}}. ``work`` counts the Smith factorisations of cone matrices (one
-    per P[:, sigma-tilde]) and the Fourier-Motzkin systems decided (none
-    on a valid package; see _roundtrip_check).
+    int}}. ``work`` counts the cone matrices P[:, sigma-tilde] solved (one
+    elimination each) and the Fourier-Motzkin systems decided (none on a
+    valid package; see _roundtrip_check).
 
-    Each B = P[:, sigma-tilde] is factored once. When B is unimodular its
-    inverse V @ U comes straight off that factorisation, and
-    X_sigma = B^-1 @ iota @ V_sigma, an (n+2) x n integer matrix, holds
-    in column i the sigma-tilde coordinates of iota(v_sigma[i]). Both
-    cone_membership and fiber_fan_roundtrip read X_sigma. The named
-    checks are:
+    For each maximal cone sigma, intlin.unimodular_solve runs one
+    fraction-free Gauss-Jordan elimination on [B | iota @ V_sigma] with
+    B = P[:, sigma-tilde]. When det B = +-1 it returns
+    X_sigma = B^-1 @ iota @ V_sigma, an (n+2) x n integer matrix whose
+    column i holds the sigma-tilde coordinates of iota(v_sigma[i]), and no
+    Smith form is taken. Both cone_membership and fiber_fan_roundtrip
+    read X_sigma. Only a B that is not unimodular gets an intlin.Solver,
+    whose per-ray solves decide cone_membership there. The named checks
+    are:
 
     * cone_membership: iota of every ray of every maximal cone is a
       nonnegative integer combination of its sigma-tilde columns, i.e.
@@ -330,15 +333,15 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     iota = _iota_matrix(fan, d)
     images = iota @ fan.ray_matrix()  # column j: iota(v_j)
     checks: dict[str, dict] = {}
-    ambient = [intlin.Solver(d.P[:, list(st)]) for st in d.ambient_cones]
-    work = {"cone_factorisations": len(ambient), "fm_systems": 0}
+    work = {"cone_factorisations": len(d.ambient_cones), "fm_systems": 0}
     coords = []  # X_sigma as lists of rows, or None when B is not unimodular
-    for sigma, b in zip(fan.max_cones, ambient):
-        inv = b.inverse()
-        coords.append(None if inv is None else (inv @ images[:, list(sigma)]).tolist())
+    for sigma, st in zip(fan.max_cones, d.ambient_cones):
+        x = intlin.unimodular_solve(d.P[:, list(st)], images[:, list(sigma)])
+        coords.append(None if x is None else x.tolist())
 
     witness = None
-    for ci, (sigma, b, x) in enumerate(zip(fan.max_cones, ambient, coords)):
+    for ci, (sigma, st, x) in enumerate(zip(fan.max_cones, d.ambient_cones, coords)):
+        b = intlin.Solver(d.P[:, list(st)]) if x is None else None
         for i, j in enumerate(sigma):
             if x is None:
                 y = b.solve(images[:, j])
@@ -406,10 +409,11 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
 def _roundtrip_check(coords, work: dict) -> dict:
     """Pull each sigma-tilde back through iota; the result must be sigma.
 
-    ``coords`` holds X_sigma for each maximal cone, in max_cones order, or
-    None where P[:, sigma-tilde] is not unimodular; the first such cone is
-    the witness. Containment of sigma in the pull-back is cone_membership.
-    The reverse containment rests on this lemma.
+    ``coords`` holds X_sigma = B^-1 @ iota @ V_sigma for each maximal cone,
+    in max_cones order, as intlin.unimodular_solve returned it, or None
+    where B = P[:, sigma-tilde] is not square or det B != +-1; the first
+    such cone is the witness. Containment of sigma in the pull-back is
+    cone_membership. The reverse containment rests on this lemma.
 
     Lemma. With D = V_sigma^-1 the pull-back is {v : X_sigma D v >= 0};
     put w = D v. It lies in sigma = {w >= 0} exactly when each e_i is a

@@ -119,54 +119,64 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
     Raises:
         ValueError: negative entries in e.
     """
-    return _preimage(intlin.Solver(d.nu), kernel_binomial(d), e)
-
-
-def _preimage(nu: intlin.Solver, k, e) -> tuple[int, ...] | None:
-    """is_liftable against a factorisation of nu and its kernel generator k."""
-    e = intlin.ivec([int(x) for x in e])
-    if any(x < 0 for x in e):
+    e = intlin.imat([e]).T
+    if (e < 0).any():
         raise ValueError("exponent vectors must be nonnegative")
-    x = nu.nonneg_line(e, k)
-    if x is None:
-        return None
-    return tuple(int(v) for v in x)
+    return _preimages(d, e)[0]
+
+
+def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
+    """is_liftable for each column of e at once: one batch through nu.
+
+    nu has full row rank: its columns hold e_j for every ray j != rho,
+    and column (2, rho) is e_rho plus a combination of those. So every
+    column has a rational preimage, and nonneg_lines never raises for
+    want of one.
+    """
+    return intlin.Solver(d.nu).nonneg_lines(e, kernel_binomial(d))
 
 
 def lift_polynomial(p: LiftProblem) -> LiftResult:
     """Lift each monomial through nu; assemble the result when all lift.
 
-    nu is factored once per call, whatever the number of monomials.
+    The monomials are checked in input order (exponent count, class,
+    signs), and the first offending one is reported. Their classes come
+    from one product Q @ E, and their preimages from one nonneg_lines
+    call on a single factorisation of nu.
 
     Raises:
-        ValueError: a monomial of the wrong length, with negative
-            entries, or whose class differs from w.
+        ValueError: a class whose length is not the class group rank, or
+            a monomial of the wrong length, with negative entries, or
+            whose class differs from w.
     """
     q = cox_data(p.fan).grading
     w = tuple(int(x) for x in p.w)
-    nu = intlin.Solver(p.deformation.nu)
-    k = kernel_binomial(p.deformation)
-    lifts = []
-    first_failure = None
-    for idx, (coeff, exps) in enumerate(p.monomials):
-        exps = tuple(int(x) for x in exps)
-        if len(exps) != p.fan.n_rays:
-            raise ValueError(
-                f"monomial {idx} has {len(exps)} exponents, expected {p.fan.n_rays}"
-            )
-        cls = tuple(int(x) for x in q @ intlin.ivec(exps))
+    if len(w) != q.shape[0]:
+        raise ValueError(f"class has length {len(w)}, class group rank is {q.shape[0]}")
+    r = p.fan.n_rays
+    exps = [tuple(map(int, e)) for _, e in p.monomials]
+    # monomials before the first wrong length take part in the batch checks
+    n_ok = next((i for i, e in enumerate(exps) if len(e) != r), len(exps))
+    e = intlin.imat(exps[:n_ok], cols=r).T  # column j: monomial j
+    classes = q @ e
+    bad = (classes != intlin.ivec(w).reshape(-1, 1)).any(axis=0) | (e < 0).any(axis=0)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        cls = tuple(classes[:, idx].tolist())
         if cls != w:
             raise ValueError(f"monomial {idx} has class {cls}, expected {w}")
-        pre = _preimage(nu, k, exps)
-        lifts.append(MonomialLift(coefficient=int(coeff), exponent=exps, preimage=pre))
-        if pre is None and first_failure is None:
-            first_failure = idx
+        raise ValueError("exponent vectors must be nonnegative")
+    if n_ok < len(exps):
+        raise ValueError(f"monomial {n_ok} has {len(exps[n_ok])} exponents, expected {r}")
+    lifts = tuple(
+        MonomialLift(coefficient=int(coeff), exponent=exp, preimage=pre)
+        for (coeff, _), exp, pre in zip(p.monomials, exps, _preimages(p.deformation, e))
+    )
+    first_failure = next((i for i, m in enumerate(lifts) if not m.liftable), None)
     lifted = None
     if first_failure is None:
         lifted = tuple((m.coefficient, m.preimage) for m in lifts)
-    return LiftResult(
-        monomials=tuple(lifts), lifted=lifted, first_failure=first_failure
-    )
+    return LiftResult(monomials=lifts, lifted=lifted, first_failure=first_failure)
 
 
 def hilbert_basis_check(d: DeformationData) -> bool:

@@ -6,9 +6,15 @@ transforms, saturated kernel bases, cokernel presentations, exact linear
 solves, one-line nonnegative solving, and small Fourier-Motzkin utilities
 for bounded lattice-point enumeration. No floating point anywhere.
 
-Solves go through ``Solver``: one Smith factorisation of a matrix, reused
-by every right-hand side solved against it. ``solve_int`` and
-``solve_nonneg_line`` are one-shot wrappers over it. Fourier-Motzkin
+Solves against a general matrix go through ``Solver``: one Smith
+factorisation, reused by every right-hand side; ``solve_int`` and
+``solve_nonneg_line`` are one-shot wrappers over it.
+``Solver.nonneg_lines`` takes a whole matrix of right-hand sides in two
+matrix products, and ``nonneg_line`` is its one-column call. A square
+matrix expected to be unimodular (a smooth cone) needs no Smith form:
+``unimodular_solve`` runs one fraction-free Gauss-Jordan elimination on
+[b | r], which also decides whether det b = +-1, and is the one way to
+invert. Fourier-Motzkin
 works on Python ints: its inputs are integral and every eliminated row is
 an integer combination of integral rows.
 """
@@ -307,64 +313,112 @@ class Solver:
         status, x = self.status(b)
         return x if status == "ok" else None
 
-    def inverse(self) -> np.ndarray | None:
-        """The integer inverse V @ U of a square ``a`` whose invariant factors are all 1.
-
-        U @ a @ V = I gives a^-1 = V @ U with no further solve. Returns None
-        when ``a`` is not square or not unimodular.
-        """
-        m, n = self.a.shape
-        if m != n or any(d != 1 for d in self._diag):
-            return None
-        return self.snf.v @ self.snf.u
-
     def nonneg_line(self, e, k) -> np.ndarray | None:
-        """Nonnegative integer solution of a @ x = e on the line x0 + t*k.
+        """One right-hand side of nonneg_lines: the column e, as a vector."""
+        e = np.asarray(e, dtype=object)
+        x = self.nonneg_lines(e.reshape(-1, 1), k)[0]
+        return None if x is None else ivec(x)
+
+    def nonneg_lines(self, e, k) -> list[tuple[int, ...] | None]:
+        """Nonnegative integer solutions of a @ x = e[:, j] on the lines x0_j + t*k.
+
+        All columns share two matrix products: U @ e gives the Smith
+        coordinates, V @ y the particular solutions x0. Each line then
+        keeps one t: the least feasible one, the largest of the lower
+        bounds from the entries where k > 0; with no such entry, the
+        least of the upper bounds from those where k < 0; with neither
+        (k = 0), t = 0.
 
         Args:
-            e: right-hand side; k: generator of ker(a) (zero vector if
-                trivial).
+            e: m x N right-hand sides, one per column; k: generator of
+                ker(a) (zero vector if trivial).
 
         Returns:
-            The solution with minimal feasible t, or None when no
-            nonnegative integer solution exists.
+            Per column, the solution as a tuple of ints, or None when that
+            column has no nonnegative integer solution.
 
         Raises:
-            ValueError: "no rational solution" when e is not in im(a) over Q.
+            ValueError: "no rational solution" naming the first column
+                that is not in im(a) over Q; k not in ker(a).
         """
         e = np.asarray(e, dtype=object)
         k = np.asarray(k, dtype=object)
         if not all(x == 0 for x in self.a @ k):
             raise ValueError("k is not in the kernel of a")
-        status, x0 = self.status(e)
-        if status == "no_rational":
-            raise ValueError("no rational solution")
-        if status != "ok":
-            return None
-        lo, hi = None, None  # None encodes the unbounded side
-        for i in range(len(x0)):
-            ki = int(k[i])
-            xi = int(x0[i])
-            if ki == 0:
-                if xi < 0:
-                    return None
-            elif ki > 0:
-                t = _ceil_div(-xi, ki)
-                lo = t if lo is None else max(lo, t)
+        n_cols = e.shape[1]
+        c = self.snf.u @ e
+        y = np.zeros((self.a.shape[1], n_cols), dtype=object)
+        ok = np.ones(n_cols, dtype=bool)
+        for i, d in enumerate(self._diag):
+            if d == 0:
+                bad = np.flatnonzero(c[i] != 0)
+                if bad.size:
+                    raise ValueError(f"no rational solution for column {bad[0]}")
+            elif d == 1:
+                y[i] = c[i]
             else:
-                t = xi // (-ki)
-                hi = t if hi is None else min(hi, t)
-        if lo is None and hi is None:
-            t = 0
-        elif lo is None:
-            t = hi
+                ok &= c[i] % d == 0
+                y[i] = c[i] // d
+        x0 = self.snf.v @ y
+        kc = k.reshape(-1, 1)
+        pos, neg = k > 0, k < 0
+        ok &= (x0[k == 0] >= 0).all(axis=0)
+        lo = (-(x0[pos] // kc[pos])).max(axis=0) if pos.any() else None
+        hi = (x0[neg] // -kc[neg]).min(axis=0) if neg.any() else None
+        if lo is None:
+            t = np.zeros(n_cols, dtype=object) if hi is None else hi
         else:
-            if hi is not None and lo > hi:
-                return None
             t = lo
-        x = x0 + t * k
-        assert all(xi >= 0 for xi in x) and all(v == 0 for v in self.a @ x - e)
-        return x
+            if hi is not None:
+                ok &= lo <= hi
+        x = x0 + kc * t
+        # self-check on the columns that succeed: one product for all
+        assert (x[:, ok] >= 0).all() and (self.a @ x[:, ok] == e[:, ok]).all()
+        return [tuple(col) if good else None for col, good in zip(x.T.tolist(), ok)]
+
+
+def unimodular_solve(b, r) -> np.ndarray | None:
+    """X with b @ X = r for a square b of determinant +-1; else None.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) on [b | r]. Step k scales every other row by the pivot, clears
+    column k and divides by the previous pivot; the division is exact
+    because each entry is then a (k+1)-minor of the row-swapped [b | r].
+    The last step leaves [d*I | d*X] with d = +-det b, so when |d| = 1
+    X is read off directly. A cleared column is dropped from every row
+    at once, since only the diagonal of the left block (all d) remains.
+    Returns None when b is not square or det b is not +-1 (singular or
+    of larger absolute value).
+    """
+    b = np.asarray(b, dtype=object)
+    r = np.asarray(r, dtype=object)
+    n, n_cols = b.shape
+    if n != n_cols:
+        return None
+    rows = [bi + ri for bi, ri in zip(b.tolist(), r.tolist())]
+    prev = 1
+    for col in range(n):
+        # rows hold columns col.. of [b | r]; the pivot column is the first
+        p = next((i for i in range(col, n) if rows[i][0]), None)
+        if p is None:
+            return None
+        rows[col], rows[p] = rows[p], rows[col]
+        piv, *tail = rows[col]
+        for i in range(n):
+            if i == col:
+                rows[i] = tail
+                continue
+            f, *rest = rows[i]
+            if f == 0 and piv == prev:
+                rows[i] = rest
+            else:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rest, tail)]
+        prev = piv
+    if abs(prev) != 1:
+        return None
+    if prev == -1:
+        rows = [[-x for x in row] for row in rows]
+    return np.array(rows, dtype=object).reshape(n, r.shape[1])
 
 
 def solve_int(a, b) -> np.ndarray | None:

@@ -172,7 +172,7 @@ def _cone_inverse(fan: Fan, sigma) -> list[list[int]]:
     Raises:
         ValueError: when sigma is not a unimodular full-dimensional cone.
     """
-    inv = intlin.Solver(fan.cone_matrix(sigma)).inverse()
+    inv = intlin.unimodular_solve(fan.cone_matrix(sigma), intlin.identity(fan.dim))
     if inv is None:
         raise ValueError(f"cone {list(sigma)} is not unimodular")
     return inv.tolist()

@@ -264,6 +264,38 @@ def _brute_force_line(a, e, z, k, bound):
     return feasible
 
 
+def test_nonneg_lines_match_line_scan():
+    # a batch of right-hand sides solved by one nonneg_lines call agrees,
+    # column by column, with the brute-force scan and with nonneg_line
+    rng = random.Random(20261018)
+    columns = 0
+    systems = 0
+    while systems < 60:
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+        a = intlin.imat(rows, cols=n)
+        if intlin.rational_rank(a) != n - 1:
+            continue
+        k = intlin.kernel_basis(a)[0]
+        zs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        e = np.stack([a @ intlin.ivec(z) for z in zs], axis=1)
+        solver = intlin.Solver(a)
+        got = solver.nonneg_lines(e, k)
+        assert len(got) == len(zs)
+        for j, (z, x) in enumerate(zip(zs, got)):
+            feasible = _brute_force_line(rows, e[:, j], z, k, max(abs(v) for v in z) + 1)
+            one = solver.nonneg_line(e[:, j], k)
+            if x is None:
+                assert not feasible and one is None
+            else:
+                # the least t when k has a positive entry, else the greatest
+                want = feasible[0][1] if any(int(v) > 0 for v in k) else feasible[-1][1]
+                assert x == want == tuple(one.tolist())
+            columns += 1
+        systems += 1
+    print(f"NONNEG LINES PASS: {columns} columns in {systems} batches match brute force")
+
+
 def test_criterion_8_property_suites():
     # d1 composed with d0 vanishes on a spread of graded complexes
     complexes = 0

@@ -663,6 +663,21 @@ class TestLift:
         assert code == 2
         assert "expected (3, 1)" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("cls,poly", [
+        ("1,0,0,7", ""),
+        ("1,0,0,7", "S1"),
+        ("3", "S1^3*S2"),
+    ])
+    def test_class_length_exits_2(self, f2_path, cls, poly):
+        # F_2 has class group rank 4 - 2 = 2, whatever the polynomial
+        code, out, err = run_cli(
+            [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", cls, "--poly", poly]
+        )
+        assert code == 2
+        assert not out.strip()
+        n = len(cls.split(","))
+        assert json.loads(err)["error"] == f"--class has length {n}, class group rank is 2"
+
     def test_malformed_polynomial(self, f2_path):
         code, _, err = run_cli(
             [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1",

@@ -389,14 +389,19 @@ class TestCentralFiber:
         d = build_deformation(fan, triple or enumerate_triples(fan)[0])
         with mock.patch.object(
             intlin, "smith_normal_form", wraps=intlin.smith_normal_form
-        ) as spy:
+        ) as snf, mock.patch.object(
+            intlin, "unimodular_solve", wraps=intlin.unimodular_solve
+        ) as elim:
             report = verify_central_fiber(fan, d)
         assert report["passes"]
-        # one factorisation per P[:, sigma-tilde], plus the two of
-        # lattice_identification (solve_int of P^T, kernel_basis); a valid
-        # package decides the round trip without Fourier-Motzkin
+        # one elimination per P[:, sigma-tilde] and no Smith form for it;
+        # the two Smith forms left are lattice_identification's (solve_int
+        # of P^T, kernel_basis); a valid package decides the round trip
+        # without Fourier-Motzkin
         cones = len(fan.max_cones)
-        assert spy.call_count == cones + 2
+        assert elim.call_count == cones
+        assert all(c.args[0].shape == (fan.dim + 2,) * 2 for c in elim.call_args_list)
+        assert snf.call_count == 2
         assert report["work"] == {"cone_factorisations": cones, "fm_systems": 0}
 
     def test_product_of_lines_has_no_triples(self):

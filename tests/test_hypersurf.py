@@ -237,6 +237,31 @@ class TestLiftPolynomial:
         # the rest (cox_data's grading) does not grow with the monomials either
         assert len(pts) > 1 and counts[0] == counts[1]
 
+    def test_first_offending_monomial_wins(self):
+        # monomial 1 has the wrong class and monomial 3 the wrong length:
+        # input order decides, so monomial 1's class error is reported
+        fan, d = hirzebruch_package(2, 1)
+        monomials = ((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (1, 0, 0, 0)), (1, (1, 0, 0)))
+        with pytest.raises(ValueError, match=r"^monomial 1 has class \(0, 1\), expected \(1, 0\)$"):
+            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=monomials))
+        # with monomial 1 mended the length error of monomial 3 comes next,
+        # ahead of the negative entries of monomial 4
+        mended = monomials[:1] + ((1, (1, 0, 0, 0)),) + monomials[2:] + ((1, (2, 0, -1, 0)),)
+        with pytest.raises(ValueError, match=r"^monomial 3 has 3 exponents, expected 4$"):
+            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=mended))
+        # a negative entry ahead of a wrong class is reported first
+        signs = ((1, (2, 0, -1, 0)), (1, (0, 1, 0, 0)))
+        with pytest.raises(ValueError, match=r"^exponent vectors must be nonnegative$"):
+            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=signs))
+
+    def test_class_length_checked(self):
+        fan, d = hirzebruch_package(2, 1)
+        for monomials in ((), ((1, (1, 0, 0, 0)),)):
+            with pytest.raises(ValueError, match=r"^class has length 4, class group rank is 2$"):
+                lift_polynomial(
+                    LiftProblem(fan=fan, deformation=d, w=(1, 0, 0, 7), monomials=monomials)
+                )
+
     def test_unliftable_monomial_reported(self):
         fan, d = hirzebruch_package(2, 1)
         res = lift_polynomial(

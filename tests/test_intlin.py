@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from toric_deform.intlin import (
     smith_normal_form,
     solve_int,
     solve_nonneg_line,
+    unimodular_solve,
 )
 
 matrices = st.integers(1, 4).flatmap(
@@ -311,7 +313,38 @@ class TestSolver:
             assert got.tolist() == [max(r, 0), max(-r, 0)]
 
 
+class TestNonnegLines:
+    """nonneg_lines on several columns at once.
+
+    The differential against a brute-force line scan is in
+    test_acceptance.test_nonneg_lines_match_line_scan.
+    """
+
+    @pytest.mark.parametrize("k", [(1, 1), (-1, -1)])
+    def test_kernel_generator_of_either_sign(self, k):
+        # x - y = r: the point nearest the origin on the line, whichever
+        # way k points (an all-negative k takes the least upper bound)
+        rhs = [-3, -1, 0, 2, 5]
+        got = Solver(imat([[1, -1]])).nonneg_lines(imat([rhs]), ivec(k))
+        assert got == [(max(r, 0), max(-r, 0)) for r in rhs]
+
+    def test_trivial_kernel_and_integrality(self):
+        solver = Solver(imat([[2, 0], [0, 1]]))
+        got = solver.nonneg_lines(imat([[4, 3, 2, -2], [1, 1, 0, 5]]), ivec([0, 0]))
+        assert got == [(2, 1), None, (1, 0), None]
+
+    def test_first_column_without_rational_solution_is_named(self):
+        solver = Solver(imat([[1, 0], [1, 0]]))
+        with pytest.raises(ValueError, match="no rational solution for column 1"):
+            solver.nonneg_lines(imat([[1, 1, 1], [1, 2, 3]]), ivec([0, 1]))
+
+    def test_no_columns(self):
+        assert Solver(imat([[1, -1]])).nonneg_lines(imat([[]], cols=0), ivec([1, 1])) == []
+
+
 class TestSolverInverse:
+    """Integer inverses come from unimodular_solve(a, I), with no Smith form."""
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_inverse_of_unimodular(self, data):
@@ -325,20 +358,102 @@ class TestSolverInverse:
                 er[j, i] = data.draw(entries)
         a = (el @ er)[data.draw(st.permutations(range(n)))]
         with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
-            inv = Solver(a).inverse()
-        assert spy.call_count == 1
+            inv = unimodular_solve(a, identity(n))
+        assert spy.call_count == 0
         assert (inv @ a).tolist() == identity(n).tolist()
         assert (a @ inv).tolist() == identity(n).tolist()
         assert all(type(x) is int for x in np.ravel(inv))
 
     @pytest.mark.parametrize("rows", [
-        [[2, 0], [0, 1]],  # invariant factor 2
+        [[2, 0], [0, 1]],  # determinant 2
         [[1, 2], [2, 4]],  # singular
-        [[1, 0, 0], [0, 1, 0]],  # not square, though every factor is 1
+        [[1, 0, 0], [0, 1, 0]],  # not square, though every invariant factor is 1
         [[1, 0], [0, 1], [0, 0]],
     ])
     def test_no_inverse(self, rows):
-        assert Solver(imat(rows)).inverse() is None
+        assert unimodular_solve(imat(rows), identity(len(rows))) is None
+
+
+def unimodular_matrices(n: int):
+    """Products of elementary moves on I: add a multiple of a row, swap, negate."""
+    move = st.tuples(
+        st.sampled_from(["add", "swap", "negate"]),
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(-3, 3),
+    )
+
+    def build(moves):
+        a = identity(n)
+        for kind, i, j, c in moves:
+            if kind == "add" and i != j:
+                a[i] = a[i] + c * a[j]
+            elif kind == "swap":
+                a[[i, j]] = a[[j, i]]
+            elif kind == "negate":
+                a[i] = -a[i]
+        return a
+
+    return st.lists(move, max_size=12).map(build)
+
+
+def right_hand_sides(n: int):
+    return st.integers(0, 3).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-20, 20), min_size=k, max_size=k), min_size=n, max_size=n
+        ).map(lambda rows: imat(rows, cols=k))
+    )
+
+
+class TestUnimodularSolve:
+    """unimodular_solve against Solver and sympy."""
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(unimodular_matrices(n), right_hand_sides(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_unimodular_matches_solver_and_sympy(self, case):
+        b, r = case
+        x = unimodular_solve(b, r)
+        assert x is not None and x.shape == r.shape
+        assert all(type(v) is int for v in np.ravel(x))
+        assert (b @ x).tolist() == r.tolist()
+        solver = Solver(b)
+        for j in range(r.shape[1]):
+            assert solver.solve(r[:, j]).tolist() == x[:, j].tolist()
+        assert sympy.Matrix(b.tolist()).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x.tolist())
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=150, deadline=None)
+    def test_none_exactly_when_det_is_not_a_unit(self, rows):
+        b = imat(rows)
+        x = unimodular_solve(b, identity(len(rows)))
+        det = sympy.Matrix(rows).det()
+        if abs(det) == 1:
+            assert sympy.Matrix(x.tolist()) == sympy.Matrix(rows).inv()
+        else:
+            assert x is None
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(unimodular_matrices(n), right_hand_sides(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_and_det_two_rejected(self, case):
+        b, r = case
+        n = b.shape[0]
+        doubled = b.copy()
+        doubled[0] = 2 * doubled[0]  # det = +-2
+        assert unimodular_solve(doubled, r) is None
+        if n > 1:
+            singular = b.copy()
+            singular[n - 1] = singular[0]
+            assert unimodular_solve(singular, r) is None
+        assert unimodular_solve(0 * b, r) is None
+
+    def test_one_by_one_and_det_minus_one(self):
+        assert unimodular_solve(imat([[-1]]), imat([[5, -2]])).tolist() == [[-5, 2]]
+        assert unimodular_solve(imat([[1]]), imat([[7]])).tolist() == [[7]]
+        assert unimodular_solve(imat([[3]]), imat([[3]])) is None
+        swap = imat([[0, 1], [1, 0]])  # det -1, and a zero first pivot
+        assert unimodular_solve(swap, imat([[2], [3]])).tolist() == [[3], [2]]
+        assert unimodular_solve(imat([[2, 1], [1, 0]]), identity(2)).tolist() == [[0, 1], [1, -2]]
 
 
 class TestSolveNonnegLine:

@@ -585,12 +585,17 @@ class TestBoxGuard:
                 degree_box(projective_space(1), 2**12 + 1)
 
     def test_first_cone_is_factored_once(self):
+        # the first cone is inverted by one elimination, with no Smith form
         f = product(hirzebruch(2), hirzebruch(3))
         with mock.patch.object(
             intlin, "smith_normal_form", wraps=intlin.smith_normal_form
-        ) as spy:
+        ) as snf, mock.patch.object(
+            intlin, "unimodular_solve", wraps=intlin.unimodular_solve
+        ) as elim:
             degree_box(f, 1)
-        assert spy.call_count == 1
+        assert elim.call_count == 1
+        assert np.array_equal(elim.call_args.args[0], f.cone_matrix(f.max_cones[0]))
+        assert snf.call_count == 0
 
 
 class TestBoundRegression:
