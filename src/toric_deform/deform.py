@@ -113,6 +113,10 @@ class Trinomial:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
     labels: tuple[str, ...]
 
+    def binomial_difference(self) -> np.ndarray:
+        """Exponents of term 2 minus term 3 over every column (T1's entry is 0)."""
+        return intlin.ivec([x - y for x, y in zip(self.terms[1][1], self.terms[2][1])])
+
 
 @dataclass(frozen=True)
 class DeformationData:
@@ -130,10 +134,6 @@ class DeformationData:
     splitting: Splitting
     a: tuple[int, ...]
     column_labels: tuple[str, ...]
-
-    @property
-    def u_columns(self) -> tuple[tuple[int, int], ...]:
-        return self.u.all_pairs
 
     def column_of(self, pair) -> int:
         """Index of a (block, ray) pair in the full P column order."""
@@ -223,10 +223,8 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     qtilde, torsion = intlin.cokernel_map(ptilde.T)
     assert not torsion  # ambient class group of an admissible package is free
 
-    delta = intlin.ivec(
-        [t2 - t3 for t2, t3 in zip(trinomial.terms[1][1], trinomial.terms[2][1])]
-    )
-    assert all(x == 0 for x in nu @ delta[1:])  # binomial difference kills nu
+    # the binomial difference kills nu
+    assert all(x == 0 for x in nu @ trinomial.binomial_difference()[1:])
 
     cones = []
     comp_set = set(comp)
@@ -257,9 +255,7 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
 
 def kernel_binomial(d: DeformationData) -> np.ndarray:
     """Exponent difference of the two binomial terms, over P-tilde columns."""
-    t2 = d.trinomial.terms[1][1]
-    t3 = d.trinomial.terms[2][1]
-    return intlin.ivec([x - y for x, y in zip(t2, t3)])[1:]
+    return d.trinomial.binomial_difference()[1:]
 
 
 def eta_map(d: DeformationData) -> dict:
@@ -355,10 +351,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             break
     checks["cone_membership"] = {"ok": witness is None, "witness": witness}
 
-    delta_full = intlin.ivec(
-        [t2 - t3 for t2, t3 in zip(d.trinomial.terms[1][1], d.trinomial.terms[2][1])]
-    )
-    uvec = intlin.solve_int(d.P.T, delta_full)
+    uvec = intlin.solve_int(d.P.T, d.trinomial.binomial_difference())
     if uvec is None:
         checks["lattice_identification"] = {
             "ok": False,

@@ -235,7 +235,7 @@ def cox_data(fan: Fan) -> CoxData:
     return CoxData(
         ray_map=p,
         grading=grading,
-        cl_rank=fan.n_rays - fan.dim,
+        cl_rank=grading.shape[0],
         irrelevant_components=comps,
     )
 

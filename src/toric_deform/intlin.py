@@ -6,17 +6,18 @@ transforms, saturated kernel bases, cokernel presentations, exact linear
 solves, one-line nonnegative solving, and small Fourier-Motzkin utilities
 for bounded lattice-point enumeration. No floating point anywhere.
 
-Solves against a general matrix go through ``Solver``: one Smith
-factorisation, reused by every right-hand side; ``solve_int`` and
-``solve_nonneg_line`` are one-shot wrappers over it.
-``Solver.nonneg_lines`` takes a whole matrix of right-hand sides in two
-matrix products, and ``nonneg_line`` is its one-column call. A square
-matrix expected to be unimodular (a smooth cone) needs no Smith form:
-``unimodular_solve`` runs one fraction-free Gauss-Jordan elimination on
-[b | r], which also decides whether det b = +-1, and is the one way to
-invert. Fourier-Motzkin
-works on Python ints: its inputs are integral and every eliminated row is
-an integer combination of integral rows.
+Each exact job has one engine. Solves against a general matrix go
+through ``Solver``: one Smith factorisation, reused by every right-hand
+side; ``solve_int`` and ``solve_nonneg_line`` are one-shot wrappers over
+``Solver.solve`` and ``Solver.nonneg_lines``, which takes a whole matrix
+of right-hand sides in two matrix products. A square matrix expected to
+be unimodular (a smooth cone) needs no Smith form: ``unimodular_solve``
+runs one fraction-free Gauss-Jordan elimination on [b | r], which also
+decides whether det b = +-1, and is the one way to invert. Ranks and
+determinants read the one forward Bareiss elimination,
+``kernels.bareiss``. ``FourierMotzkin`` is the one Fourier-Motzkin
+elimination; it works on Python ints, since its inputs are integral and
+every eliminated row is an integer combination of integral rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import matrix_rank
+from .kernels import bareiss, matrix_rank
 
 
 def ivec(entries) -> np.ndarray:
@@ -73,33 +74,17 @@ def rational_rank(a) -> int:
 
 
 def determinant(a) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
+    """Exact determinant of a square integer matrix.
+
+    The signed last pivot of ``kernels.bareiss``, or 0 when the rank falls
+    short.
+    """
     a = np.asarray(a, dtype=object)
     n, ncols = a.shape
     if n != ncols:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    rows = [[int(x) for x in r] for r in a]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv_row = next((r for r in range(col, n) if rows[r][col] != 0), -1)
-        if piv_row < 0:
-            return 0
-        if piv_row != col:
-            rows[col], rows[piv_row] = rows[piv_row], rows[col]
-            sign = -sign
-        piv = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            for j in range(col + 1, n):
-                num = piv * rows[r][j] - factor * rows[col][j]
-                assert num % prev == 0
-                rows[r][j] = num // prev
-            rows[r][col] = 0
-        prev = piv
-    return sign * rows[n - 1][n - 1]
+    rank, pivot = bareiss(a.tolist())
+    return pivot if rank == n else 0
 
 
 def hermite_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +255,6 @@ def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
     return grading, invariants
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
 class Solver:
     """One Smith factorisation of ``a``, shared by every solve against it.
 
@@ -288,36 +269,19 @@ class Solver:
         m, n = self.a.shape
         self._diag = [int(self.snf.s[i, i]) if i < min(m, n) else 0 for i in range(m)]
 
-    def status(self, b) -> tuple[str, np.ndarray | None]:
-        """Solve a @ x = b over Z; status in {ok, no_integral, no_rational}."""
+    def solve(self, b) -> np.ndarray | None:
+        """Some integer solution x of a @ x = b, or None if there is none."""
         c = self.snf.u @ np.asarray(b, dtype=object)
         y = ivec([0] * self.a.shape[1])
-        rational = True
-        integral = True
         for i, d in enumerate(self._diag):
             if d == 0:
                 if c[i] != 0:
-                    rational = False
+                    return None
             elif c[i] % d != 0:
-                integral = False
+                return None
             else:
                 y[i] = c[i] // d
-        if not rational:
-            return "no_rational", None
-        if not integral:
-            return "no_integral", None
-        return "ok", self.snf.v @ y
-
-    def solve(self, b) -> np.ndarray | None:
-        """Some integer solution x of a @ x = b, or None if there is none."""
-        status, x = self.status(b)
-        return x if status == "ok" else None
-
-    def nonneg_line(self, e, k) -> np.ndarray | None:
-        """One right-hand side of nonneg_lines: the column e, as a vector."""
-        e = np.asarray(e, dtype=object)
-        x = self.nonneg_lines(e.reshape(-1, 1), k)[0]
-        return None if x is None else ivec(x)
+        return self.snf.v @ y
 
     def nonneg_lines(self, e, k) -> list[tuple[int, ...] | None]:
         """Nonnegative integer solutions of a @ x = e[:, j] on the lines x0_j + t*k.
@@ -427,8 +391,9 @@ def solve_int(a, b) -> np.ndarray | None:
 
 
 def solve_nonneg_line(a, e, k) -> np.ndarray | None:
-    """One-shot Solver(a).nonneg_line(e, k); see Solver.nonneg_line."""
-    return Solver(a).nonneg_line(e, k)
+    """One-shot Solver(a).nonneg_lines on the single column e, as a vector."""
+    x = Solver(a).nonneg_lines(np.asarray(e, dtype=object).reshape(-1, 1), k)[0]
+    return None if x is None else ivec(x)
 
 
 def lattice_equal(rows_a, rows_b) -> bool:
@@ -444,48 +409,20 @@ def lattice_equal(rows_a, rows_b) -> bool:
     return ha == hb
 
 
-# -- Fourier-Motzkin helpers (exact, Python int coefficients) ---------------
-#
-# Systems are lists of (coeffs, rhs) encoding sum(coeffs[i] * x[i]) >= rhs.
-# Eliminating x_v combines a row with positive and a row with negative
-# coefficient at v as s*row_p + t*row_n with s, t > 0 integers, so every
-# system in the chain stays integral.
-
-
-def _fm_eliminate(ineqs, var):
-    pos = [q for q in ineqs if q[0][var] > 0]
-    neg = [q for q in ineqs if q[0][var] < 0]
-    out = [q for q in ineqs if q[0][var] == 0]
-    for cp, rp in pos:
-        for cn, rn in neg:
-            s, t = -cn[var], cp[var]
-            coeffs = tuple(s * a + t * b for a, b in zip(cp, cn))
-            out.append((coeffs, s * rp + t * rn))
-    return out
-
-
-def _fm_chain(a, b):
-    """Eliminated systems: chain[v] involves variables 0..v-1 only."""
-    n = len(a[0]) if a else 0
-    sys_full = [(tuple(row), r) for row, r in zip(a, b)]
-    chain = [None] * (n + 1)
-    chain[n] = sys_full
-    for v in range(n, 0, -1):
-        chain[v - 1] = _fm_eliminate(chain[v], v - 1)
-    return chain
-
-
 class FourierMotzkin:
-    """Exact Fourier-Motzkin feasibility, grown one row at a time.
+    """Exact Fourier-Motzkin elimination, grown one row at a time.
 
-    The batch helpers above eliminate a whole system at once. A search
-    that adds one inequality per step keeps this object instead: a pushed
-    row is combined at once with every row of opposite sign already on
-    its level, so the levels always equal the batch elimination of the
-    rows pushed so far, and each step pays only for its own row. Rows
-    are divided by the gcd of their entries and kept once per level;
-    neither changes the rational polyhedron. ``mark`` and ``undo`` take
-    the system back to an earlier state.
+    The package's one FM engine. Rows read coeffs @ x >= rhs over Python
+    ints. A pushed row is combined at once with every row of opposite
+    sign already on its level, as s*row_p + t*row_n with s, t > 0
+    integers, so level v always holds the elimination of x_v..x_{n-1}
+    from the rows pushed so far, every row stays integral, and each step
+    pays only for its own row. Rows are divided by the gcd of their
+    entries and kept once per level; neither changes the rational
+    polyhedron. ``mark`` and ``undo`` take the system back to an earlier
+    state, which the chamber search uses step by step; the one-shot
+    ``rational_polyhedron_nonempty`` and ``polyhedron_lattice_points``
+    push a whole system and read ``feasible`` or ``lattice_points``.
     """
 
     def __init__(self, n: int):
@@ -542,15 +479,57 @@ class FourierMotzkin:
         """Whether the rows pushed so far have a rational solution."""
         return self._violated == 0
 
+    def lattice_points(self) -> list[tuple[int, ...]]:
+        """The integer points of the rows pushed so far, in lexicographic order.
+
+        x_v runs between the bounds that the positive and negative rows of
+        level v + 1 give at the prefix x_0..x_{v-1}; a prefix chosen this
+        way satisfies every row of the lower levels, so the rows with a
+        zero coefficient at x_v hold already.
+
+        Raises:
+            ValueError: when a level reached has no row on one side
+                ("polyhedron is unbounded").
+        """
+        if not self.feasible():
+            return []
+        n, signed = self.n, self._signed
+        points: list[tuple[int, ...]] = []
+
+        def rec(prefix: list[int]) -> None:
+            v = len(prefix)
+            if v == n:
+                points.append(tuple(prefix))
+                return
+            pos, neg = signed[v + 1]
+            if not pos or not neg:
+                raise ValueError("polyhedron is unbounded")
+
+            def rest(c, r):  # rhs minus the prefix's part of the row
+                return r - sum(x * y for x, y in zip(c, prefix))
+
+            # x_v >= rest / c on pos rows (ceiling), <= rest / c on neg ones
+            lo = max(-(-rest(c, r) // c[v]) for c, r in pos)
+            hi = min(rest(c, r) // c[v] for c, r in neg)
+            for t in range(lo, hi + 1):
+                rec(prefix + [t])
+
+        rec([])
+        return points
+
+
+def _fm_system(a, b) -> FourierMotzkin:
+    """One engine holding the rows a @ x >= b."""
+    a = [tuple(map(int, r)) for r in np.asarray(a, dtype=object)]
+    fm = FourierMotzkin(len(a[0]) if a else 0)
+    for row, rhs in zip(a, b):
+        fm.push(row, int(rhs))
+    return fm
+
 
 def rational_polyhedron_nonempty(a, b) -> bool:
     """Whether {x in Q^n : a @ x >= b} is nonempty (exact FM elimination)."""
-    a = [list(map(int, r)) for r in np.asarray(a, dtype=object)]
-    b = [int(x) for x in b]
-    if not a:
-        return all(x <= 0 for x in b)
-    chain = _fm_chain(a, b)
-    return all(rhs <= 0 for _, rhs in chain[0])
+    return _fm_system(a, b).feasible()
 
 
 def polyhedron_lattice_points(a, b) -> list[tuple[int, ...]]:
@@ -559,42 +538,6 @@ def polyhedron_lattice_points(a, b) -> list[tuple[int, ...]]:
     Raises:
         ValueError: when the feasible region is unbounded.
     """
-    a = [list(map(int, r)) for r in np.asarray(a, dtype=object)]
-    b = [int(x) for x in b]
-    if not a:
+    if not len(a):
         raise ValueError("polyhedron is unbounded")
-    n = len(a[0])
-    chain = _fm_chain(a, b)
-    if any(rhs > 0 for _, rhs in chain[0]):
-        return []
-    points: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int]):
-        v = len(prefix)
-        if v == n:
-            points.append(tuple(prefix))
-            return
-        lo, hi = None, None
-        feasible = True
-        for coeffs, rhs in chain[v + 1]:
-            c = coeffs[v]
-            const = rhs - sum(coeffs[i] * prefix[i] for i in range(v))
-            if c == 0:
-                if const > 0:
-                    feasible = False
-                    break
-            elif c > 0:  # x_v >= const / c
-                bound = _ceil_div(const, c)
-                lo = bound if lo is None else max(lo, bound)
-            else:  # x_v <= const / c; floor division by c < 0 floors
-                bound = const // c
-                hi = bound if hi is None else min(hi, bound)
-        if not feasible:
-            return
-        if lo is None or hi is None:
-            raise ValueError("polyhedron is unbounded")
-        for t in range(lo, hi + 1):
-            rec(prefix + [t])
-
-    rec([])
-    return points
+    return _fm_system(a, b).lattice_points()

@@ -1,8 +1,10 @@
 """Matrix rank kernels: exact over the rationals, and modulo one prime.
 
-``matrix_rank`` is the exact rank over Q, by fraction-free (Bareiss)
-elimination on Python ints. ``rank_mod_p`` is the rank over the field
-F_p for the prime ``PRIME``, by int64 numpy row reduction. For an integer
+``bareiss`` is the package's one forward fraction-free elimination on
+Python ints: it returns the rank and the signed last pivot, from which
+``matrix_rank`` (the exact rank over Q) and ``intlin.determinant`` read
+their answers. ``rank_mod_p`` is the rank over the field F_p for the
+prime ``PRIME``, by int64 numpy row reduction. For an integer
 matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a
 nonzero minor over Z. So rank mod p is a lower bound on the exact rank,
 which ``cohomology.span_check`` turns into a proof when it is sharp.
@@ -22,12 +24,19 @@ _HAVE_NUMBA = False
 PRIME = 2147483629
 
 
-def _rank_exact(rows: list[list[int]]) -> int:
-    """Fraction-free elimination on Python ints; exact for any input."""
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Forward fraction-free elimination (Bareiss) on Python ints.
+
+    Returns (rank, signed last pivot). Each pivot is, up to the sign of
+    the row swaps made so far, a minor of the input, so for a square
+    matrix of full rank the signed last pivot is its determinant. Exact
+    for any input; an empty matrix gives (0, 1).
+    """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     prev = 1
+    sign = 1
     row = 0
     for col in range(n):
         if row >= m:
@@ -37,6 +46,7 @@ def _rank_exact(rows: list[list[int]]) -> int:
             continue
         if piv_row != row:
             a[row], a[piv_row] = a[piv_row], a[row]
+            sign = -sign
         piv = a[row][col]
         # factor == 0 rows are rescaled too; skipping them breaks the
         # exact-division invariant at later pivots
@@ -50,7 +60,7 @@ def _rank_exact(rows: list[list[int]]) -> int:
             ar[col] = 0
         prev = piv
         row += 1
-    return row
+    return row, sign * prev
 
 
 def _as_row_lists(mat) -> list[list[int]]:
@@ -61,10 +71,7 @@ def _as_row_lists(mat) -> list[list[int]]:
 
 def matrix_rank(mat) -> int:
     """Rank over the rationals of an integer matrix (rows or 2-D array)."""
-    rows = _as_row_lists(mat)
-    if not rows or not rows[0]:
-        return 0
-    return _rank_exact(rows)
+    return bareiss(_as_row_lists(mat))[0]
 
 
 def rank_mod_p(mat) -> int:

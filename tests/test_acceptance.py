@@ -266,7 +266,7 @@ def _brute_force_line(a, e, z, k, bound):
 
 def test_nonneg_lines_match_line_scan():
     # a batch of right-hand sides solved by one nonneg_lines call agrees,
-    # column by column, with the brute-force scan and with nonneg_line
+    # column by column, with the brute-force scan and with solve_nonneg_line
     rng = random.Random(20261018)
     columns = 0
     systems = 0
@@ -279,12 +279,11 @@ def test_nonneg_lines_match_line_scan():
         k = intlin.kernel_basis(a)[0]
         zs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 6))]
         e = np.stack([a @ intlin.ivec(z) for z in zs], axis=1)
-        solver = intlin.Solver(a)
-        got = solver.nonneg_lines(e, k)
+        got = intlin.Solver(a).nonneg_lines(e, k)
         assert len(got) == len(zs)
         for j, (z, x) in enumerate(zip(zs, got)):
             feasible = _brute_force_line(rows, e[:, j], z, k, max(abs(v) for v in z) + 1)
-            one = solver.nonneg_line(e[:, j], k)
+            one = intlin.solve_nonneg_line(a, e[:, j], k)
             if x is None:
                 assert not feasible and one is None
             else:

@@ -108,6 +108,30 @@ class TestFanCheck:
         assert cox["grading"]["col_labels"] == ["S1", "S2", "S3", "S4"]
         assert cox["irrelevant_components"] == [[2, 3], [0, 3], [0, 1], [1, 2]]
 
+    @pytest.mark.parametrize(
+        "fan,cl_rank",
+        [
+            ({"dim": 2, "rays": [[1, 0]], "max_cones": [[0]]}, 0),
+            (
+                {
+                    "dim": 3,
+                    "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]],
+                    "max_cones": [[0, 1], [1, 2], [2, 0]],
+                },
+                1,
+            ),
+        ],
+        ids=["ray_in_plane", "p2_times_a1"],
+    )
+    def test_cl_rank_counts_grading_rows(self, tmp_path, fan, cl_rank):
+        # rays that do not span N: cl_rank is the rank of Cl, not n_rays - dim
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(fan))
+        code, payload, _ = run_json(["fan", "check", "--fan", str(path)])
+        assert code == 1  # smooth, not complete
+        cox = payload["results"]["cox"]
+        assert cox["cl_rank"] == cl_rank == len(cox["grading"]["rows"])
+
     def test_non_smooth_fan_fails_check(self, p112_path):
         code, payload, _ = run_json(["fan", "check", "--fan", p112_path])
         assert code == 1

@@ -34,7 +34,7 @@ from toric_deform.cohomology import (
     triple_cocycle,
 )
 from toric_deform.fan import Fan, hirzebruch, product, product_of_lines, projective_space
-from toric_deform.kernels import PRIME, _rank_exact, matrix_rank, rank_mod_p
+from toric_deform.kernels import PRIME, matrix_rank, rank_mod_p
 from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import (
     AdmissibleTriple,
@@ -358,8 +358,8 @@ class TestSpanCertificate:
         # every minor of a 6 x 6 matrix with entries in [-9, 9] is below
         # (9 * 6^(1/2))^6 < p in absolute value, so no minor vanishes mod p
         # unless it vanishes
-        assert rank_mod_p(rows) == _rank_exact(rows)
-        assert rank_mod_p([list(col) for col in zip(*rows)]) == _rank_exact(rows)
+        assert rank_mod_p(rows) == matrix_rank(rows)
+        assert rank_mod_p([list(col) for col in zip(*rows)]) == matrix_rank(rows)
 
     def test_rank_mod_p_reduces_big_entries_exactly(self):
         assert rank_mod_p([[10**30, 1], [10**30, 1], [0, 7]]) == 2
@@ -369,7 +369,7 @@ class TestSpanCertificate:
         # det = p: invertible over Q, singular mod p; this is the case the
         # exact fallback of span_check is there for
         mat = [[1, 1], [1, 1 + PRIME]]
-        assert _rank_exact(mat) == 2
+        assert matrix_rank(mat) == 2
         assert rank_mod_p(mat) == 1
         assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
 

@@ -245,6 +245,23 @@ class TestCoxData:
         assert np.array_equal(data.grading, intlin.imat([[1, 1]]))
         assert data.cl_rank == 1
 
+    def test_single_ray_in_the_plane(self):
+        # the cone on (1, 0) in N = Z^2: Cl = Z^1 / Z = 0, so no grading rows
+        data = cox_data(Fan(dim=2, rays=((1, 0),), max_cones=((0,),)))
+        assert data.grading.shape == (0, 1)
+        assert data.cl_rank == 0
+
+    def test_p2_times_a1(self):
+        # rays of P^2 inside N = Z^3 span a rank-2 sublattice: Cl = Z
+        f = Fan(
+            dim=3,
+            rays=((1, 0, 0), (0, 1, 0), (-1, -1, 0)),
+            max_cones=((0, 1), (1, 2), (2, 0)),
+        )
+        data = cox_data(f)
+        assert np.array_equal(data.grading, intlin.imat([[1, 1, 1]]))
+        assert data.cl_rank == 1
+
     def test_irrelevant_components(self):
         data = cox_data(hirzebruch(2))
         assert data.irrelevant_components == ((2, 3), (0, 3), (0, 1), (1, 2))

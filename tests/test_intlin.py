@@ -2,13 +2,15 @@
 
 Oracles: brute-force enumeration for small solve/point problems, fractions
 based Gaussian elimination for rank, vertex enumeration for rational
-feasibility, and defining identities (U @ A = H, U @ A @ V = S) checked
+feasibility, sympy for determinants, ranks and the Smith and Hermite
+forms, and defining identities (U @ A = H, U @ A @ V = S) checked
 directly on random inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +19,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from toric_deform import intlin
 from toric_deform.intlin import (
@@ -194,6 +198,52 @@ class TestSmith:
         assert res.diagonal == [1, 4]
 
 
+@st.composite
+def square_matrices(draw):
+    """n x n matrices, n <= 5; about half made singular by a repeated combination."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[n // 2])]
+    return rows
+
+
+class TestAgainstSympy:
+    """intlin's Bareiss, Smith and Hermite forms against sympy 1.14 (a test oracle only)."""
+
+    @given(square_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_determinant(self, rows):
+        assert determinant(imat(rows)) == sympy.Matrix(rows).det()
+
+    @given(matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_rank(self, rows):
+        assert rational_rank(imat(rows)) == sympy.Matrix(rows).rank()
+
+    @given(matrices)
+    @settings(max_examples=120, deadline=None)
+    def test_smith_diagonal(self, rows):
+        theirs = sympy_snf(sympy.Matrix(rows))
+        want = [abs(theirs[i, i]) for i in range(min(theirs.shape))]
+        assert smith_normal_form(imat(rows)).diagonal == want
+
+    @given(matrices)
+    @settings(max_examples=120, deadline=None)
+    def test_hermite_row_lattice(self, rows):
+        # the conventions differ entrywise, so compare lattices: the nonzero
+        # rows of H and the columns of sympy's HNF of a.T span one lattice
+        # exactly when sympy puts both generator sets in the same HNF
+        h, _ = hermite_normal_form(imat(rows))
+        ours = [[int(x) for x in r] for r in h if any(x != 0 for x in r)]
+        theirs = sympy_hnf(sympy.Matrix(rows).T)
+        if not ours:
+            assert theirs.shape[1] == 0
+        else:
+            assert sympy_hnf(sympy.Matrix(ours).T) == theirs
+
+
 class TestKernel:
     @given(matrices)
     @settings(max_examples=120, deadline=None)
@@ -299,17 +349,18 @@ class TestSolver:
             assert (a @ x).tolist() == b.tolist()
 
     def test_status(self):
+        # 2x = 3 has a rational but no integral solution; 0 = 1 has neither
         solver = Solver(imat([[2, 0], [0, 0]]))
-        assert solver.status(ivec([4, 0]))[0] == "ok"
-        assert solver.status(ivec([3, 0])) == ("no_integral", None)
-        assert solver.status(ivec([4, 1])) == ("no_rational", None)
+        assert solver.solve(ivec([4, 0])).tolist() == [2, 0]
+        assert solver.solve(ivec([3, 0])) is None
+        assert solver.solve(ivec([4, 1])) is None
 
     def test_nonneg_line_reuses_the_factorisation(self):
         # x - y = r on the line t*(1, 1): the least nonnegative point is
         # (max(r, 0), max(-r, 0))
-        solver = Solver(imat([[1, -1]]))
+        a = imat([[1, -1]])
         for r in (-3, -1, 0, 2, 5):
-            got = solver.nonneg_line(ivec([r]), ivec([1, 1]))
+            got = solve_nonneg_line(a, ivec([r]), ivec([1, 1]))
             assert got.tolist() == [max(r, 0), max(-r, 0)]
 
 
@@ -640,6 +691,22 @@ def _vertex_oracle(a, b) -> bool:
     return False
 
 
+def _boxed_vertex_oracle(a, b, n) -> bool:
+    """Rational feasibility of any {x in Q^n : a @ x >= b}, bounded or not.
+
+    A nonempty polyhedron has a point whose coordinates are ratios of
+    minors of [a | b] (solve r independent rows of a minimal face, the
+    other coordinates 0), so each is at most n! * d^n in absolute value,
+    d the largest entry. The box |x_i| <= n! * d^n keeps that point and
+    makes the region bounded, and _vertex_oracle decides the rest.
+    """
+    if not a:
+        return True
+    d = max(1, *(abs(x) for row in a for x in row), *(abs(x) for x in b))
+    box = [[s if k == i else 0 for k in range(n)] for i in range(n) for s in (1, -1)]
+    return _vertex_oracle(a + box, b + [-math.factorial(n) * d**n] * (2 * n))
+
+
 @st.composite
 def bounded_systems(draw):
     """Box rows lo_i <= x_i <= hi_i plus up to four random integer cuts."""
@@ -685,24 +752,25 @@ class TestIntegerFourierMotzkin:
     @given(bounded_systems(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_incremental_rows_and_undo(self, system, data):
-        # rows pushed one at a time decide like the batch elimination, and
+        # rows pushed one at a time decide like the boxed vertex oracle, and
         # undo takes the system back to where it was at the mark
         a, b = system
         k = data.draw(st.integers(0, len(a)))
         fm = intlin.FourierMotzkin(len(a[0]))
         for row, r in zip(a[:k], b[:k]):
             fm.push(tuple(row), r)
-        prefix = rational_polyhedron_nonempty(a[:k], b[:k])
+        prefix = _boxed_vertex_oracle(a[:k], b[:k], len(a[0]))
+        full = _boxed_vertex_oracle(a, b, len(a[0]))
         assert fm.feasible() == prefix
         mark = fm.mark()
         for row, r in zip(a[k:], b[k:]):
             fm.push(tuple(row), r)
-        assert fm.feasible() == rational_polyhedron_nonempty(imat(a), ivec(b))
+        assert fm.feasible() == full
         fm.undo(mark)
         assert fm.feasible() == prefix
         for row, r in reversed(list(zip(a[k:], b[k:]))):
             fm.push(tuple(row), r)
-        assert fm.feasible() == rational_polyhedron_nonempty(imat(a), ivec(b))
+        assert fm.feasible() == full
 
     def test_rational_point_without_lattice_point(self):
         # 1 <= 3x - 3y <= 2 and 0 <= x, y <= 2: a strip between lattice lines

@@ -1,18 +1,34 @@
-"""The benchmark tracer's hooks name functions that exist.
+"""The benchmark's hooks name things that exist, and tracing is undone.
 
 perfbench/tracer.py wraps the (module, attribute) pairs in its TRACED table
-and subclasses cohomology.GradedCechComplex. A renamed or deleted target
-breaks ``perfbench/run.py --trace 1``; perfbench's own smoke test would
-catch it, but it is slow and lives outside this suite.
+and subclasses cohomology.GradedCechComplex; perfbench/run.py and
+perfbench/workloads.py read further package attributes directly. A renamed
+or deleted target breaks ``perfbench/run.py``; perfbench's own smoke test
+would catch it, but it is slow and lives outside this suite.
 """
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+
+# attributes that perfbench/run.py and perfbench/workloads.py read
+READ = (
+    ("kernels", "_HAVE_NUMBA"),
+    ("cli", "main"),
+    ("cli", "fan_to_json"),
+    ("hypersurf", "riemann_roch_points"),
+    ("fan", "hirzebruch"),
+    ("fan", "product_of_lines"),
+    ("fan", "cox_data"),
+    ("scrolls", "scroll_fan"),
+    ("scrolls", "ScrollSpec"),
+    ("triples", "enumerate_triples"),
+)
 
 
 def load_tracer():
@@ -31,7 +47,39 @@ def test_traced_function_exists(module, attr, span):
     assert callable(target), f"perfbench traces toric_deform.{module}.{attr}, which is gone"
 
 
+@pytest.mark.parametrize("module,attr", READ, ids=[f"{m}.{a}" for m, a in READ])
+def test_read_attribute_exists(module, attr):
+    assert hasattr(importlib.import_module(f"toric_deform.{module}"), attr), (
+        f"perfbench reads toric_deform.{module}.{attr}, which is gone"
+    )
+
+
 def test_cech_complex_class_exists():
     from toric_deform import cohomology
 
     assert isinstance(cohomology.GradedCechComplex, type)
+
+
+def test_install_then_uninstall_restores_every_binding():
+    import toric_deform.cli  # noqa: F401  (loads every layer, as run.py does)
+    from toric_deform import kernels
+
+    def bindings():
+        return {
+            name: dict(vars(mod)) for name, mod in sys.modules.items()
+            if mod is not None and (name == "toric_deform" or name.startswith("toric_deform."))
+        }
+
+    before = bindings()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert hasattr(kernels.matrix_rank, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    for name, attrs in before.items():
+        assert after[name].keys() == attrs.keys(), name
+        changed = [attr for attr, value in attrs.items() if after[name][attr] is not value]
+        assert not changed, f"{name}: {changed} still rebound after uninstall"
