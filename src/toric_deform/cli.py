@@ -50,15 +50,16 @@ _VECTOR_RE = re.compile(r"-?\d+(,-?\d+)*\Z")
 
 
 class InputError(Exception):
-    """Bad file, flag, or value; maps to exit code 2."""
+    """Bad file, flag, or value; maps to exit code 2, as does a ValueError."""
 
 
 def parse_fan(path: str) -> Fan:
     """Load and validate a fan JSON file {dim, rays, max_cones}.
 
     Raises:
-        InputError: unreadable file, bad JSON, missing or malformed
-            fields, or a structurally invalid fan.
+        InputError: unreadable file, bad JSON, or missing or malformed
+            fields.
+        ValueError: a structurally invalid fan.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -82,14 +83,11 @@ def parse_fan(path: str) -> Fan:
         for k, row in enumerate(rows):
             if not isinstance(row, list) or not all(type(x) is int for x in row):
                 raise InputError(f"{name}[{k}] must be a list of integers")
-    try:
-        return Fan(
-            dim=data["dim"],
-            rays=tuple(tuple(r) for r in data["rays"]),
-            max_cones=tuple(tuple(c) for c in data["max_cones"]),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return Fan(
+        dim=data["dim"],
+        rays=tuple(tuple(r) for r in data["rays"]),
+        max_cones=tuple(tuple(c) for c in data["max_cones"]),
+    )
 
 
 def fan_to_json(fan: Fan) -> dict:
@@ -240,7 +238,7 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     gives h1_dim and span_rank, and its h1_dim must agree with the closed
     form. Without a bound the report also carries support_complete. The
     rank_fallbacks counter reports the degrees where span_check's
-    rank mod p was not sharp and the exact rank of d1 ran.
+    rank mod p was not sharp and the exact rank of its constraints ran.
     """
     fan = parse_fan(args.fan)
     require_smooth_complete(fan, "h1")
@@ -298,10 +296,7 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
 
 def cmd_deform(args) -> tuple[dict, list[dict], dict]:
     fan = parse_fan(args.fan)
-    try:
-        d = build_deformation(fan, _build_triple(fan, args))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    d = build_deformation(fan, _build_triple(fan, args))
     results = _deformation_json(fan, d)
     ambient = ambient_fan(d)
     results["ambient_fan"] = fan_to_json(ambient)
@@ -315,21 +310,13 @@ def cmd_deform(args) -> tuple[dict, list[dict], dict]:
 
 def cmd_lift(args) -> tuple[dict, list[dict]]:
     fan = parse_fan(args.fan)
-    try:
-        d = build_deformation(fan, _build_triple(fan, args))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    d = build_deformation(fan, _build_triple(fan, args))
     w = _parse_vector(args.cls, "--class")
     rank = fan.n_rays - fan.dim  # Cl(X) is free of this rank on a smooth complete fan
     if len(w) != rank:
         raise InputError(f"--class has length {len(w)}, class group rank is {rank}")
-    try:
-        monomials = parse_polynomial(args.poly, fan.n_rays)
-        res = lift_polynomial(
-            LiftProblem(fan=fan, deformation=d, w=w, monomials=monomials)
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    monomials = parse_polynomial(args.poly, fan.n_rays)
+    res = lift_polynomial(LiftProblem(fan=fan, deformation=d, w=w, monomials=monomials))
     pair_labels = list(d.column_labels[1:])
     results = {
         "class": list(w),
@@ -364,10 +351,7 @@ def cmd_lift(args) -> tuple[dict, list[dict]]:
 
 
 def _parse_spec(text: str) -> ScrollSpec:
-    try:
-        return ScrollSpec(a=_parse_vector(text, "twists"))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return ScrollSpec(a=_parse_vector(text, "twists"))
 
 
 def cmd_scroll_rigid(args) -> tuple[dict, list[dict]]:

@@ -1,36 +1,50 @@
-"""Graded tangent-sheaf cohomology via a finite Cech complex.
+"""Graded tangent-sheaf cohomology in the generic stalk.
 
 For a fixed degree m, sections of the tangent sheaf on the chart of a cone
-c reduce to a subspace of N_Q determined ray by ray: the full space when m
-is nonnegative on every ray of c, the line through a ray rho when rho is
-the unique ray of c with m(rho) = -1 and the rest are nonnegative, and zero
-otherwise. The complex runs over maximal cones, pairs and triples of them;
-intersections of cones are the faces spanned by their common rays. H^1 in
-degree m is dim ker d1 - rank d0, over Q, by exact integer ranks.
+c reduce to a subspace F(c) of V = N_Q determined ray by ray: the full
+space when m is nonnegative on every ray of c, the line through a ray rho
+when rho is the unique ray of c with m(rho) = -1 and the rest are
+nonnegative, and zero otherwise. Intersections of cones are the faces
+spanned by their common rays.
 
-The distinguished cocycle of an admissible triple (m, rho, C) has entry
-alpha(sigma, tau) * v_rho on each ordered cone pair, where alpha is 1 when
-sigma touches C and tau does not, -1 in the mirrored case, 0 otherwise.
+The tangent sheaf is torsion-free, so each F(c) lies in the one space V
+and restriction is inclusion. Over the maximal cones sigma_0..sigma_(s-1),
+a Cech 1-cocycle (c_ij) is fixed by x_j = c_0j, with x_0 = 0, and the
+cocycle condition on triples holds in V by itself:
+
+* Z^1_m = {x in V^(s-1) : x_j - x_i in F(U_ij) for all i < j}. The
+  constraints are the annihilator rows of F(U_ij) applied to x_j - x_i:
+  none for all of V, n - 1 for a line, n for zero.
+* B^1_m is spanned by the boundaries: for b in the basis of F(U_j), the
+  vector x_j = b when j >= 1, and x_k = -b for every k >= 1 when j = 0.
+* The cocycle of an admissible triple (m, rho, C) is
+  x_j = (t_0 - t_j) * v_rho, where t_j = [sigma_j meets C], so
+  x_j - x_i = alpha(sigma_i, sigma_j) * v_rho.
+
+x -> (c_ij = x_j - x_i) is an isomorphism onto Cech Z^1 carrying the
+boundaries onto im d0, so the ranks below are those of the Cech complex,
+and C^2 never appears. GradedCechComplex, the full complex over pairs and
+triples of maximal cones, stays as the independent oracle of the tests.
 
 span_check proves its answer with one rank modulo a prime p, falling back
-to the exact rank of d1 only when the certificate is not sharp:
+to the exact rank of the constraints only when that is not sharp:
 
-* rank_Q(d0) and rank_span, the rank of im d0 plus the cocycles, are exact;
-  r1 = rank_p(d1) <= rank_Q(d1).
-* d1 d0 = 0 and d1 c = 0 for every cocycle c are checked exactly, so the
-  span lies in ker d1 and rank_span <= dim C^1 - rank_Q(d1) <= dim C^1 - r1.
-* If rank_span == dim C^1 - r1, all are equal: the cocycles span, and
-  h1_dim = span_rank = rank_span - rank_Q(d0).
+* constraints . [boundaries; cocycles]^T = 0 is checked exactly, so the
+  span lies in Z^1 and rank_span <= width - rank_Q(constraints), where
+  width = (s - 1) * n, rank_span = rank_Q(boundaries + cocycles) and
+  rank_b = rank_Q(boundaries).
+* rank_p <= rank_Q, so if rank_span == width - rank_p(constraints), all
+  are equal: the cocycles span, and h1_dim = span_rank = rank_span - rank_b.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import intlin
 from .fan import Fan, common_face
 from .kernels import matrix_rank, rank_mod_p
 from .triples import AdmissibleTriple, pairing
@@ -52,6 +66,11 @@ class LocalSections:
         return len(self.basis)
 
 
+@functools.cache
+def _standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
+
+
 def local_sections(fan: Fan, cone, m) -> LocalSections:
     """Three-case section space of a face (possibly the zero cone)."""
     cone = tuple(sorted(int(i) for i in cone))
@@ -59,9 +78,7 @@ def local_sections(fan: Fan, cone, m) -> LocalSections:
     values = [(i, pairing(m, fan.rays[i])) for i in cone]
     negative = [(i, v) for i, v in values if v < 0]
     if not negative:
-        basis = tuple(
-            tuple(1 if k == j else 0 for k in range(fan.dim)) for j in range(fan.dim)
-        )
+        basis = _standard_basis(fan.dim)
     elif len(negative) == 1 and negative[0][1] == -1:
         basis = (fan.rays[negative[0][0]],)
     else:
@@ -75,9 +92,7 @@ def _coords_in(vec, target: LocalSections) -> list[int]:
     Valid because section spaces only grow under passing to smaller faces,
     and a line space is always spanned by the one relevant primitive ray.
     """
-    n = len(vec)
-    standard = tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
-    if target.basis == standard:
+    if target.basis == _standard_basis(len(vec)):
         return [int(x) for x in vec]
     if target.dim == 0:
         if any(x != 0 for x in vec):
@@ -92,62 +107,48 @@ def _coords_in(vec, target: LocalSections) -> list[int]:
 
 
 class GradedCechComplex:
-    """Degree-m Cech complex of the tangent sheaf over the maximal cones."""
+    """Degree-m Cech complex of the tangent sheaf over the maximal cones.
+
+    C^p runs over the (p+1)-sets of maximal cones, each meeting in the face
+    of its common rays; sets[p], sections[p] and offsets[p] describe its
+    blocks.
+    """
 
     def __init__(self, fan: Fan, m):
         self.fan = fan
         self.m = tuple(int(x) for x in m)
-        cones = fan.max_cones
-        self.pairs = list(itertools.combinations(range(len(cones)), 2))
-        self.cone_triples = list(itertools.combinations(range(len(cones)), 3))
-        self.sections0 = [local_sections(fan, c, m) for c in cones]
-        self.sections1 = [
-            local_sections(fan, common_face(fan, cones[i], cones[j]), m)
-            for i, j in self.pairs
+        cones = [set(c) for c in fan.max_cones]
+        self.sets = [list(itertools.combinations(range(len(cones)), p + 1)) for p in range(3)]
+        self.sections = [
+            [local_sections(fan, set.intersection(*(cones[i] for i in idx)), m) for idx in level]
+            for level in self.sets
         ]
-        self.sections2 = [
-            local_sections(
-                fan,
-                set(cones[i]) & set(cones[j]) & set(cones[k]),
-                m,
-            )
-            for i, j, k in self.cone_triples
+        self.offsets = [
+            list(itertools.accumulate((s.dim for s in level), initial=0)) for level in self.sections
         ]
-        self.offsets0 = _offsets(self.sections0)
-        self.offsets1 = _offsets(self.sections1)
-        self.offsets2 = _offsets(self.sections2)
-        self.dim0 = self.offsets0[-1]
-        self.dim1 = self.offsets1[-1]
-        self.dim2 = self.offsets2[-1]
-        self.d0 = self._build_d0()
-        self.d1 = self._build_d1()
-        _assert_composition_zero(self.d1, self.d0)
+        self.dim0, self.dim1, self.dim2 = (off[-1] for off in self.offsets)
+        self.d0 = self._coboundary(0)
+        self.d1 = self._coboundary(1)
+        if self.dim0 and self.dim1 and self.dim2:
+            if (np.array(self.d1, dtype=object) @ np.array(self.d0, dtype=object)).any():
+                raise AssertionError("d1 . d0 != 0; complex construction is broken")
 
-    def _build_d0(self):
-        d0 = [[0] * self.dim0 for _ in range(self.dim1)]
-        for p, (i, j) in enumerate(self.pairs):
-            target = self.sections1[p]
-            row0 = self.offsets1[p]
-            for sign, ci in ((1, j), (-1, i)):
-                col0 = self.offsets0[ci]
-                for b, vec in enumerate(self.sections0[ci].basis):
+    def _coboundary(self, p: int) -> list[list[int]]:
+        """d: C^p -> C^(p+1); the block of a (p+2)-set is the alternating
+        sum of the restrictions from its faces, the sign (-1)^q for the face
+        that drops its q-th cone."""
+        source = {idx: k for k, idx in enumerate(self.sets[p])}
+        d = [[0] * self.offsets[p][-1] for _ in range(self.offsets[p + 1][-1])]
+        for t, idx in enumerate(self.sets[p + 1]):
+            target = self.sections[p + 1][t]
+            row0 = self.offsets[p + 1][t]
+            for q in range(p + 2):
+                k = source[idx[:q] + idx[q + 1 :]]
+                col0 = self.offsets[p][k]
+                for b, vec in enumerate(self.sections[p][k].basis):
                     for r, c in enumerate(_coords_in(vec, target)):
-                        d0[row0 + r][col0 + b] += sign * c
-        return d0
-
-    def _build_d1(self):
-        d1 = [[0] * self.dim1 for _ in range(self.dim2)]
-        pair_index = {pr: p for p, pr in enumerate(self.pairs)}
-        for t, (i, j, k) in enumerate(self.cone_triples):
-            target = self.sections2[t]
-            row0 = self.offsets2[t]
-            for sign, pr in ((1, (j, k)), (-1, (i, k)), (1, (i, j))):
-                p = pair_index[pr]
-                col0 = self.offsets1[p]
-                for b, vec in enumerate(self.sections1[p].basis):
-                    for r, c in enumerate(_coords_in(vec, target)):
-                        d1[row0 + r][col0 + b] += sign * c
-        return d1
+                        d[row0 + r][col0 + b] += (-1) ** q * c
+        return d
 
     def h1(self) -> int:
         rank_d0 = matrix_rank(self.d0) if self.dim0 and self.dim1 else 0
@@ -155,90 +156,108 @@ class GradedCechComplex:
         return self.dim1 - rank_d1 - rank_d0
 
 
-def _offsets(sections) -> list[int]:
-    out = [0]
-    for s in sections:
-        out.append(out[-1] + s.dim)
-    return out
-
-
-def _assert_composition_zero(d1, d0):
-    if not d1 or not d0 or not d0[0]:
-        return
-    a = np.array(d1, dtype=object)
-    b = np.array(d0, dtype=object)
-    prod = a @ b
-    if any(x != 0 for x in np.ravel(prod)):
-        raise AssertionError("d1 . d0 != 0; complex construction is broken")
-
-
 def h1_dimension(fan: Fan, m) -> int:
     """dim H^1(X, T_X) in degree m (exact)."""
     return GradedCechComplex(fan, m).h1()
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Cech 1-cocycle supported on the line of a single ray.
+def _annihilator(space: LocalSections, n: int) -> list[tuple[int, ...]]:
+    """Integer functionals on V whose common kernel is the section space."""
+    if space.dim == n:
+        return []
+    if space.dim == 0:
+        return list(_standard_basis(n))
+    # f_l(x) = v_k x_l - v_l x_k, for each l != k, vanishes on the line of v
+    (v,) = space.basis
+    k = next(i for i, x in enumerate(v) if x != 0)
+    return [
+        tuple(v[k] if q == l else -v[l] if q == k else 0 for q in range(n))
+        for l in range(n)
+        if l != k
+    ]
 
-    entries maps each increasing cone pair (i, j) to its N-vector;
-    swapping the pair negates the entry.
+
+class _Stalk:
+    """The degree-m system of the module docstring over s maximal cones.
+
+    Stalk vectors are stacked as (k, s, n) arrays of x_0..x_(s-1), x_0 = 0;
+    rows() flattens x_1..x_(s-1) to width (s - 1) * n. Constraint r has the
+    same shape, lifted[r]: f in block j and -f in block i, for
+    (i, j) = pairs[r] and f a functional of the annihilator of F(U_ij).
     """
 
-    m: tuple[int, ...]
-    rho: int
-    entries: dict
+    def __init__(self, fan: Fan, m):
+        self.fan, self.m, self.n, self.s = fan, m, fan.dim, len(fan.max_cones)
+        cones, self.width = fan.max_cones, (self.s - 1) * self.n
+        found = [
+            ((i, j), f)
+            for i, j in itertools.combinations(range(self.s), 2)
+            for f in _annihilator(local_sections(fan, common_face(fan, cones[i], cones[j]), m), self.n)
+        ]
+        self.pairs = [pair for pair, _ in found]
+        functionals = np.array([f for _, f in found], dtype=object).reshape(-1, self.n)
+        self.i, self.j = np.array(self.pairs, dtype=int).reshape(-1, 2).T
+        self.lifted = np.zeros((len(self.pairs), self.s, self.n), dtype=object)
+        at = np.arange(len(self.pairs))
+        self.lifted[at, self.j] = functionals
+        self.lifted[at, self.i] -= functionals
+        self.constraints = self.rows(self.lifted)
+        basis = [(j, b) for j, c in enumerate(cones) for b in local_sections(fan, c, m).basis]
+        self.boundaries = np.zeros((len(basis), self.s, self.n), dtype=object)
+        for k, (j, b) in enumerate(basis):
+            self.boundaries[k, j] = b  # the 0-cochain y with y_j = b, else 0
+            self.boundaries[k] -= self.boundaries[k, 0].copy()  # x_k = y_k - y_0
 
-    def entry(self, i: int, j: int) -> tuple[int, ...]:
-        if i < j:
-            return self.entries[(i, j)]
-        return tuple(-x for x in self.entries[(j, i)])
+    def rows(self, x: np.ndarray) -> list[list[int]]:
+        return x[:, 1:].reshape(len(x), self.width).tolist()
+
+    def violations(self, x: np.ndarray) -> np.ndarray:
+        """constraints . rows(x)^T, exactly, from the two blocks of each
+        constraint row that can be nonzero (block 0 meets x_0 = 0)."""
+        at = np.arange(len(self.pairs))
+        return sum((self.lifted[at, b] * x[:, b]).sum(axis=2) for b in (self.i, self.j))
 
 
-def triple_cocycle(fan: Fan, t: AdmissibleTriple) -> Cocycle:
-    """The cocycle with entries alpha(sigma, tau) * v_rho.
+def _checked_cocycles(stalk: _Stalk, triples) -> np.ndarray:
+    """Stalk vectors of the triple cocycles, after the exact product.
 
     Raises:
-        ValueError: when an entry falls outside its local section space or
-            the cocycle condition fails; both indicate a non-admissible
-            input triple.
+        AssertionError: a boundary violates a constraint; the stalk
+            construction is broken.
+        ValueError: a triple of another degree, or one whose vector
+            violates a constraint, that is, a non-admissible triple.
     """
-    complex_ = GradedCechComplex(fan, t.m)
-    coords = _cocycle_coords(complex_, t)
-    entries = {}
-    touches = [bool(set(c) & set(t.component)) for c in fan.max_cones]
-    v_rho = fan.rays[t.rho]
-    for i, j in complex_.pairs:
-        alpha = int(touches[i]) - int(touches[j])
-        entries[(i, j)] = tuple(alpha * x for x in v_rho)
-    return Cocycle(m=t.m, rho=t.rho, entries=entries)
-
-
-def _cocycle_coords(complex_: GradedCechComplex, t: AdmissibleTriple) -> list[int]:
-    """C^1 coordinates of the triple cocycle, with validity checks."""
-    fan = complex_.fan
-    touches = [bool(set(c) & set(t.component)) for c in fan.max_cones]
-    v_rho = fan.rays[t.rho]
-    coords = [0] * complex_.dim1
-    for p, (i, j) in enumerate(complex_.pairs):
-        alpha = int(touches[i]) - int(touches[j])
-        if alpha == 0:
-            continue
-        vec = [alpha * x for x in v_rho]
-        try:
-            local = _coords_in(vec, complex_.sections1[p])
-        except ValueError as exc:
+    fan = stalk.fan
+    vectors = []
+    for t in triples:
+        if tuple(t.m) != stalk.m:
+            raise ValueError(f"triple degree {t.m} differs from requested degree {stalk.m}")
+        touches = [int(bool(set(t.component) & set(c))) for c in fan.max_cones]
+        vectors.append([[(touches[0] - tj) * x for x in fan.rays[t.rho]] for tj in touches])
+    cocycles = np.array(vectors, dtype=object).reshape(len(vectors), stalk.s, stalk.n)
+    product = stalk.violations(np.concatenate([stalk.boundaries, cocycles]))
+    if product[: len(stalk.boundaries)].any():
+        raise AssertionError("a boundary violates a constraint; stalk construction is broken")
+    for t, row in zip(triples, product[len(stalk.boundaries) :]):
+        if row.any():
+            i, j = stalk.pairs[next(r for r, x in enumerate(row) if x != 0)]
             raise ValueError(
-                f"cocycle entry at cone pair ({i}, {j}) is not a local section: {exc}"
-            ) from exc
-        off = complex_.offsets1[p]
-        for r, c in enumerate(local):
-            coords[off + r] = c
-    if complex_.dim2 and complex_.dim1:
-        image = np.array(complex_.d1, dtype=object) @ intlin.ivec(coords)
-        if any(x != 0 for x in image):
-            raise ValueError("cocycle condition d1 = 0 fails; triple is not admissible")
-    return coords
+                f"triple (m={tuple(t.m)}, rho={t.rho}, C={tuple(t.component)}) is not a "
+                f"cocycle: x_{j} - x_{i} is not a local section at cone pair ({i}, {j})"
+            )
+    return cocycles
+
+
+def triple_cocycle(fan: Fan, t: AdmissibleTriple) -> tuple[tuple[int, ...], ...]:
+    """The stalk cocycle (x_0, ..., x_(s-1)) of a triple, with x_0 = 0 and
+    x_j - x_i = alpha(sigma_i, sigma_j) * v_rho.
+
+    Raises:
+        ValueError: when some x_j - x_i falls outside its local section
+            space, which indicates a non-admissible input triple.
+    """
+    (x,) = _checked_cocycles(_Stalk(fan, tuple(int(c) for c in t.m)), [t]).tolist()
+    return tuple(map(tuple, x))
 
 
 def span_check(fan: Fan, m, triples) -> dict:
@@ -247,21 +266,15 @@ def span_check(fan: Fan, m, triples) -> dict:
     Returns:
         {"h1_dim": int, "span_rank": int, "spans": bool, "certified": bool};
         certified is False when the rank mod p was not sharp and the exact
-        rank of d1 ran instead.
+        rank of the constraints ran instead.
     """
-    m = tuple(int(x) for x in m)
-    complex_ = GradedCechComplex(fan, m)
-    cocycles = []
-    for t in triples:
-        if tuple(t.m) != m:
-            raise ValueError(f"triple degree {t.m} differs from requested degree {m}")
-        cocycles.append(_cocycle_coords(complex_, t))
-    rank_d0 = matrix_rank(complex_.d0)
-    # the columns of d0 generate im d0
-    rank_span = matrix_rank([list(col) for col in zip(*complex_.d0)] + cocycles)
-    span_rank = rank_span - rank_d0
-    # the span lies in ker d1, so this equality is a proof (module docstring)
-    if rank_span == complex_.dim1 - rank_mod_p(complex_.d1):
+    stalk = _Stalk(fan, tuple(int(x) for x in m))
+    boundaries = stalk.rows(stalk.boundaries)
+    rank_b = matrix_rank(boundaries)
+    rank_span = matrix_rank(boundaries + stalk.rows(_checked_cocycles(stalk, triples)))
+    span_rank = rank_span - rank_b
+    # the span lies in Z^1, so this equality is a proof (module docstring)
+    if rank_span == stalk.width - rank_mod_p(stalk.constraints):
         return {"h1_dim": span_rank, "span_rank": span_rank, "spans": True, "certified": True}
-    h1 = complex_.dim1 - matrix_rank(complex_.d1) - rank_d0
+    h1 = stalk.width - matrix_rank(stalk.constraints) - rank_b
     return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1, "certified": False}

@@ -12,6 +12,10 @@ analysis (values of the degree on rays (1,0),(0,1),(-1,2),(0,-1) are
 
 so dim C0 = 2, C1 = 9, C2 = 8; the boundary matrices are written out
 below and reduced by fractions, independently of the implementation.
+
+span_check works in the generic stalk instead; it is held against the full
+complex (TestSpanCertificate), Ilten's surface formula
+(TestSurfaceFormulaOracle) and Kuenneth on products (TestProductsAtScale).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from hypothesis import strategies as st
 
 from toric_deform import cli, cohomology
 from toric_deform.cohomology import (
-    Cocycle,
     GradedCechComplex,
     h1_dimension,
     local_sections,
@@ -44,6 +47,8 @@ from toric_deform.triples import (
     marker_graph,
     triples_at_degree,
 )
+
+from test_triples import blown_up_plane  # the tests' own fan builder
 
 
 def default_box_bound(fan: Fan) -> int:
@@ -202,37 +207,43 @@ class TestTripleCocycle:
     def triple(self, n=2, alpha=1, comp=(0,)):
         return AdmissibleTriple(m=(-alpha, -1), rho=1, component=comp)
 
+    @staticmethod
+    def difference(x, i, j):
+        return tuple(a - b for a, b in zip(x[j], x[i]))
+
     def test_f2_support(self):
         # C = {ray 0}: cones {01} and {03} touch C, {12} and {23} do not
-        xi = triple_cocycle(hirzebruch(2), self.triple())
+        x = triple_cocycle(hirzebruch(2), self.triple())
         touching = {0, 3}
         for i, j in itertools.combinations(range(4), 2):
             expect_nonzero = (i in touching) != (j in touching)
-            assert (any(x != 0 for x in xi.entry(i, j))) == expect_nonzero
+            assert any(self.difference(x, i, j)) == expect_nonzero
 
     def test_entries_are_rho_multiples(self):
-        xi = triple_cocycle(hirzebruch(2), self.triple())
-        assert xi.entry(0, 1) == (0, 1)  # alpha = +1 times v_rho = (0,1)
-        assert xi.entry(1, 0) == (0, -1)
+        x = triple_cocycle(hirzebruch(2), self.triple())
+        assert x[0] == (0, 0)
+        assert self.difference(x, 0, 1) == (0, 1)  # alpha = +1 times v_rho = (0,1)
+        assert self.difference(x, 1, 0) == (0, -1)
 
     def test_both_touching_gives_zero(self):
-        xi = triple_cocycle(hirzebruch(2), self.triple())
-        assert xi.entry(0, 3) == (0, 0)
+        x = triple_cocycle(hirzebruch(2), self.triple())
+        assert self.difference(x, 0, 3) == (0, 0)
 
-    def test_antisymmetry(self):
-        xi = triple_cocycle(hirzebruch(3), AdmissibleTriple((-2, -1), 1, (0,)))
+    def test_matches_alpha_on_every_pair(self):
+        f = hirzebruch(3)
+        t = AdmissibleTriple((-2, -1), 1, (0,))
+        x = triple_cocycle(f, t)
+        touches = [int(0 in c) for c in f.max_cones]
         for i, j in itertools.combinations(range(4), 2):
-            assert xi.entry(j, i) == tuple(-x for x in xi.entry(i, j))
+            alpha = touches[i] - touches[j]
+            assert self.difference(x, i, j) == tuple(alpha * v for v in f.rays[1])
 
     def test_rejects_non_admissible(self):
-        # C = {3} but ray 3 has positive value: entries land outside the
-        # local section spaces
+        # C = {3} but ray 3 has positive value: differences land outside
+        # the local section spaces
         bad = AdmissibleTriple(m=(-1, -1), rho=1, component=(3,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a cocycle"):
             triple_cocycle(hirzebruch(2), bad)
-
-    def test_isinstance(self):
-        assert isinstance(triple_cocycle(hirzebruch(2), self.triple()), Cocycle)
 
 
 class TestSpanCheck:
@@ -273,6 +284,13 @@ class TestSpanCheck:
         with pytest.raises(ValueError, match="degree"):
             span_check(f, (0, 0), [t])
 
+    def test_broken_constraints_are_caught(self, monkeypatch):
+        # constraints that cut every pair to zero: the boundaries of the full
+        # section spaces at degree 0 violate them
+        monkeypatch.setattr(cohomology, "_annihilator", lambda space, n: [(1, 0), (0, 1)])
+        with pytest.raises(AssertionError, match="construction is broken"):
+            span_check(hirzebruch(2), (0, 0), [])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hirzebruch_spans_everywhere(self, n):
         f = hirzebruch(n)
@@ -305,12 +323,19 @@ def triples_by_degree(fan, box_bound=None) -> dict:
 
 
 def exact_span_reference(fan, m, triples) -> dict:
-    """span_check's answer from exact ranks only: h1_dimension and the
-    exact rank of im d0 plus the cocycles."""
+    """span_check's answer from the exact Cech complex only: h1_dimension,
+    and the exact rank of im d0 plus the stalk cocycles carried into C^1 by
+    c_ij = x_j - x_i."""
     complex_ = GradedCechComplex(fan, m)
     h1 = h1_dimension(fan, m)
     rows = [list(col) for col in zip(*complex_.d0)]
-    rows += [cohomology._cocycle_coords(complex_, t) for t in triples]
+    for t in triples:
+        x = triple_cocycle(fan, t)
+        rows.append([
+            c
+            for (i, j), space in zip(complex_.sets[1], complex_.sections[1])
+            for c in cohomology._coords_in([b - a for a, b in zip(x[i], x[j])], space)
+        ])
     span_rank = matrix_rank(rows) - matrix_rank(complex_.d0)
     return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1}
 
@@ -375,6 +400,7 @@ class TestSpanCertificate:
 
     def test_exact_rank_never_sees_d1_on_f2xf3(self, tmp_path, monkeypatch, capsys):
         complexes = []
+        constrained = []
         ranked = []
 
         class Recorded(GradedCechComplex):
@@ -382,11 +408,16 @@ class TestSpanCertificate:
                 super().__init__(fan, m)
                 complexes.append(self)
 
+        def spy_p(mat):
+            constrained.append(mat)
+            return rank_mod_p(mat)
+
         def spy(mat):
             ranked.append(mat)
             return matrix_rank(mat)
 
         monkeypatch.setattr(cohomology, "GradedCechComplex", Recorded)
+        monkeypatch.setattr(cohomology, "rank_mod_p", spy_p)
         monkeypatch.setattr(cohomology, "matrix_rank", spy)
         path = tmp_path / "f2xf3.json"
         path.write_text(json.dumps(cli.fan_to_json(CERTIFICATE_FANS["F_2xF_3"][0])))
@@ -395,8 +426,9 @@ class TestSpanCertificate:
         assert payload["results"]["total_h1"] == 3
         assert payload["checks"][0] == {"name": "cocycles_span", "ok": True, "witness": None}
         assert payload["timing"]["counters"]["rank_fallbacks"] == 0
-        assert len(complexes) == 3 and ranked
-        assert not any(mat is c.d1 for mat in ranked for c in complexes)
+        assert complexes == []
+        assert len(constrained) == 3 and ranked
+        assert not any(mat is c for mat in ranked for c in constrained)
 
 
 class TestClosedFormOracle:
@@ -423,3 +455,85 @@ class TestClosedFormOracle:
             if closed != cech:
                 mismatches.append((m, closed, cech))
         assert mismatches == []
+
+
+def run_h1(tmp_path, capsys, fan, *args) -> dict:
+    """Exit code and payload of one h1 command on a fan file."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(cli.fan_to_json(fan)))
+    code = cli.main(["h1", "--fan", str(path), *args])
+    return {"exit": code, **json.loads(capsys.readouterr().out)}
+
+
+def surface_formula(fan: Fan) -> int:
+    """Ilten's h^1(T_X) = sum of max(0, b_i - 1), v_(i-1) + v_(i+1) = b_i v_i,
+    for a smooth complete surface; the neighbours of a ray are read off its
+    two maximal cones."""
+    total = 0
+    for i, v in enumerate(fan.rays):
+        a, c = (fan.rays[k] for cone in fan.max_cones if i in cone for k in cone if k != i)
+        s = tuple(x + y for x, y in zip(a, c))
+        k = next(q for q, x in enumerate(v) if x != 0)
+        b = s[k] // v[k]
+        assert s == tuple(b * x for x in v)
+        total += max(0, b - 1)
+    return total
+
+
+class TestSurfaceFormulaOracle:
+    """The h1 sweep against the surface formula, independent of Cech and of
+    the closed form."""
+
+    @pytest.mark.parametrize(
+        "fan",
+        [hirzebruch(n) for n in range(6)] + [blown_up_plane(r) for r in range(3, 21)],
+        ids=[f"F_{n}" for n in range(6)] + [f"blown_up_plane({r})" for r in range(3, 21)],
+    )
+    def test_sweep_total(self, tmp_path, capsys, fan):
+        expected = surface_formula(fan)
+        payload = run_h1(tmp_path, capsys, fan)
+        assert payload["exit"] == 0
+        assert all(c["ok"] for c in payload["checks"])
+        assert payload["results"]["total_h1"] == expected
+        assert sum(e["h1_dim"] for e in payload["results"]["degrees"]) == expected
+
+    def test_formula_itself(self):
+        assert [surface_formula(hirzebruch(n)) for n in range(6)] == [0, 0, 1, 2, 3, 4]
+        assert surface_formula(blown_up_plane(20)) == 28
+
+
+class TestProductsAtScale:
+    """Kuenneth: H^1 of a product lives where all blocks of m but one are
+    zero, and there it is H^1 of that factor."""
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (scroll_fan(ScrollSpec((3, 1, 0))), hirzebruch(4)),
+            (hirzebruch(2), hirzebruch(3), hirzebruch(4)),
+        ],
+        ids=["S(3,1,0)xF_4", "F_2xF_3xF_4"],
+    )
+    def test_unbounded_sweep(self, tmp_path, capsys, factors):
+        fan = factors[0]
+        for f in factors[1:]:
+            fan = product(fan, f)
+        payload = run_h1(tmp_path, capsys, fan)
+        assert payload["exit"] == 0
+        assert payload["results"]["total_h1"] == 6
+        assert {c["name"]: c["ok"] for c in payload["checks"]} == {
+            "cocycles_span": True,
+            "support_complete": True,
+        }
+        assert payload["timing"]["counters"]["rank_fallbacks"] == 0
+        assert payload["results"]["degrees"]
+        for entry in payload["results"]["degrees"]:
+            blocks, start = [], 0
+            for f in factors:
+                blocks.append(entry["degree"][start : start + f.dim])
+                start += f.dim
+            (k,) = [q for q, block in enumerate(blocks) if any(block)]
+            degree = ",".join(str(x) for x in blocks[k])
+            own = run_h1(tmp_path, capsys, factors[k], f"--degree={degree}")
+            assert own["exit"] == 0
+            assert entry["h1_dim"] == own["results"]["degrees"][0]["h1_dim"], entry["degree"]

@@ -9,6 +9,7 @@ would catch it, but it is slow and lives outside this suite.
 
 import importlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -83,3 +84,23 @@ def test_install_then_uninstall_restores_every_binding():
         assert after[name].keys() == attrs.keys(), name
         changed = [attr for attr, value in attrs.items() if after[name][attr] is not value]
         assert not changed, f"{name}: {changed} still rebound after uninstall"
+
+
+def test_tracer_sees_the_stalk_path(tmp_path, capsys):
+    # span_check builds no GradedCechComplex, so the cech span stays empty
+    from toric_deform import cli
+    from toric_deform.fan import hirzebruch
+
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(cli.fan_to_json(hirzebruch(2))))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_main(cli.main, ["h1", "--fan", str(path)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = {name: n for name, (n, _) in tracer.per_name().items()}
+    assert calls["cohomology.span_check"] >= 1
+    assert calls["cohomology.cech"] == 0
