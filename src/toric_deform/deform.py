@@ -50,29 +50,30 @@ class Splitting:
 
 
 def build_splitting(fan: Fan, m, rho: int) -> Splitting:
+    """The splitting of N by m with gamma(-1) = v_rho, from one HNF.
+
+    The vectors g_j = e_j + m_j * v_rho lie in ker m and generate it over
+    Z: k = sum_j k_j * g_j - m(k) * v_rho for every k in N. So the HNF
+    U @ G = H of the matrix G with rows g_j has the basis of ker m in its
+    first n - 1 rows and a zero last row. Since G = U^-1 @ H, row j of
+    U^-1 holds the coordinates of g_j = v - gamma(m(v)) at v = e_j, and
+    proj is the transpose of its first n - 1 columns.
+    """
     m = tuple(int(x) for x in m)
     v_rho = fan.rays[rho]
     if pairing(m, v_rho) != -1:
         raise ValueError("splitting needs m(v_rho) = -1")
-    kb = intlin.kernel_basis(intlin.imat([list(m)]))
-    k_rows = intlin.imat([list(v) for v in kb], cols=fan.dim)
     n = fan.dim
-    k_coords = intlin.Solver(k_rows.T)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        w = intlin.ivec([e[i] + m[j] * v_rho[i] for i in range(n)])
-        c = k_coords.solve(w)
-        assert c is not None  # w lies in ker m and the basis is saturated
-        cols.append(c)
-    proj = np.stack(cols, axis=1)  # ((n-1), n), possibly zero rows
+    g = intlin.imat([[int(i == j) + m[j] * v_rho[i] for i in range(n)] for j in range(n)])
+    h, u = intlin.hermite_normal_form(g)
+    assert not any(h[n - 1])  # ker m has rank n - 1
+    u_inv = intlin.unimodular_solve(u, intlin.identity(n))
     return Splitting(
         m=m,
         rho=rho,
-        k_basis=tuple(tuple(int(x) for x in v) for v in kb),
+        k_basis=tuple(tuple(int(x) for x in v) for v in h[: n - 1]),
         gamma=v_rho,
-        proj=proj,
+        proj=u_inv[:, : n - 1].T.copy(),  # ((n-1), n), possibly zero rows
     )
 
 
@@ -220,8 +221,10 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
             psi[col_of[(2, t.rho)], j] += -a[j]
     nu = psi.T
 
-    qtilde, torsion = intlin.cokernel_map(ptilde.T)
-    assert not torsion  # ambient class group of an admissible package is free
+    # Row n+1 of P is e_T1 and every sigma-tilde holds column 0, so a
+    # unimodular sigma-tilde gives P-tilde an (n+1)-minor +-1: its columns
+    # span Z^(n+1), and free_cokernel's HNF proves the class group free.
+    qtilde = intlin.free_cokernel(ptilde.T)
 
     # the binomial difference kills nu
     assert all(x == 0 for x in nu @ trinomial.binomial_difference()[1:])
@@ -317,7 +320,12 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
       nonnegative integer combination of its sigma-tilde columns, i.e.
       X_sigma >= 0 (a solve per ray when B is not unimodular),
     * lattice_identification: iota embeds N onto the sublattice cut out by
-      the binomial character u and the last coordinate,
+      the binomial character u and the last coordinate. u solves
+      P^T @ u = the binomial difference. When P[:, sigma-tilde_0] is
+      unimodular, u comes from one more elimination, on its transpose,
+      and is checked on every row (_binomial_character). The sublattice
+      is one HNF kernel (intlin.kernel_basis), so a valid package takes
+      no Smith form here either,
     * diagram_commutes: Ptilde composed with psi equals iota (truncated)
       composed with the ray matrix,
     * cox_cone_mapping: psi sends each Cox cone of the base into the
@@ -351,7 +359,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             break
     checks["cone_membership"] = {"ok": witness is None, "witness": witness}
 
-    uvec = intlin.solve_int(d.P.T, d.trinomial.binomial_difference())
+    uvec = _binomial_character(d)
     if uvec is None:
         checks["lattice_identification"] = {
             "ok": False,
@@ -397,6 +405,23 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     checks["fiber_fan_roundtrip"] = _roundtrip_check(coords, work)
 
     return {"passes": all(c["ok"] for c in checks.values()), "checks": checks, "work": work}
+
+
+def _binomial_character(d: DeformationData) -> np.ndarray | None:
+    """The u with P^T @ u = the binomial difference, or None if there is none.
+
+    When B = P[:, sigma-tilde_0] is unimodular, B^T @ u = b on those
+    columns has the one solution u, found by one elimination, and u
+    solves the whole system exactly when every row checks. P then has
+    full row rank, so u is the only solution. Otherwise (only a broken
+    package) intlin.solve_int decides.
+    """
+    b = d.trinomial.binomial_difference()
+    st = list(d.ambient_cones[0])
+    u = intlin.unimodular_solve(d.P[:, st].T, b[st].reshape(-1, 1))
+    if u is None:
+        return intlin.solve_int(d.P.T, b)
+    return u[:, 0] if (d.P.T @ u[:, 0] == b).all() else None
 
 
 def _roundtrip_check(coords, work: dict) -> dict:

@@ -222,13 +222,26 @@ class CoxData:
 
 
 def cox_data(fan: Fan) -> CoxData:
+    """Cox presentation of a smooth fan.
+
+    The grading of Cl(X) = coker(ray_map^T) is intlin.free_cokernel's:
+    the HNF basis of the relations among the rays, ker(ray_map), proven
+    free by the same HNF whenever the rays span N, as they do on a
+    complete fan. Otherwise a Smith form decides whether Cl(X) has
+    torsion.
+
+    Raises:
+        ValueError: a cone that is not unimodular, or a class group with
+            torsion.
+    """
     for ci in range(len(fan.max_cones)):
         if not _cone_is_unimodular(fan, ci):
             raise ValueError(f"cone {ci} is not unimodular; fan is not smooth")
     p = fan.ray_matrix()
-    grading, invariants = intlin.cokernel_map(p.T)
-    if invariants:
-        raise ValueError("class group has torsion; fan is not smooth")
+    try:
+        grading = intlin.free_cokernel(p.T)
+    except ValueError:
+        raise ValueError("class group has torsion; fan is not smooth") from None
     comps = tuple(
         tuple(i for i in range(fan.n_rays) if i not in set(c)) for c in fan.max_cones
     )

@@ -128,12 +128,20 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
 def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
     """is_liftable for each column of e at once: one batch through nu.
 
-    nu has full row rank: its columns hold e_j for every ray j != rho,
-    and column (2, rho) is e_rho plus a combination of those. So every
-    column has a rational preimage, and nonneg_lines never raises for
-    want of one.
+    nu without its (3, rho) column is unitriangular up to the order of
+    its columns: they hold e_j for every ray j != rho, and column (2, rho)
+    is e_rho plus a combination of those. So one intlin.unimodular_solve
+    on that square matrix, with a zero (3, rho) entry put back, gives an
+    integer preimage of every column, and no Smith form is taken.
+    intlin.least_on_lines then moves each preimage along ker nu, which
+    the binomial generates, to the least nonnegative one.
     """
-    return intlin.Solver(d.nu).nonneg_lines(e, kernel_binomial(d))
+    j = d.u.all_pairs.index((3, d.triple.rho))
+    y = intlin.unimodular_solve(np.delete(d.nu, j, axis=1), e)
+    assert y is not None  # determinant +-1, by the shape above
+    x0 = np.insert(y, j, 0, axis=0)
+    ok = np.ones(e.shape[1], dtype=bool)
+    return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0, ok)
 
 
 def lift_polynomial(p: LiftProblem) -> LiftResult:
@@ -141,8 +149,8 @@ def lift_polynomial(p: LiftProblem) -> LiftResult:
 
     The monomials are checked in input order (exponent count, class,
     signs), and the first offending one is reported. Their classes come
-    from one product Q @ E, and their preimages from one nonneg_lines
-    call on a single factorisation of nu.
+    from one product Q @ E, and their preimages from one elimination on
+    nu (see _preimages).
 
     Raises:
         ValueError: a class whose length is not the class group rank, or

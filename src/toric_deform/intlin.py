@@ -6,14 +6,19 @@ transforms, saturated kernel bases, cokernel presentations, exact linear
 solves, one-line nonnegative solving, and small Fourier-Motzkin utilities
 for bounded lattice-point enumeration. No floating point anywhere.
 
-Each exact job has one engine. Solves against a general matrix go
-through ``Solver``: one Smith factorisation, reused by every right-hand
-side; ``solve_int`` and ``solve_nonneg_line`` are one-shot wrappers over
-``Solver.solve`` and ``Solver.nonneg_lines``, which takes a whole matrix
-of right-hand sides in two matrix products. A square matrix expected to
-be unimodular (a smooth cone) needs no Smith form: ``unimodular_solve``
-runs one fraction-free Gauss-Jordan elimination on [b | r], which also
-decides whether det b = +-1, and is the one way to invert. Ranks and
+Each exact job has one engine. Kernels come from one Hermite normal form
+with its transform (``kernel_basis``); the same HNF proves a cokernel
+free when its pivots are all 1 (``free_cokernel``), and only a cokernel
+it cannot settle goes to the Smith form of ``cokernel_map``. A square
+matrix expected to be unimodular (a smooth cone) needs no Smith form
+either: ``unimodular_solve`` runs one fraction-free Gauss-Jordan
+elimination on [b | r], which also decides whether det b = +-1, and is
+the one way to invert. ``Solver``, one Smith factorisation reused by
+every right-hand side, is only for matrices with no known unimodular
+minor (``scroll path`` and Riemann-Roch use it today); ``solve_int`` and
+``solve_nonneg_line`` are one-shot wrappers over ``Solver.solve`` and
+``Solver.nonneg_lines``. ``least_on_lines`` picks the least nonnegative
+point on lines of solutions, whichever engine found them. Ranks and
 determinants read the one forward Bareiss elimination,
 ``kernels.bareiss``. ``FourierMotzkin`` is the one Fourier-Motzkin
 elimination; it works on Python ints, since its inputs are integral and
@@ -32,9 +37,9 @@ from .kernels import bareiss, matrix_rank
 
 def ivec(entries) -> np.ndarray:
     """1-D integer vector with arbitrary-precision entries."""
-    v = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        v[i] = int(x)
+    values = [int(x) for x in entries]
+    v = np.empty(len(values), dtype=object)
+    v[:] = values
     return v
 
 
@@ -45,7 +50,7 @@ def imat(rows, cols: int | None = None) -> np.ndarray:
         rows: iterable of equal-length row iterables.
         cols: column count, required when ``rows`` is empty.
     """
-    rows = [list(r) for r in rows]
+    rows = [[int(x) for x in r] for r in rows]
     if not rows:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
@@ -53,11 +58,7 @@ def imat(rows, cols: int | None = None) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    m = np.empty((len(rows), width), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            m[i, j] = int(x)
-    return m
+    return _objects(rows, len(rows), width)
 
 
 def identity(n: int) -> np.ndarray:
@@ -90,50 +91,61 @@ def determinant(a) -> int:
 def hermite_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
     """Row-style Hermite normal form.
 
+    Works on rows as lists of Python ints; U is the product of the row
+    operations made on H.
+
     Returns:
         (H, U) with U unimodular, U @ a = H, pivots positive, entries above
         each pivot reduced into [0, pivot), zero rows last.
     """
     a = np.asarray(a, dtype=object)
-    h = imat([list(r) for r in a], cols=a.shape[1])
-    m, n = h.shape
-    u = identity(m)
+    m, n = a.shape
+    h = [[int(x) for x in r] for r in a.tolist()]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
     row = 0
     for col in range(n):
         if row >= m:
             break
         # Clear below (row, col) by gcd-style row operations.
         while True:
-            nz = [r for r in range(row, m) if h[r, col] != 0]
+            nz = [r for r in range(row, m) if h[r][col] != 0]
             if not nz:
                 break
-            piv_row = min(nz, key=lambda r: abs(h[r, col]))
-            if piv_row != row:
-                h[[row, piv_row]] = h[[piv_row, row]]
-                u[[row, piv_row]] = u[[piv_row, row]]
+            piv_row = min(nz, key=lambda r: abs(h[r][col]))
+            h[row], h[piv_row] = h[piv_row], h[row]
+            u[row], u[piv_row] = u[piv_row], u[row]
+            hp, up = h[row], u[row]
             done = True
             for r in range(row + 1, m):
-                if h[r, col] != 0:
-                    q = h[r, col] // h[row, col]
-                    h[r] = h[r] - q * h[row]
-                    u[r] = u[r] - q * u[row]
-                    if h[r, col] != 0:
+                if h[r][col] != 0:
+                    q = h[r][col] // hp[col]
+                    h[r] = [x - q * y for x, y in zip(h[r], hp)]
+                    u[r] = [x - q * y for x, y in zip(u[r], up)]
+                    if h[r][col] != 0:
                         done = False
             if done:
                 break
-        if h[row, col] == 0:
+        if h[row][col] == 0:
             continue
-        if h[row, col] < 0:
-            h[row] = -h[row]
-            u[row] = -u[row]
-        piv = h[row, col]
+        if h[row][col] < 0:
+            h[row] = [-x for x in h[row]]
+            u[row] = [-x for x in u[row]]
+        hp, up = h[row], u[row]
         for r in range(row):
-            q = h[r, col] // piv  # floor: reduces into [0, piv)
+            q = h[r][col] // hp[col]  # floor: reduces into [0, pivot)
             if q != 0:
-                h[r] = h[r] - q * h[row]
-                u[r] = u[r] - q * u[row]
+                h[r] = [x - q * y for x, y in zip(h[r], hp)]
+                u[r] = [x - q * y for x, y in zip(u[r], up)]
         row += 1
-    return h, u
+    return _objects(h, m, n), _objects(u, m, m)
+
+
+def _objects(rows: list[list[int]], m: int, n: int) -> np.ndarray:
+    """m x n object array of the given Python-int rows."""
+    out = np.empty((m, n), dtype=object)
+    if m and n:
+        out[:] = rows
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,23 +223,32 @@ def smith_normal_form(a) -> SNFResult:
     return SNFResult(u=u, s=s, v=v)
 
 
+def _hnf_kernel(a) -> tuple[list[np.ndarray], np.ndarray]:
+    """(kernel_basis(a), H): one HNF U @ a^T = H serves both.
+
+    The rows of U at the zero rows of H are a basis of the kernel over Z,
+    because U is unimodular (H. Cohen, GTM 138, 1993, 2.4.3). That basis
+    is canonicalized by a second, row-style HNF. H comes back with its
+    zero rows dropped.
+    """
+    a = np.asarray(a, dtype=object)
+    n = a.shape[1]
+    h, u = hermite_normal_form(a.T)
+    rank = sum(1 for row in h if any(row))  # zero rows come last
+    if rank == n:
+        return [], h[:rank]
+    basis, _ = hermite_normal_form(u[rank:])
+    return list(basis), h[:rank]
+
+
 def kernel_basis(a) -> list[np.ndarray]:
     """Basis of the saturated integer kernel lattice {x : a @ x = 0}.
 
-    The basis is canonicalized by row-style HNF, so results are
-    deterministic and primitive as a lattice basis.
+    Read from one Hermite normal form with its transform (_hnf_kernel),
+    then canonicalized by row-style HNF, so results are deterministic and
+    primitive as a lattice basis.
     """
-    a = np.asarray(a, dtype=object)
-    m, n = a.shape
-    if n == 0:
-        return []
-    snf = smith_normal_form(a)
-    zero_cols = [j for j in range(n) if j >= min(m, n) or snf.s[j, j] == 0]
-    if not zero_cols:
-        return []
-    rows = imat([list(snf.v[:, j]) for j in zero_cols], cols=n)
-    h, _ = hermite_normal_form(rows)
-    return [h[i].copy() for i in range(len(zero_cols))]
+    return _hnf_kernel(a)[0]
 
 
 def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
@@ -253,6 +274,29 @@ def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
     grading = np.vstack([free, torsion]) if torsion.shape[0] else free
     invariants = [abs(diag[i]) for i in torsion_rows]
     return grading, invariants
+
+
+def free_cokernel(a) -> np.ndarray:
+    """The grading of coker(a) = Z^m / column-span(a), which must be free.
+
+    U @ a = H (one HNF, shared with kernel_basis(a^T)) maps coker(a) onto
+    Z^m / column-span(H). When every pivot of H is 1, the pivot columns
+    of its nonzero rows are unitriangular, so their span is all of Z^rank
+    and coker(a) is free of rank m - rank. Its grading is then the HNF
+    basis of the left kernel of a, with no Smith form. Only when some
+    pivot is larger does ``cokernel_map`` decide.
+
+    Raises:
+        ValueError: coker(a) has torsion.
+    """
+    a = np.asarray(a, dtype=object)
+    basis, h = _hnf_kernel(a.T)
+    if all(next(x for x in row if x) == 1 for row in h):
+        return imat(basis, cols=a.shape[0])
+    grading, invariants = cokernel_map(a)
+    if invariants:
+        raise ValueError(f"cokernel has torsion {invariants}")
+    return grading
 
 
 class Solver:
@@ -287,11 +331,8 @@ class Solver:
         """Nonnegative integer solutions of a @ x = e[:, j] on the lines x0_j + t*k.
 
         All columns share two matrix products: U @ e gives the Smith
-        coordinates, V @ y the particular solutions x0. Each line then
-        keeps one t: the least feasible one, the largest of the lower
-        bounds from the entries where k > 0; with no such entry, the
-        least of the upper bounds from those where k < 0; with neither
-        (k = 0), t = 0.
+        coordinates, V @ y the particular solutions x0. ``least_on_lines``
+        then picks the point on each line.
 
         Args:
             e: m x N right-hand sides, one per column; k: generator of
@@ -323,22 +364,36 @@ class Solver:
             else:
                 ok &= c[i] % d == 0
                 y[i] = c[i] // d
-        x0 = self.snf.v @ y
-        kc = k.reshape(-1, 1)
-        pos, neg = k > 0, k < 0
-        ok &= (x0[k == 0] >= 0).all(axis=0)
-        lo = (-(x0[pos] // kc[pos])).max(axis=0) if pos.any() else None
-        hi = (x0[neg] // -kc[neg]).min(axis=0) if neg.any() else None
-        if lo is None:
-            t = np.zeros(n_cols, dtype=object) if hi is None else hi
-        else:
-            t = lo
-            if hi is not None:
-                ok &= lo <= hi
-        x = x0 + kc * t
-        # self-check on the columns that succeed: one product for all
-        assert (x[:, ok] >= 0).all() and (self.a @ x[:, ok] == e[:, ok]).all()
-        return [tuple(col) if good else None for col, good in zip(x.T.tolist(), ok)]
+        return least_on_lines(self.a, e, k, self.snf.v @ y, ok)
+
+
+def least_on_lines(a, e, k, x0, ok) -> list[tuple[int, ...] | None]:
+    """The least nonnegative point on each line x0[:, j] + t*k, t in Z.
+
+    ``x0`` holds integer solutions of a @ x = e column by column, ``k``
+    generates ker(a), and ``ok`` is False on the columns already known to
+    have no integer solution. Each line keeps one t: the least feasible
+    one, the largest of the lower bounds from the entries where k > 0;
+    with no such entry, the least of the upper bounds from those where
+    k < 0; with neither (k = 0), t = 0. The point does not depend on which
+    solution x0 names on the line. The columns that succeed are checked
+    in one product: x >= 0 and a @ x = e.
+    """
+    n_cols = e.shape[1]
+    kc = k.reshape(-1, 1)
+    pos, neg = k > 0, k < 0
+    ok = ok & (x0[k == 0] >= 0).all(axis=0)
+    lo = (-(x0[pos] // kc[pos])).max(axis=0) if pos.any() else None
+    hi = (x0[neg] // -kc[neg]).min(axis=0) if neg.any() else None
+    if lo is None:
+        t = np.zeros(n_cols, dtype=object) if hi is None else hi
+    else:
+        t = lo
+        if hi is not None:
+            ok &= lo <= hi
+    x = x0 + kc * t
+    assert (x[:, ok] >= 0).all() and (a @ x[:, ok] == e[:, ok]).all()
+    return [tuple(col) if good else None for col, good in zip(x.T.tolist(), ok)]
 
 
 def unimodular_solve(b, r) -> np.ndarray | None:

@@ -77,14 +77,14 @@ def matrix_rank(mat) -> int:
 def rank_mod_p(mat) -> int:
     """Rank over F_p, p = ``PRIME``, of an integer matrix (rows or 2-D array).
 
-    Entries are reduced mod p as Python ints, so any integer input is
-    exact. The result is a lower bound on the rank r over Q, and equals r
-    unless p divides every r x r minor.
+    Entries are reduced mod p in one step on an object array, as Python
+    ints, so any integer input is exact. The result is a lower bound on
+    the rank r over Q, and equals r unless p divides every r x r minor.
     """
     rows = _as_row_lists(mat)
     if not rows or not rows[0]:
         return 0
-    a = np.array([[int(x) % PRIME for x in r] for r in rows], dtype=np.int64)
+    a = (np.array(rows, dtype=object) % PRIME).astype(np.int64)
     if a.shape[0] < a.shape[1]:
         a = np.ascontiguousarray(a.T)  # one pivot step per column: keep the short side
     m, n = a.shape

@@ -13,13 +13,17 @@ import sys
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_deform import cli, intlin
 from toric_deform.cohomology import span_check
-from toric_deform.fan import hirzebruch
+from toric_deform.fan import cox_data, hirzebruch
+from toric_deform.hypersurf import riemann_roch_points
 from toric_deform.scrolls import ScrollSpec, scroll_fan
-from toric_deform.triples import degree_box, triples_at_degree
+from toric_deform.triples import degree_box, enumerate_triples, triples_at_degree
 
 F2 = {
     "dim": 2,
@@ -860,15 +864,31 @@ class TestParserBuiltOnce:
 
 
 class TestReportFormat:
-    @pytest.mark.parametrize("argv", [
-        ["deform", "--fan", None, *GOLDEN_DEFORM_ARGS],
-        ["h1", "--fan", None],
-    ], ids=["deform", "h1"])
-    def test_stdout_is_indented_sorted_json(self, f2_path, capsys, argv):
+    @pytest.mark.parametrize("argv,code", [
+        (["deform", "--fan", None, *GOLDEN_DEFORM_ARGS], 0),
+        (["h1", "--fan", None], 0),
+        (["fan", "check", "--fan", None], 0),
+        (["triples", "--fan", None], 0),
+        (["h1", "--fan", None, "--degree", "-1,-1"], 0),
+        (["lift", "--fan", None, *GOLDEN_DEFORM_ARGS, "--class", "0,1", "--poly", "S2"], 1),
+        (["scroll", "rigid", "2,1,0"], 0),
+        (["scroll", "path", "4,0,0"], 0),
+        (["scroll", "fan", "2,1,0"], 0),
+    ], ids=["deform", "h1", "fan-check", "triples", "h1-degree", "lift-exit-1",
+            "scroll-rigid", "scroll-path", "scroll-fan"])
+    def test_stdout_is_indented_sorted_json(self, f2_path, capsys, argv, code):
         argv = [f2_path if a is None else a for a in argv]
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == code
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_scroll_fan_file_bytes(self, tmp_path, capsys):
+        # -o writes through the same writer: the bytes json.dumps gave
+        out = tmp_path / "scroll.json"
+        assert cli.main(["scroll", "fan", "3,1,0", "-o", str(out)]) == 0
+        capsys.readouterr()
+        payload = cli.fan_to_json(scroll_fan(ScrollSpec((3, 1, 0))))
+        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_stderr_error_report(self, tmp_path, capsys):
         assert cli.main(["h1", "--fan", str(tmp_path / "missing.json")]) == 2
@@ -876,3 +896,101 @@ class TestReportFormat:
         payload = json.loads(err)
         assert err == json.dumps(payload, indent=2) + "\n"
         assert payload["command"] == "h1"
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda x: st.sampled_from([x, -x]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(min_codepoint=0))
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(st.characters(min_codepoint=0), max_size=4), children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    """cli.dumps against json.dumps(indent=2, sort_keys=True), its oracle."""
+
+    @given(json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, tree):
+        assert cli.dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("tree", [
+        {}, [], (), "", 0, -0.0, 1e300, True, False, None, "\x00\x1f\u00e9\u4e2d\U0001f600",
+        {"b": [], "a": {}, "\u00e9": [[], {}], "\n": [True, False, None, 1]},
+        [2**64, -(2**64) - 1, 10**100, 0.1, -2.5e-8],
+        {3: "int", 1.5: "float", True: "bool"},
+        {None: "null"},
+        {"z": {"y": {"x": [1, [2, [3, [4]]]]}}},
+    ])
+    def test_edge_values(self, tree):
+        assert cli.dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_many_blocks(self):
+        # thousands of chunks: the writer joins them in blocks of 512
+        tree = {"rows": [[i, -i, str(i), {"k": [i] * 3, "ok": i % 2 == 0}] for i in range(2000)]}
+        assert cli.dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_bools_are_not_printed_as_ints(self):
+        assert cli.dumps([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
+
+    @pytest.mark.parametrize("tree", [
+        np.int64(3),
+        [np.int64(3)],
+        {"a": {1, 2}},
+        {1, 2},
+        {"a": [np.bool_(True)]},
+        {(1, 2): 0},
+        {np.int64(1): 0},
+        {"a": 1, 2: 3},
+    ])
+    def test_raises_type_error_where_json_does(self, tree):
+        with pytest.raises(TypeError):
+            json.dumps(tree, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli.dumps(tree)
+
+
+SPY_FANS = {
+    "F_2": hirzebruch(2),
+    "F_3": hirzebruch(3),
+    "S(2,1,0)": scroll_fan(ScrollSpec((2, 1, 0))),
+    "S(2,0,0,0)": scroll_fan(ScrollSpec((2, 0, 0, 0))),
+}
+
+
+class TestSmithFree:
+    """deform and lift take no Smith form on a valid package."""
+
+    @pytest.mark.parametrize("key", list(SPY_FANS))
+    def test_deform_and_lift(self, key, tmp_path, capsys):
+        fan = SPY_FANS[key]
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(cli.fan_to_json(fan)))
+        cls = [int(x) for x in cox_data(fan).grading.sum(axis=1)]  # anticanonical
+        exps = riemann_roch_points(fan, cls)[:3]
+        assert exps
+        poly = " + ".join("*".join(f"S{i + 1}^{e}" for i, e in enumerate(x) if e) or "1" for x in exps)
+        for t in enumerate_triples(fan)[:2]:
+            triple = ["--m", ",".join(map(str, t.m)), "--rho", str(t.rho),
+                      "--component", ",".join(map(str, t.component))]
+            with mock.patch.object(
+                intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+            ) as snf, mock.patch.object(
+                intlin, "cokernel_map", wraps=intlin.cokernel_map
+            ) as coker:
+                assert cli.main(["deform", "--fan", str(path), *triple]) == 0
+                assert cli.main(["lift", "--fan", str(path), *triple, "--class",
+                                 ",".join(map(str, cls)), "--poly", poly]) in (0, 1)
+            assert (snf.call_count, coker.call_count) == (0, 0), (key, t)
+        capsys.readouterr()

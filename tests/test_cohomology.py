@@ -24,6 +24,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -389,6 +390,17 @@ class TestSpanCertificate:
     def test_rank_mod_p_reduces_big_entries_exactly(self):
         assert rank_mod_p([[10**30, 1], [10**30, 1], [0, 7]]) == 2
         assert rank_mod_p([[-(2**70), 3 * PRIME + 1]]) == 1
+
+    @given(small_int_matrices, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_mod_p_reduces_entries_beyond_int64(self, rows, data):
+        # adding multiples of p beyond +-2^64 leaves the matrix mod p, and
+        # so its rank mod p, unchanged; the exact rank is the oracle
+        big = st.integers(2**64 // PRIME + 1, 2**90).flatmap(lambda k: st.sampled_from([k, -k]))
+        shifted = [[x + data.draw(big) * PRIME for x in row] for row in rows]
+        assert any(abs(x) > 2**64 for row in shifted for x in row)
+        assert rank_mod_p(shifted) == matrix_rank(rows)
+        assert rank_mod_p(np.array(shifted, dtype=object)) == matrix_rank(rows)
 
     def test_rank_mod_p_can_fall_short(self):
         # det = p: invertible over Q, singular mod p; this is the case the

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from toric_deform import intlin
 from toric_deform.deform import (
     DeformationData,
+    _binomial_character,
     _iota_matrix,
     _pullback_leaves_orthant,
     ambient_fan,
@@ -41,8 +42,9 @@ from toric_deform.deform import (
     kernel_binomial,
     verify_central_fiber,
 )
-from toric_deform.fan import Fan, hirzebruch, product_of_lines, validate
+from toric_deform.fan import Fan, hirzebruch, product, product_of_lines, validate
 from toric_deform.hypersurf import render_terms
+from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
 
@@ -219,6 +221,55 @@ class TestUIndexAndSplitting:
             assert recovered.tolist() == shifted.tolist()
 
 
+def splitting_reference(fan, m, rho):
+    """build_splitting the Smith way: kernel of m from V, proj by Solver."""
+    n = fan.dim
+    snf = intlin.smith_normal_form(intlin.imat([list(m)]))
+    kb, _ = intlin.hermite_normal_form(intlin.imat([list(snf.v[:, j]) for j in range(1, n)], cols=n))
+    solver = intlin.Solver(kb.T)
+    v_rho = fan.rays[rho]
+    cols = [solver.solve(intlin.ivec([int(i == j) + m[j] * v_rho[i] for i in range(n)]))
+            for j in range(n)]
+    return kb.tolist(), np.stack(cols, axis=1).tolist()
+
+
+def wide_packages():
+    """Every triple of seven fans: those of all_packages, and more."""
+    fans = [hirzebruch(2), hirzebruch(3), hirzebruch(4), hirzebruch(5), scroll_210_fan(),
+            scroll_fan(ScrollSpec((2, 0, 0, 0))), product(hirzebruch(2), hirzebruch(3))]
+    return [(fan, t) for fan in fans for t in enumerate_triples(fan)]
+
+
+class TestSmithOracles:
+    """The Smith-free package against the Smith route it replaced."""
+
+    def test_splitting(self):
+        for fan, t in wide_packages():
+            s = build_splitting(fan, t.m, t.rho)
+            kb, proj = splitting_reference(fan, t.m, t.rho)
+            assert [list(v) for v in s.k_basis] == kb, t
+            assert s.proj.tolist() == proj, t
+            assert all(type(x) is int for x in s.proj.ravel())
+
+    def test_broken_first_cone_solves_for_u_the_smith_way(self):
+        fan, bad = f3_with_non_unimodular_cone()
+        good = build_deformation(fan, bad.triple)
+        with mock.patch.object(intlin, "solve_int", wraps=intlin.solve_int) as spy:
+            report = verify_central_fiber(fan, bad)
+        assert spy.call_count == 1
+        want = verify_central_fiber(fan, good)["checks"]["lattice_identification"]
+        assert report["checks"]["lattice_identification"] == want == {"ok": True, "witness": None}
+
+    def test_binomial_character_is_the_smith_solution(self):
+        for fan, t in wide_packages():
+            d = build_deformation(fan, t)
+            with mock.patch.object(intlin, "solve_int", wraps=intlin.solve_int) as spy:
+                u = _binomial_character(d)
+            assert spy.call_count == 0
+            want = intlin.solve_int(d.P.T, d.trinomial.binomial_difference())
+            assert u.tolist() == want.tolist(), t
+
+
 class TestBuildValidation:
     def test_rejects_component_union(self):
         fan = hirzebruch(2)
@@ -302,10 +353,14 @@ class TestStructuralInvariants:
             assert all(x == 0 for x in d.Qtilde @ kernel_binomial(d))
 
     def test_ambient_grading_is_free(self):
-        for _, d in all_packages():
+        # Q-tilde, from one HNF, against the Smith form's free block
+        wide = wide_packages()
+        assert {(f.rays, d.triple) for f, d in all_packages()} <= {(f.rays, t) for f, t in wide}
+        for fan, t in wide:
+            d = build_deformation(fan, t)
             grading, invariants = intlin.cokernel_map(d.Ptilde.T)
             assert not invariants
-            assert grading.tolist() == d.Qtilde.tolist()
+            assert grading.tolist() == d.Qtilde.tolist(), t
 
     def test_base_variable_has_degree_zero(self):
         # the full exponent-to-class map must kill the first column
@@ -394,14 +449,16 @@ class TestCentralFiber:
         ) as elim:
             report = verify_central_fiber(fan, d)
         assert report["passes"]
-        # one elimination per P[:, sigma-tilde] and no Smith form for it;
-        # the two Smith forms left are lattice_identification's (solve_int
-        # of P^T, kernel_basis); a valid package decides the round trip
-        # without Fourier-Motzkin
+        # one elimination per P[:, sigma-tilde], and one more on the
+        # transpose of the first for lattice_identification's u; its kernel
+        # is an HNF, so no Smith form is taken at all, and a valid package
+        # decides the round trip without Fourier-Motzkin
         cones = len(fan.max_cones)
-        assert elim.call_count == cones
+        assert elim.call_count == cones + 1
         assert all(c.args[0].shape == (fan.dim + 2,) * 2 for c in elim.call_args_list)
-        assert snf.call_count == 2
+        first = d.P[:, list(d.ambient_cones[0])]
+        assert np.array_equal(elim.call_args_list[-1].args[0], first.T)
+        assert snf.call_count == 0
         assert report["work"] == {"cone_factorisations": cones, "fm_systems": 0}
 
     def test_product_of_lines_has_no_triples(self):

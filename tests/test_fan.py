@@ -8,6 +8,7 @@ removing one maximal cone must break it.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,6 +295,47 @@ class TestCoxData:
         assert all(x == 0 for x in np.ravel(prod))
         assert data.cl_rank == f.n_rays - f.dim
         assert data.grading.shape == (data.cl_rank, f.n_rays)
+
+
+SMITH_ORACLE_FANS = [
+    *(hirzebruch(n) for n in range(6)),
+    *(projective_space(n) for n in range(1, 5)),
+    *(product_of_lines(n) for n in range(1, 4)),
+    product(hirzebruch(2), hirzebruch(3)),
+    product(projective_space(2), hirzebruch(1)),
+    # not spanning N: a saturated plane, and one ray
+    Fan(dim=3, rays=((1, 0, 0), (0, 1, 0), (-1, -1, 0)), max_cones=((0, 1), (1, 2), (2, 0))),
+    Fan(dim=2, rays=((1, 0),), max_cones=((0,),)),
+]
+
+
+class TestCoxDataAgainstSmith:
+    """The HNF grading of cox_data equals the Smith-form free block."""
+
+    @pytest.mark.parametrize("fan", SMITH_ORACLE_FANS)
+    def test_grading_is_cokernel_map_free_block(self, fan):
+        grading, invariants = intlin.cokernel_map(fan.ray_matrix().T)
+        assert not invariants
+        with mock.patch.object(intlin, "cokernel_map", wraps=intlin.cokernel_map) as spy:
+            got = cox_data(fan).grading
+        assert got.tolist() == grading.tolist()
+        assert spy.call_count == 0
+
+    @given(primitive_rays_2d())
+    @settings(max_examples=40, deadline=None)
+    def test_random_surfaces(self, ray_set):
+        f = assemble_2d_fan(ray_set)
+        if f is None or not validate(f)["smooth"]:
+            return
+        grading, _ = intlin.cokernel_map(f.ray_matrix().T)
+        assert cox_data(f).grading.tolist() == grading.tolist()
+
+    def test_torsion_still_found(self):
+        # rays (1, 0) and (1, 2) in separate cones: each cone is unimodular,
+        # but they span an index-2 sublattice, so Cl has torsion Z/2
+        f = Fan(dim=2, rays=((1, 0), (1, 2)), max_cones=((0,), (1,)))
+        with pytest.raises(ValueError, match="class group has torsion"):
+            cox_data(f)
 
 
 class TestConeContaining:

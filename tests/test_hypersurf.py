@@ -221,21 +221,26 @@ class TestLiftPolynomial:
             assert tuple(int(x) for x in img) == m.exponent
 
     def test_nu_is_factored_once_per_call(self):
+        # one elimination on nu without its (3, rho) column per call,
+        # however many monomials; no Smith form of nu or of anything else
         fan, d = hirzebruch_package(3, 1)
         pts = riemann_roch_points(fan, (9, 2))
-        counts = []
+        assert len(pts) > 1
+        skip = d.u.all_pairs.index((3, d.triple.rho))
+        square = np.delete(d.nu, skip, axis=1)
         for monomials in (((1, pts[0]),), tuple((1, p) for p in pts)):
             with mock.patch.object(
                 intlin, "smith_normal_form", wraps=intlin.smith_normal_form
-            ) as spy:
+            ) as snf, mock.patch.object(
+                intlin, "unimodular_solve", wraps=intlin.unimodular_solve
+            ) as elim:
                 lift_polynomial(
                     LiftProblem(fan=fan, deformation=d, w=(9, 2), monomials=monomials)
                 )
-            on_nu = [c for c in spy.call_args_list if np.array_equal(c.args[0], d.nu)]
-            assert len(on_nu) == 1
-            counts.append(spy.call_count)
-        # the rest (cox_data's grading) does not grow with the monomials either
-        assert len(pts) > 1 and counts[0] == counts[1]
+            assert snf.call_count == 0
+            assert elim.call_count == 1
+            assert np.array_equal(elim.call_args.args[0], square)
+            assert elim.call_args.args[1].shape == (fan.n_rays, len(monomials))
 
     def test_first_offending_monomial_wins(self):
         # monomial 1 has the wrong class and monomial 3 the wrong length:

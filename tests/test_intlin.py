@@ -28,6 +28,7 @@ from toric_deform.intlin import (
     Solver,
     cokernel_map,
     determinant,
+    free_cokernel,
     hermite_normal_form,
     identity,
     imat,
@@ -280,6 +281,77 @@ class TestKernel:
         for alpha in range(0, 5):
             (v,) = kernel_basis(imat([[-alpha, -1]]))
             assert list(v) == [1, -alpha]
+
+
+def snf_kernel_oracle(a) -> list[list[int]]:
+    """The Smith route to the kernel: columns of V at the zero diagonal, then HNF."""
+    m, n = a.shape
+    snf = smith_normal_form(a)
+    cols = [j for j in range(n) if j >= min(m, n) or snf.s[j, j] == 0]
+    if not cols:
+        return []
+    h, _ = hermite_normal_form(imat([list(snf.v[:, j]) for j in cols]))
+    return h.tolist()
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Zero, wide, tall and rank-deficient integer matrices, with empty shapes."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+    if kind == "zero" or m == 0 or n == 0:
+        return np.zeros((m, n), dtype=object) if m and n else np.empty((m, n), dtype=object)
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=m, max_size=m))
+    if kind == "deficient" and m > 1:
+        c = draw(st.integers(-3, 3))
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1 % (m - 1)])]
+    return imat(rows)
+
+
+class TestHnfKernel:
+    """kernel_basis from one HNF transform, against the Smith route."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_smith_route(self, a):
+        got = [list(v) for v in kernel_basis(a)]
+        assert got == snf_kernel_oracle(a)
+        assert all(type(x) is int for v in got for x in v)
+
+    @given(kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_free_cokernel_is_the_free_block(self, a):
+        # cokernel_map's free block, or its torsion as a ValueError; the
+        # Smith form runs only when an HNF pivot is above 1
+        grading, invariants = cokernel_map(a)
+        h, _ = hermite_normal_form(a)
+        certified = all(next(x for x in row if x) == 1 for row in h if any(row))
+        with mock.patch.object(intlin, "cokernel_map", wraps=cokernel_map) as spy:
+            if invariants:
+                with pytest.raises(ValueError, match="cokernel has torsion"):
+                    free_cokernel(a)
+            else:
+                assert free_cokernel(a).tolist() == grading.tolist()
+        assert spy.call_count == (not certified)
+
+    def test_torsion_and_uncertified_inputs(self):
+        for a in ([[2, 0], [0, 3]], [[2], [4]]):
+            with pytest.raises(ValueError, match="cokernel has torsion"):
+                free_cokernel(imat(a))
+        assert free_cokernel(imat([[2], [3]])).tolist() == [[3, -2]]
+        assert free_cokernel(imat([[1, 0], [0, 1], [1, 1]])).tolist() == [[1, 1, -1]]
+        # coker of (2 3) is 0, free, but its HNF pivot is 2: the Smith form
+        # decides, as it did for every cokernel before
+        with mock.patch.object(intlin, "cokernel_map", wraps=cokernel_map) as spy:
+            assert free_cokernel(imat([[2, 3]])).shape == (0, 1)
+        assert spy.call_count == 1
+
+    def test_no_smith_form(self):
+        a = imat([[1, 2, 3], [0, 1, 4]])
+        with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
+            kernel_basis(a)
+            free_cokernel(a.T)
+        assert spy.call_count == 0
 
 
 class TestCokernel:
