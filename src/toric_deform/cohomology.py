@@ -12,9 +12,7 @@ and restriction is inclusion. Over the maximal cones sigma_0..sigma_(s-1),
 a Cech 1-cocycle (c_ij) is fixed by x_j = c_0j, with x_0 = 0, and the
 cocycle condition on triples holds in V by itself:
 
-* Z^1_m = {x in V^(s-1) : x_j - x_i in F(U_ij) for all i < j}. The
-  constraints are the annihilator rows of F(U_ij) applied to x_j - x_i:
-  none for all of V, n - 1 for a line, n for zero.
+* Z^1_m = {x in V^(s-1) : x_j - x_i in F(U_ij) for all i < j}.
 * B^1_m is spanned by the boundaries: for b in the basis of F(U_j), the
   vector x_j = b when j >= 1, and x_k = -b for every k >= 1 when j = 0.
 * The cocycle of an admissible triple (m, rho, C) is
@@ -25,6 +23,24 @@ x -> (c_ij = x_j - x_i) is an isomorphism onto Cech Z^1 carrying the
 boundaries onto im d0, so the ranks below are those of the Cech complex,
 and C^2 never appears. GradedCechComplex, the full complex over pairs and
 triples of maximal cones, stays as the independent oracle of the tests.
+
+The constraints of Z^1_m are read ray by ray. Let F(rho) be V when
+m(v_rho) >= 0, the line through v_rho when m(v_rho) = -1, and 0 when
+m(v_rho) <= -2. On a smooth cone tau the three cases above are exactly
+F(tau) = the intersection of F(rho) over the rays rho of tau, since rays
+of a smooth cone are linearly independent and two distinct lines meet in
+0 (Cox-Little-Schenck, Toric Varieties, ch. 9). So x_j - x_i lies in
+F(U_ij) for every pair exactly when, for every ray rho with m(v_rho) < 0
+and every two cones of its star, x_j - x_i lies in F(rho); as F(rho) is
+a subspace, it suffices that x_j - x_(i0) lies in F(rho) for the first
+cone i0 of star(rho) and each other cone j of it. Both systems have the
+same solution set, so their rows span the same space over Q, and the
+constraints are the annihilator rows of F(rho) applied to x_j - x_(i0):
+n - 1 for a line, n for zero, and sum over rho of
+(|star rho| - 1) * codim F(rho) in all. The three cases, and so this
+equivalence, hold on smooth cones only: span_check relies on a smooth
+complete fan without checking it, and its callers gate on that first
+(triples.require_smooth_complete).
 
 span_check proves its answer with one rank modulo a prime p, falling back
 to the exact rank of the constraints only when that is not sharp:
@@ -45,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fan import Fan, common_face
+from .fan import Fan
 from .kernels import matrix_rank, rank_mod_p
 from .triples import AdmissibleTriple, pairing
 
@@ -71,19 +87,23 @@ def _standard_basis(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
 
 
+def _sections_basis(fan: Fan, cone, values) -> tuple[tuple[int, ...], ...]:
+    """Basis of the three-case section space of a cone, from values[i] =
+    m(v_i) for its rays i."""
+    negative = [i for i in cone if values[i] < 0]
+    if not negative:
+        return _standard_basis(fan.dim)
+    if len(negative) == 1 and values[negative[0]] == -1:
+        return (fan.rays[negative[0]],)
+    return ()
+
+
 def local_sections(fan: Fan, cone, m) -> LocalSections:
     """Three-case section space of a face (possibly the zero cone)."""
     cone = tuple(sorted(int(i) for i in cone))
     m = tuple(int(x) for x in m)
-    values = [(i, pairing(m, fan.rays[i])) for i in cone]
-    negative = [(i, v) for i, v in values if v < 0]
-    if not negative:
-        basis = _standard_basis(fan.dim)
-    elif len(negative) == 1 and negative[0][1] == -1:
-        basis = (fan.rays[negative[0][0]],)
-    else:
-        basis = ()
-    return LocalSections(cone=cone, m=m, basis=basis)
+    values = {i: pairing(m, fan.rays[i]) for i in cone}
+    return LocalSections(cone=cone, m=m, basis=_sections_basis(fan, cone, values))
 
 
 def _coords_in(vec, target: LocalSections) -> list[int]:
@@ -161,14 +181,15 @@ def h1_dimension(fan: Fan, m) -> int:
     return GradedCechComplex(fan, m).h1()
 
 
-def _annihilator(space: LocalSections, n: int) -> list[tuple[int, ...]]:
-    """Integer functionals on V whose common kernel is the section space."""
-    if space.dim == n:
+def _annihilator(basis, n: int) -> list[tuple[int, ...]]:
+    """Integer functionals on V whose common kernel is the span of a
+    section-space basis."""
+    if len(basis) == n:
         return []
-    if space.dim == 0:
+    if not basis:
         return list(_standard_basis(n))
     # f_l(x) = v_k x_l - v_l x_k, for each l != k, vanishes on the line of v
-    (v,) = space.basis
+    (v,) = basis
     k = next(i for i, x in enumerate(v) if x != 0)
     return [
         tuple(v[k] if q == l else -v[l] if q == k else 0 for q in range(n))
@@ -180,45 +201,63 @@ def _annihilator(space: LocalSections, n: int) -> list[tuple[int, ...]]:
 class _Stalk:
     """The degree-m system of the module docstring over s maximal cones.
 
-    Stalk vectors are stacked as (k, s, n) arrays of x_0..x_(s-1), x_0 = 0;
-    rows() flattens x_1..x_(s-1) to width (s - 1) * n. Constraint r has the
-    same shape, lifted[r]: f in block j and -f in block i, for
-    (i, j) = pairs[r] and f a functional of the annihilator of F(U_ij).
+    A stalk vector is a list of s n-tuples x_0..x_(s-1), x_0 = 0; rows()
+    flattens x_1..x_(s-1) to width (s - 1) * n. The constraints come from
+    the rays rho with m(v_rho) < 0, not from cone pairs: with i0 the first
+    cone of star(rho), each other cone j of the star gives a link
+    (i0, j, functionals), the annihilator of F(rho), and each functional f
+    one row, f in block j and -f in block i0. That is
+    sum over rho of (|star rho| - 1) * codim F(rho) rows.
     """
 
     def __init__(self, fan: Fan, m):
-        self.fan, self.m, self.n, self.s = fan, m, fan.dim, len(fan.max_cones)
-        cones, self.width = fan.max_cones, (self.s - 1) * self.n
-        found = [
-            ((i, j), f)
-            for i, j in itertools.combinations(range(self.s), 2)
-            for f in _annihilator(local_sections(fan, common_face(fan, cones[i], cones[j]), m), self.n)
-        ]
-        self.pairs = [pair for pair, _ in found]
-        functionals = np.array([f for _, f in found], dtype=object).reshape(-1, self.n)
-        self.i, self.j = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        self.lifted = np.zeros((len(self.pairs), self.s, self.n), dtype=object)
-        at = np.arange(len(self.pairs))
-        self.lifted[at, self.j] = functionals
-        self.lifted[at, self.i] -= functionals
-        self.constraints = self.rows(self.lifted)
-        basis = [(j, b) for j, c in enumerate(cones) for b in local_sections(fan, c, m).basis]
-        self.boundaries = np.zeros((len(basis), self.s, self.n), dtype=object)
-        for k, (j, b) in enumerate(basis):
-            self.boundaries[k, j] = b  # the 0-cochain y with y_j = b, else 0
-            self.boundaries[k] -= self.boundaries[k, 0].copy()  # x_k = y_k - y_0
+        self.fan, self.m = fan, m
+        n, s = fan.dim, len(fan.max_cones)
+        self.width = (s - 1) * n
+        star: list[list[int]] = [[] for _ in fan.rays]
+        for k, cone in enumerate(fan.max_cones):
+            for r in cone:
+                star[r].append(k)
+        values = [pairing(m, ray) for ray in fan.rays]
+        self.links = []
+        for rho, value in enumerate(values):
+            if value < 0:
+                functionals = _annihilator(_sections_basis(fan, (rho,), values), n)
+                i0, *others = star[rho]
+                self.links.extend((i0, j, functionals) for j in others)
+        self.constraints = []
+        for i0, j, functionals in self.links:
+            for f in functionals:
+                row = [0] * self.width
+                row[(j - 1) * n : j * n] = f
+                if i0:
+                    row[(i0 - 1) * n : i0 * n] = [-c for c in f]
+                self.constraints.append(row)
+        zero = (0,) * n
+        self.boundaries = []  # the 0-cochain y with y_j = b, else 0: x_k = y_k - y_0
+        for j, cone in enumerate(fan.max_cones):
+            for b in _sections_basis(fan, cone, values):
+                if j:
+                    x = [zero] * s
+                    x[j] = b
+                else:
+                    x = [zero] + [tuple(-c for c in b)] * (s - 1)
+                self.boundaries.append(x)
 
-    def rows(self, x: np.ndarray) -> list[list[int]]:
-        return x[:, 1:].reshape(len(x), self.width).tolist()
+    def rows(self, vectors) -> list[list[int]]:
+        return [[c for block in x[1:] for c in block] for x in vectors]
 
-    def violations(self, x: np.ndarray) -> np.ndarray:
-        """constraints . rows(x)^T, exactly, from the two blocks of each
-        constraint row that can be nonzero (block 0 meets x_0 = 0)."""
-        at = np.arange(len(self.pairs))
-        return sum((self.lifted[at, b] * x[:, b]).sum(axis=2) for b in (self.i, self.j))
+    def violation(self, x) -> tuple[int, int] | None:
+        """The first link (i0, j) whose rows do not vanish on x, or None:
+        constraints . rows(x), exactly, from the two blocks of each link."""
+        for i0, j, functionals in self.links:
+            a, b = x[i0], x[j]
+            if a != b and any(sum(c * (q - p) for c, p, q in zip(f, a, b)) for f in functionals):
+                return i0, j
+        return None
 
 
-def _checked_cocycles(stalk: _Stalk, triples) -> np.ndarray:
+def _checked_cocycles(stalk: _Stalk, triples) -> list[list[tuple[int, ...]]]:
     """Stalk vectors of the triple cocycles, after the exact product.
 
     Raises:
@@ -228,19 +267,18 @@ def _checked_cocycles(stalk: _Stalk, triples) -> np.ndarray:
             violates a constraint, that is, a non-admissible triple.
     """
     fan = stalk.fan
-    vectors = []
+    cocycles = []
     for t in triples:
         if tuple(t.m) != stalk.m:
             raise ValueError(f"triple degree {t.m} differs from requested degree {stalk.m}")
         touches = [int(bool(set(t.component) & set(c))) for c in fan.max_cones]
-        vectors.append([[(touches[0] - tj) * x for x in fan.rays[t.rho]] for tj in touches])
-    cocycles = np.array(vectors, dtype=object).reshape(len(vectors), stalk.s, stalk.n)
-    product = stalk.violations(np.concatenate([stalk.boundaries, cocycles]))
-    if product[: len(stalk.boundaries)].any():
+        cocycles.append([tuple((touches[0] - tj) * c for c in fan.rays[t.rho]) for tj in touches])
+    if any(stalk.violation(x) for x in stalk.boundaries):
         raise AssertionError("a boundary violates a constraint; stalk construction is broken")
-    for t, row in zip(triples, product[len(stalk.boundaries) :]):
-        if row.any():
-            i, j = stalk.pairs[next(r for r, x in enumerate(row) if x != 0)]
+    for t, x in zip(triples, cocycles):
+        link = stalk.violation(x)
+        if link is not None:
+            i, j = link
             raise ValueError(
                 f"triple (m={tuple(t.m)}, rho={t.rho}, C={tuple(t.component)}) is not a "
                 f"cocycle: x_{j} - x_{i} is not a local section at cone pair ({i}, {j})"
@@ -256,12 +294,15 @@ def triple_cocycle(fan: Fan, t: AdmissibleTriple) -> tuple[tuple[int, ...], ...]
         ValueError: when some x_j - x_i falls outside its local section
             space, which indicates a non-admissible input triple.
     """
-    (x,) = _checked_cocycles(_Stalk(fan, tuple(int(c) for c in t.m)), [t]).tolist()
-    return tuple(map(tuple, x))
+    (x,) = _checked_cocycles(_Stalk(fan, tuple(int(c) for c in t.m)), [t])
+    return tuple(x)
 
 
 def span_check(fan: Fan, m, triples) -> dict:
     """Whether the triple cocycles of degree m span H^1 in that degree.
+
+    Hypothesis: the fan is smooth and complete (module docstring); callers
+    gate on that first.
 
     Returns:
         {"h1_dim": int, "span_rank": int, "spans": bool, "certified": bool};

@@ -265,15 +265,6 @@ def cone_containing(fan: Fan, rays) -> tuple[int, ...] | None:
     return None
 
 
-def common_face(fan: Fan, c1, c2) -> tuple[int, ...]:
-    """Ray indices of the intersection face of two maximal cones.
-
-    For fans, two cones intersect in a common face; for the smooth complete
-    fans handled here that face is spanned by the shared rays.
-    """
-    return tuple(sorted(set(c1) & set(c2)))
-
-
 # Named example builders used across tests and docs.
 
 

@@ -92,13 +92,15 @@ def rank_mod_p(mat) -> int:
     for col in range(n):
         if row == m:
             break
-        nonzero = np.flatnonzero(a[row:, col])
+        nonzero = a[row:, col].nonzero()[0]
         if nonzero.size == 0:
             continue
         piv = row + int(nonzero[0])
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
-        below = row + 1 + np.flatnonzero(a[row + 1 :, col])
+        # the row swapped down to piv was zero in col, so the scan already
+        # lists every row below that needs an update
+        below = row + nonzero[1:]
         if below.size:
             inv = pow(int(a[row, col]), -1, PRIME)
             pivot_row = a[row, col:] * inv % PRIME

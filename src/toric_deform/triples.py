@@ -239,13 +239,11 @@ class _ChamberSearch:
     m(v_tau) = a[tau] @ y - c[tau].
     """
 
-    def __init__(self, fan: Fan, adj, rho: int, sigma, inv, bound, support):
+    def __init__(self, fan: Fan, adj, rho: int, sigma, inv, coords, bound, support):
         self.fan, self.adj, self.rho, self.bound, self.support = fan, adj, rho, bound, support
         self.inv = inv
         self.k = sigma.index(rho)
         self.free = [j for j in range(fan.dim) if j != self.k]
-        # coords[tau][j]: the j-th coordinate of v_tau in the basis v_sigma
-        coords = [[sum(x * y for x, y in zip(row, v)) for row in inv] for v in fan.rays]
         self.a = [tuple(v[j] for j in self.free) for v in coords]
         self.c = [v[self.k] for v in coords]
         self.fm = intlin.FourierMotzkin(fan.dim - 1)
@@ -336,12 +334,16 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
         raise ValueError("bound must be >= 1")
     adj = ray_adjacency(fan)
     support = Support(triples=[], chambers=0, fm_systems=0, unbounded=None)
-    inverses: dict[tuple[int, ...], list[list[int]]] = {}
+    # sigma -> (its inverse, coords[tau][j]: the j-th coordinate of v_tau
+    # in the basis v_sigma), shared by the rays whose search uses sigma
+    tables: dict[tuple[int, ...], tuple[list[list[int]], list[list[int]]]] = {}
     for rho in range(fan.n_rays):
         sigma = next(c for c in fan.max_cones if rho in c)
-        if sigma not in inverses:
-            inverses[sigma] = _cone_inverse(fan, sigma)
-        search = _ChamberSearch(fan, adj, rho, sigma, inverses[sigma], bound, support)
+        if sigma not in tables:
+            inv = _cone_inverse(fan, sigma)
+            coords = [[sum(x * y for x, y in zip(row, v)) for row in inv] for v in fan.rays]
+            tables[sigma] = inv, coords
+        search = _ChamberSearch(fan, adj, rho, sigma, *tables[sigma], bound, support)
         search.grow(frozenset(), sorted(adj[rho]), frozenset({rho}))
     support.triples.sort(key=lambda t: (t.m, t.rho, t.component))
     return support

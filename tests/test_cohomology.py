@@ -15,13 +15,17 @@ below and reduced by fractions, independently of the implementation.
 
 span_check works in the generic stalk instead; it is held against the full
 complex (TestSpanCertificate), Ilten's surface formula
-(TestSurfaceFormulaOracle) and Kuenneth on products (TestProductsAtScale).
+(TestSurfaceFormulaOracle) and Kuenneth on products (TestProductsAtScale),
+and its per-ray constraint rows against the cone-pair rows they replace
+(TestPerRayStalk).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -286,11 +290,17 @@ class TestSpanCheck:
             span_check(f, (0, 0), [t])
 
     def test_broken_constraints_are_caught(self, monkeypatch):
-        # constraints that cut every pair to zero: the boundaries of the full
-        # section spaces at degree 0 violate them
-        monkeypatch.setattr(cohomology, "_annihilator", lambda space, n: [(1, 0), (0, 1)])
+        # F_2 at (-1, -1): rays 0, 1, 2 are negative, and cone (3, 0) carries
+        # the line of (1, 0), so its boundary x_3 = (1, 0) meets the link of
+        # ray 0 between cones 0 and 3. Constraints that cut every ray's space
+        # to zero are violated by that boundary.
+        f, m = hirzebruch(2), (-1, -1)
+        stalk = cohomology._Stalk(f, m)
+        assert stalk.constraints
+        assert any(any(block) for x in stalk.boundaries for block in x)
+        monkeypatch.setattr(cohomology, "_annihilator", lambda basis, n: [(1, 0), (0, 1)])
         with pytest.raises(AssertionError, match="construction is broken"):
-            span_check(hirzebruch(2), (0, 0), [])
+            span_check(f, m, [])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_hirzebruch_spans_everywhere(self, n):
@@ -402,6 +412,21 @@ class TestSpanCertificate:
         assert rank_mod_p(shifted) == matrix_rank(rows)
         assert rank_mod_p(np.array(shifted, dtype=object)) == matrix_rank(rows)
 
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_rank_mod_p_on_tall_sparse_input(self, deficient):
+        # the pivot search scans each column once and swaps rows; sparse
+        # columns leave most rows below a pivot untouched
+        rng = random.Random(11)
+        cols = [[rng.randint(-3, 3) if rng.random() < 0.05 else 0 for _ in range(300)] for _ in range(40)]
+        if deficient:
+            for k in range(30, 40):
+                cols[k] = [a - 2 * b for a, b in zip(cols[k - 30], cols[k - 29])]
+        rows = [list(r) for r in zip(*cols)]
+        rank = matrix_rank(rows)
+        assert rank == 40 if not deficient else rank < 40
+        assert rank_mod_p(rows) == rank
+        assert rank_mod_p([list(c) for c in cols]) == rank
+
     def test_rank_mod_p_can_fall_short(self):
         # det = p: invertible over Q, singular mod p; this is the case the
         # exact fallback of span_check is there for
@@ -441,6 +466,96 @@ class TestSpanCertificate:
         assert complexes == []
         assert len(constrained) == 3 and ranked
         assert not any(mat is c for mat in ranked for c in constrained)
+
+
+def annihilator_oracle(basis, n) -> list[list[int]]:
+    """Rows whose common kernel is the span of basis (empty, one vector, or
+    all of V): the 2 x 2 minors v_k e_l - v_l e_k for a line."""
+    if len(basis) == n:
+        return []
+    if not basis:
+        return [[int(q == k) for q in range(n)] for k in range(n)]
+    (v,) = basis
+    return [
+        [v[k] if q == l else -v[l] if q == k else 0 for q in range(n)]
+        for k, l in itertools.combinations(range(n), 2)
+    ]
+
+
+def pairwise_rows(fan, m) -> list[list[int]]:
+    """The cone-pair stalk constraints: for every pair i < j of maximal
+    cones, the annihilator of the sections of their common face, applied
+    to x_j - x_i, over x_1..x_(s-1)."""
+    n, s = fan.dim, len(fan.max_cones)
+    rows = []
+    for i, j in itertools.combinations(range(s), 2):
+        face = set(fan.max_cones[i]) & set(fan.max_cones[j])
+        for f in annihilator_oracle(local_sections(fan, face, m).basis, n):
+            row = [0] * ((s - 1) * n)
+            row[(j - 1) * n : j * n] = f
+            if i:
+                row[(i - 1) * n : i * n] = [-c for c in f]
+            rows.append(row)
+    return rows
+
+
+def in_span(vec, basis) -> bool:
+    return matrix_rank([*basis, vec]) == matrix_rank(list(basis)) if basis else not any(vec)
+
+
+class TestPerRayStalk:
+    """The per-ray constraint rows of span_check against the cone-pair rows
+    they replace."""
+
+    @pytest.mark.parametrize("key", list(CERTIFICATE_FANS))
+    def test_same_row_space_as_cone_pairs(self, key):
+        fan = CERTIFICATE_FANS[key][0]
+        for m in triples_by_degree(fan, 1):
+            per_ray = cohomology._Stalk(fan, m).constraints
+            pairwise = pairwise_rows(fan, m)
+            rank = matrix_rank(pairwise)
+            assert matrix_rank(per_ray) == rank, m
+            assert matrix_rank(pairwise + per_ray) == rank, m
+
+    def test_row_count_on_a_sixfold(self):
+        fan = product(product(hirzebruch(2), hirzebruch(3)), hirzebruch(4))
+        n = fan.dim
+        degrees = triples_by_degree(fan)
+        assert len(degrees) == 6
+        for m in degrees:
+            expected = 0
+            for rho, ray in enumerate(fan.rays):
+                value = sum(a * b for a, b in zip(m, ray))
+                codim = 0 if value >= 0 else n - 1 if value == -1 else n
+                star = sum(1 for c in fan.max_cones if rho in c)
+                expected += (star - 1) * codim
+            assert len(cohomology._Stalk(fan, m).constraints) == expected <= 527, m
+
+    def test_named_pair_is_a_real_witness(self):
+        named = 0
+        for key in ("F_2", "F_3", "S(2,1,0)", "P1xP1xP1"):
+            fan = CERTIFICATE_FANS[key][0]
+            for m, triples in triples_by_degree(fan, 1).items():
+                admissible = {(t.rho, t.component) for t in triples}
+                for rho, ray in enumerate(fan.rays):
+                    if sum(a * b for a, b in zip(m, ray)) != -1:
+                        continue
+                    for c in range(fan.n_rays):
+                        if c == rho or (rho, (c,)) in admissible:
+                            continue
+                        t = AdmissibleTriple(m=m, rho=rho, component=(c,))
+                        try:
+                            triple_cocycle(fan, t)
+                        except ValueError as exc:
+                            i, j = map(int, re.search(r"cone pair \((\d+), (\d+)\)", str(exc)).groups())
+                        else:
+                            continue
+                        touches = [int(c in cone) for cone in fan.max_cones]
+                        diff = [(touches[i] - touches[j]) * x for x in ray]
+                        face = set(fan.max_cones[i]) & set(fan.max_cones[j])
+                        assert not in_span(diff, local_sections(fan, face, m).basis), (key, t, i, j)
+                        named += 1
+        assert named > 20
 
 
 class TestClosedFormOracle:

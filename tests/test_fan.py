@@ -19,7 +19,6 @@ from toric_deform import intlin
 from toric_deform.fan import (
     CoxData,
     Fan,
-    common_face,
     cone_containing,
     cox_data,
     hirzebruch,
@@ -358,8 +357,3 @@ class TestConeContaining:
             assert got is not None
             for i in c:
                 assert cone_containing(f, {i}) is not None
-
-    def test_common_face(self):
-        f = hirzebruch(2)
-        assert common_face(f, (0, 1), (1, 2)) == (1,)
-        assert common_face(f, (0, 1), (2, 3)) == ()
