@@ -235,7 +235,7 @@ def _deformation_json(fan: Fan, d: DeformationData) -> dict:
         "Ptilde": _matrix(d.Ptilde, ambient_rows[: n + 1], pair_labels),
         "Qtilde": _matrix(
             d.Qtilde,
-            [f"d{k + 1}" for k in range(d.Qtilde.shape[0])],
+            [f"d{k + 1}" for k in range(len(d.Qtilde))],
             pair_labels,
         ),
         "psi": _matrix(d.psi, pair_labels, _s_labels(fan.n_rays)),
@@ -277,8 +277,8 @@ def cmd_fan_check(args) -> tuple[dict, list[dict]]:
         results["cox"] = {
             "cl_rank": cox.cl_rank,
             "grading": _matrix(
-                cox.grading,
-                [f"d{k + 1}" for k in range(cox.grading.shape[0])],
+                cox.grading_rows,
+                [f"d{k + 1}" for k in range(cox.cl_rank)],
                 _s_labels(fan.n_rays),
             ),
             "irrelevant_components": [list(c) for c in cox.irrelevant_components],

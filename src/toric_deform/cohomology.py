@@ -51,6 +51,18 @@ to the exact rank of the constraints only when that is not sharp:
   rank_b = rank_Q(boundaries).
 * rank_p <= rank_Q, so if rank_span == width - rank_p(constraints), all
   are equal: the cocycles span, and h1_dim = span_rank = rank_span - rank_b.
+
+Neither rank eliminates the (s - 1) * n-wide boundary rows. The
+boundaries of sigma_j, j >= 1, are the basis vectors of F(sigma_j) in
+block j, so they span W = the sum over j >= 1 of F(sigma_j), of
+dimension sum_(j>=1) dim F(sigma_j). Let A_j be the annihilator rows of
+F(sigma_j) and Q the map x -> (A_j x_j)_(j>=1); its kernel is exactly W.
+A set of rows that spans a space containing W has rank dim W + the rank
+of its Q-images. So rank_b is dim W plus the rank of the Q-images of the
+at most n boundaries of sigma_0, and rank_span is dim W plus the rank of
+those together with the Q-images of the cocycles (_span_ranks). The
+Q-images have one entry per annihilator row, sum over j >= 1 of
+codim F(sigma_j), and there are at most n + #triples of them.
 """
 
 from __future__ import annotations
@@ -58,8 +70,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fan import Fan
 from .kernels import matrix_rank, rank_mod_p
@@ -149,9 +159,22 @@ class GradedCechComplex:
         self.dim0, self.dim1, self.dim2 = (off[-1] for off in self.offsets)
         self.d0 = self._coboundary(0)
         self.d1 = self._coboundary(1)
-        if self.dim0 and self.dim1 and self.dim2:
-            if (np.array(self.d1, dtype=object) @ np.array(self.d0, dtype=object)).any():
-                raise AssertionError("d1 . d0 != 0; complex construction is broken")
+        if self._d1_d0_nonzero():
+            raise AssertionError("d1 . d0 != 0; complex construction is broken")
+
+    def _d1_d0_nonzero(self) -> bool:
+        """Whether d1 . d0 has a nonzero entry: a sparse product, row by
+        row of d1, over the nonzero entries of both."""
+        d0 = [[(c, x) for c, x in enumerate(row) if x] for row in self.d0]
+        for row in self.d1:
+            acc: dict[int, int] = {}
+            for k, v in enumerate(row):
+                if v:
+                    for c, x in d0[k]:
+                        acc[c] = acc.get(c, 0) + v * x
+            if any(acc.values()):
+                return True
+        return False
 
     def _coboundary(self, p: int) -> list[list[int]]:
         """d: C^p -> C^(p+1); the block of a (p+2)-set is the alternating
@@ -201,8 +224,9 @@ def _annihilator(basis, n: int) -> list[tuple[int, ...]]:
 class _Stalk:
     """The degree-m system of the module docstring over s maximal cones.
 
-    A stalk vector is a list of s n-tuples x_0..x_(s-1), x_0 = 0; rows()
-    flattens x_1..x_(s-1) to width (s - 1) * n. The constraints come from
+    A stalk vector is a list of s n-tuples x_0..x_(s-1), x_0 = 0, and a
+    constraint row is read over x_1..x_(s-1), of width (s - 1) * n.
+    sections[j] is the basis of F(sigma_j). The constraints come from
     the rays rho with m(v_rho) < 0, not from cone pairs: with i0 the first
     cone of star(rho), each other cone j of the star gives a link
     (i0, j, functionals), the annihilator of F(rho), and each functional f
@@ -234,18 +258,16 @@ class _Stalk:
                     row[(i0 - 1) * n : i0 * n] = [-c for c in f]
                 self.constraints.append(row)
         zero = (0,) * n
+        self.sections = [_sections_basis(fan, cone, values) for cone in fan.max_cones]
         self.boundaries = []  # the 0-cochain y with y_j = b, else 0: x_k = y_k - y_0
-        for j, cone in enumerate(fan.max_cones):
-            for b in _sections_basis(fan, cone, values):
+        for j, basis in enumerate(self.sections):
+            for b in basis:
                 if j:
                     x = [zero] * s
                     x[j] = b
                 else:
                     x = [zero] + [tuple(-c for c in b)] * (s - 1)
                 self.boundaries.append(x)
-
-    def rows(self, vectors) -> list[list[int]]:
-        return [[c for block in x[1:] for c in block] for x in vectors]
 
     def violation(self, x) -> tuple[int, int] | None:
         """The first link (i0, j) whose rows do not vanish on x, or None:
@@ -298,6 +320,28 @@ def triple_cocycle(fan: Fan, t: AdmissibleTriple) -> tuple[tuple[int, ...], ...]
     return tuple(x)
 
 
+def _span_ranks(stalk: _Stalk, cocycles) -> tuple[int, int]:
+    """(rank_b, rank_span) of the module docstring, without eliminating
+    the boundaries of sigma_1..sigma_(s-1).
+
+    Those span sum_(j>=1) F(sigma_j) exactly, the kernel of
+    Q: x -> (A_j x_j)_(j>=1), with A_j the annihilator rows of
+    F(sigma_j). So each rank is that dimension plus the rank of the
+    Q-images of the rest: the sigma_0 boundaries, and the cocycles too.
+    """
+    n = stalk.fan.dim
+    kept = sum(len(basis) for basis in stalk.sections[1:])
+    blocks = [_annihilator(basis, n) for basis in stalk.sections[1:]]
+
+    def image(x) -> list[int]:
+        return [sum(c * y for c, y in zip(f, xj)) for a, xj in zip(blocks, x[1:]) for f in a]
+
+    # the boundary of b in F(sigma_0) is x_k = -b for every k >= 1
+    rows = [image([b] + [tuple(-c for c in b)] * len(blocks)) for b in stalk.sections[0]]
+    rank_b = kept + matrix_rank(rows)
+    return rank_b, kept + matrix_rank(rows + [image(x) for x in cocycles])
+
+
 def span_check(fan: Fan, m, triples) -> dict:
     """Whether the triple cocycles of degree m span H^1 in that degree.
 
@@ -310,9 +354,7 @@ def span_check(fan: Fan, m, triples) -> dict:
         rank of the constraints ran instead.
     """
     stalk = _Stalk(fan, tuple(int(x) for x in m))
-    boundaries = stalk.rows(stalk.boundaries)
-    rank_b = matrix_rank(boundaries)
-    rank_span = matrix_rank(boundaries + stalk.rows(_checked_cocycles(stalk, triples)))
+    rank_b, rank_span = _span_ranks(stalk, _checked_cocycles(stalk, triples))
     span_rank = rank_span - rank_b
     # the span lies in Z^1, so this equality is a proof (module docstring)
     if rank_span == stalk.width - rank_mod_p(stalk.constraints):

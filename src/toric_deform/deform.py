@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intlin
 from .fan import Fan
 from .triples import (
@@ -39,14 +37,15 @@ class Splitting:
         rho: ray index with m(v_rho) = -1.
         k_basis: rows form a basis of ker m (saturated, HNF-canonical).
         gamma: the vector gamma(-1) = v_rho; gamma(t) = -t * v_rho.
-        proj: (n-1) x n matrix of v -> v - gamma(m(v)) in k_basis coordinates.
+        proj: (n-1) x n matrix, as rows, of v -> v - gamma(m(v)) in
+            k_basis coordinates.
     """
 
     m: tuple[int, ...]
     rho: int
     k_basis: tuple[tuple[int, ...], ...]
     gamma: tuple[int, ...]
-    proj: np.ndarray
+    proj: tuple[tuple[int, ...], ...]
 
 
 def build_splitting(fan: Fan, m, rho: int) -> Splitting:
@@ -64,16 +63,16 @@ def build_splitting(fan: Fan, m, rho: int) -> Splitting:
     if pairing(m, v_rho) != -1:
         raise ValueError("splitting needs m(v_rho) = -1")
     n = fan.dim
-    g = intlin.imat([[int(i == j) + m[j] * v_rho[i] for i in range(n)] for j in range(n)])
+    g = [[int(i == j) + m[j] * v_rho[i] for i in range(n)] for j in range(n)]
     h, u = intlin.hermite_normal_form(g)
     assert not any(h[n - 1])  # ker m has rank n - 1
     u_inv = intlin.unimodular_solve(u, intlin.identity(n))
     return Splitting(
         m=m,
         rho=rho,
-        k_basis=tuple(tuple(int(x) for x in v) for v in h[: n - 1]),
+        k_basis=tuple(map(tuple, h[: n - 1])),
         gamma=v_rho,
-        proj=u_inv[:, : n - 1].T.copy(),  # ((n-1), n), possibly zero rows
+        proj=tuple(tuple(row[i] for row in u_inv) for i in range(n - 1)),
     )
 
 
@@ -114,24 +113,27 @@ class Trinomial:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
     labels: tuple[str, ...]
 
-    def binomial_difference(self) -> np.ndarray:
+    def binomial_difference(self) -> list[int]:
         """Exponents of term 2 minus term 3 over every column (T1's entry is 0)."""
-        return intlin.ivec([x - y for x, y in zip(self.terms[1][1], self.terms[2][1])])
+        return [x - y for x, y in zip(self.terms[1][1], self.terms[2][1])]
+
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class DeformationData:
-    """Everything attached to one admissible triple."""
+    """Everything attached to one admissible triple; matrices are rows."""
 
     triple: AdmissibleTriple
     u: UIndex
-    P: np.ndarray
-    Ptilde: np.ndarray
+    P: Rows
+    Ptilde: Rows
     ambient_cones: tuple[tuple[int, ...], ...]
     trinomial: Trinomial
-    psi: np.ndarray
-    nu: np.ndarray
-    Qtilde: np.ndarray
+    psi: Rows
+    nu: Rows
+    Qtilde: Rows
     splitting: Splitting
     a: tuple[int, ...]
     column_labels: tuple[str, ...]
@@ -170,19 +172,18 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     labels = ("T1",) + tuple(_column_label(p) for p in pairs)
     width = 1 + len(pairs)
 
-    p = intlin.imat([[0] * width for _ in range(n + 2)], cols=width)
-    p[0, 0] = 1
-    p[1, 0] = 1
-    p[n + 1, 0] = 1
+    p = [[0] * width for _ in range(n + 2)]
+    p[0][0] = 1
+    p[1][0] = 1
+    p[n + 1][0] = 1
     for c, (k, i) in enumerate(pairs, start=1):
         if k in (1, 2):
-            p[0, c] = a[i]
+            p[0][c] = a[i]
         if k in (1, 3):
-            p[1, c] = a[i]
-        pi = split.proj @ intlin.ivec(fan.rays[i])
-        for row in range(n - 1):
-            p[2 + row, c] = pi[row]
-    ptilde = p[: n + 1, 1:]
+            p[1][c] = a[i]
+        for row, x in enumerate(intlin.mat_vec(split.proj, fan.rays[i])):
+            p[2 + row][c] = x
+    ptilde = [row[1:] for row in p[: n + 1]]
 
     term1 = [0] * width
     term1[0] = 1
@@ -203,31 +204,31 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
 
     col_of = {pair: c for c, pair in enumerate(pairs)}
     gamma_minus_c = {i for i in g.vertices if i not in set(comp)}
-    psi = intlin.imat([[0] * r for _ in range(len(pairs))], cols=r)
+    psi = [[0] * r for _ in range(len(pairs))]
     for j in range(r):
         if a[j] > 0:
-            psi[col_of[(1, j)], j] = 1
+            psi[col_of[(1, j)]][j] = 1
         elif a[j] == 0:
-            psi[col_of[(4, j)], j] = 1
+            psi[col_of[(4, j)]][j] = 1
         elif j == t.rho:
-            psi[col_of[(2, t.rho)], j] = 1
-            psi[col_of[(3, t.rho)], j] += 1
+            psi[col_of[(2, t.rho)]][j] = 1
+            psi[col_of[(3, t.rho)]][j] += 1
         elif j in set(comp):
-            psi[col_of[(2, j)], j] = 1
-            psi[col_of[(3, t.rho)], j] += -a[j]
+            psi[col_of[(2, j)]][j] = 1
+            psi[col_of[(3, t.rho)]][j] += -a[j]
         else:
             assert j in gamma_minus_c
-            psi[col_of[(3, j)], j] = 1
-            psi[col_of[(2, t.rho)], j] += -a[j]
-    nu = psi.T
+            psi[col_of[(3, j)]][j] = 1
+            psi[col_of[(2, t.rho)]][j] += -a[j]
+    nu = intlin.transpose(psi)
 
     # Row n+1 of P is e_T1 and every sigma-tilde holds column 0, so a
     # unimodular sigma-tilde gives P-tilde an (n+1)-minor +-1: its columns
     # span Z^(n+1), and free_cokernel's HNF proves the class group free.
-    qtilde = intlin.free_cokernel(ptilde.T)
+    qtilde = intlin.free_cokernel(intlin.transpose(ptilde))
 
     # the binomial difference kills nu
-    assert all(x == 0 for x in nu @ trinomial.binomial_difference()[1:])
+    assert not any(intlin.mat_vec(nu, trinomial.binomial_difference()[1:]))
 
     cones = []
     comp_set = set(comp)
@@ -243,20 +244,20 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     return DeformationData(
         triple=t,
         u=u,
-        P=p,
-        Ptilde=ptilde,
+        P=tuple(map(tuple, p)),
+        Ptilde=tuple(map(tuple, ptilde)),
         ambient_cones=tuple(cones),
         trinomial=trinomial,
-        psi=psi,
-        nu=nu,
-        Qtilde=qtilde,
+        psi=tuple(map(tuple, psi)),
+        nu=tuple(map(tuple, nu)),
+        Qtilde=tuple(map(tuple, qtilde)),
         splitting=split,
         a=a,
         column_labels=labels,
     )
 
 
-def kernel_binomial(d: DeformationData) -> np.ndarray:
+def kernel_binomial(d: DeformationData) -> list[int]:
     """Exponent difference of the two binomial terms, over P-tilde columns."""
     return d.trinomial.binomial_difference()[1:]
 
@@ -269,9 +270,8 @@ def eta_map(d: DeformationData) -> dict:
     """
     table: dict[str, dict[str, int] | None] = {"T1": None}
     for c, pair in enumerate(d.u.all_pairs):
-        col = d.nu[:, c]
         table[_column_label(pair)] = {
-            f"S{i + 1}": int(col[i]) for i in range(len(col)) if col[i] != 0
+            f"S{i + 1}": row[c] for i, row in enumerate(d.nu) if row[c] != 0
         }
     return table
 
@@ -283,18 +283,17 @@ def ambient_fan(d: DeformationData) -> Fan:
     the fiber_fan_roundtrip check of verify_central_fiber, from the one
     elimination per cone that it makes anyway.
     """
-    rays = tuple(tuple(int(x) for x in d.P[:, j]) for j in range(d.P.shape[1]))
-    return Fan(dim=d.P.shape[0], rays=rays, max_cones=d.ambient_cones)
+    return Fan(dim=len(d.P), rays=tuple(zip(*d.P)), max_cones=d.ambient_cones)
 
 
-def _iota_matrix(fan: Fan, d: DeformationData) -> np.ndarray:
-    """(n+2) x n matrix of v -> [m(v), m(v), proj(v), 0]."""
-    n = fan.dim
-    rows = [list(d.triple.m), list(d.triple.m)]
-    for i in range(n - 1):
-        rows.append([int(x) for x in d.splitting.proj[i]])
-    rows.append([0] * n)
-    return intlin.imat(rows, cols=n)
+def _iota_matrix(fan: Fan, d: DeformationData) -> list[tuple[int, ...]]:
+    """(n+2) x n matrix, as rows, of v -> [m(v), m(v), proj(v), 0]."""
+    return [d.triple.m, d.triple.m, *d.splitting.proj, (0,) * fan.dim]
+
+
+def _columns(mat, cols) -> list[list[int]]:
+    """The submatrix of the given columns, as rows."""
+    return [[row[c] for c in cols] for row in mat]
 
 
 def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
@@ -335,20 +334,20 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     """
     n = fan.dim
     iota = _iota_matrix(fan, d)
-    images = iota @ fan.ray_matrix()  # column j: iota(v_j)
+    images = intlin.mat_mul(iota, fan.ray_matrix())  # column j: iota(v_j)
     checks: dict[str, dict] = {}
     work = {"cone_factorisations": len(d.ambient_cones), "fm_systems": 0}
-    coords = []  # X_sigma as lists of rows, or None when B is not unimodular
-    for sigma, st in zip(fan.max_cones, d.ambient_cones):
-        x = intlin.unimodular_solve(d.P[:, list(st)], images[:, list(sigma)])
-        coords.append(None if x is None else x.tolist())
+    coords = [  # X_sigma as rows, or None when B is not unimodular
+        intlin.unimodular_solve(_columns(d.P, st), _columns(images, sigma))
+        for sigma, st in zip(fan.max_cones, d.ambient_cones)
+    ]
 
     witness = None
     for ci, (sigma, st, x) in enumerate(zip(fan.max_cones, d.ambient_cones, coords)):
-        b = intlin.Solver(d.P[:, list(st)]) if x is None else None
+        b = intlin.Solver(_columns(d.P, st)) if x is None else None
         for i, j in enumerate(sigma):
             if x is None:
-                y = b.solve(images[:, j])
+                y = b.solve([row[j] for row in images])
                 bad = y is None or any(v < 0 for v in y)
             else:
                 bad = any(row[i] < 0 for row in x)
@@ -368,33 +367,27 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     else:
         e_last = [0] * (n + 2)
         e_last[n + 1] = 1
-        n0 = intlin.kernel_basis(intlin.imat([list(uvec), e_last]))
-        iota_cols = [[int(iota[i, j]) for i in range(n + 2)] for j in range(n)]
-        same = len(n0) == n and intlin.lattice_equal(
-            intlin.imat([list(v) for v in n0], cols=n + 2),
-            intlin.imat(iota_cols, cols=n + 2),
-        )
+        n0 = intlin.kernel_basis([uvec, e_last])
+        same = len(n0) == n and intlin.lattice_equal(n0, intlin.transpose(iota))
         injective = intlin.rational_rank(iota) == n
         checks["lattice_identification"] = {
-            "ok": bool(same and injective),
-            "witness": None if same and injective else {"u": [int(x) for x in uvec]},
+            "ok": same and injective,
+            "witness": None if same and injective else {"u": uvec},
         }
 
-    lhs = d.Ptilde @ d.psi
+    lhs = intlin.mat_mul(d.Ptilde, d.psi)
     rhs = images[: n + 1]
-    ok = lhs.shape == rhs.shape and all(
-        int(x) == int(y) for x, y in zip(np.ravel(lhs), np.ravel(rhs))
-    )
+    ok = lhs == rhs
     checks["diagram_commutes"] = {
         "ok": ok,
-        "witness": None if ok else {"lhs": lhs.tolist(), "rhs": rhs.tolist()},
+        "witness": None if ok else {"lhs": lhs, "rhs": rhs},
     }
 
     witness = None
     for ci, (sigma, st) in enumerate(zip(fan.max_cones, d.ambient_cones)):
         st_set = set(st)
         for j in sigma:
-            support = {1 + c for c in range(d.psi.shape[0]) if d.psi[c, j] != 0}
+            support = {1 + c for c, row in enumerate(d.psi) if row[j] != 0}
             if not support <= st_set:
                 witness = {"cone": ci, "ray": j}
                 break
@@ -407,7 +400,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     return {"passes": all(c["ok"] for c in checks.values()), "checks": checks, "work": work}
 
 
-def _binomial_character(d: DeformationData) -> np.ndarray | None:
+def _binomial_character(d: DeformationData) -> list[int] | None:
     """The u with P^T @ u = the binomial difference, or None if there is none.
 
     When B = P[:, sigma-tilde_0] is unimodular, B^T @ u = b on those
@@ -417,11 +410,13 @@ def _binomial_character(d: DeformationData) -> np.ndarray | None:
     package) intlin.solve_int decides.
     """
     b = d.trinomial.binomial_difference()
-    st = list(d.ambient_cones[0])
-    u = intlin.unimodular_solve(d.P[:, st].T, b[st].reshape(-1, 1))
+    pt = intlin.transpose(d.P)
+    st = d.ambient_cones[0]
+    u = intlin.unimodular_solve([pt[c] for c in st], [[b[c]] for c in st])
     if u is None:
-        return intlin.solve_int(d.P.T, b)
-    return u[:, 0] if (d.P.T @ u[:, 0] == b).all() else None
+        return intlin.solve_int(pt, b)
+    u = [x for (x,) in u]
+    return u if intlin.mat_vec(pt, u) == b else None
 
 
 def _roundtrip_check(coords, work: dict) -> dict:
@@ -470,8 +465,7 @@ def _pullback_leaves_orthant(x, i: int, work: dict) -> bool:
     n = len(x[0])
     work["fm_systems"] += 1
     rows = x + [[-1 if k == i else 0 for k in range(n)]]
-    rhs = intlin.ivec([0] * len(x) + [1])
-    return intlin.rational_polyhedron_nonempty(intlin.imat(rows, cols=n), rhs)
+    return intlin.rational_polyhedron_nonempty(rows, [0] * len(x) + [1])
 
 
 def ambient_irrelevant_primes(d: DeformationData) -> tuple[tuple[int, ...], ...]:
@@ -480,7 +474,7 @@ def ambient_irrelevant_primes(d: DeformationData) -> tuple[tuple[int, ...], ...]
     These are the minimal transversals (hitting sets) of the family of
     sigma-tilde complements, as sorted tuples of P column indices.
     """
-    width = d.P.shape[1]
+    width = len(d.P[0])
     complements = [
         frozenset(range(width)) - frozenset(st) for st in d.ambient_cones
     ]

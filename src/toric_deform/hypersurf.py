@@ -11,10 +11,9 @@ determinant-one column deletions.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import intlin
 from .deform import DeformationData, kernel_binomial
@@ -76,36 +75,25 @@ def riemann_roch_points(fan: Fan, w) -> list[tuple[int, ...]]:
         ValueError: wrong class length, or infinitely many points (the
             recession cone of the fiber is nontrivial).
     """
-    q = cox_data(fan).grading
-    w = intlin.ivec([int(x) for x in w])
-    if len(w) != q.shape[0]:
-        raise ValueError(f"class has length {len(w)}, expected {q.shape[0]}")
+    q = cox_data(fan).grading_rows
+    w = [int(x) for x in w]
+    if len(w) != len(q):
+        raise ValueError(f"class has length {len(w)}, expected {len(q)}")
     r = fan.n_rays
-    kernel_rows = intlin.kernel_basis(q)
+    # with no class group every exponent vector has class 0
+    kernel_rows = intlin.kernel_basis(q) if q else intlin.identity(r)
     if kernel_rows:
-        bt = np.stack(kernel_rows, axis=1)  # e = x0 + bt @ c
+        bt = intlin.transpose(kernel_rows)  # e = x0 + bt @ c
         for j in range(r):
-            rows = [list(row) for row in bt]
-            rows.append(list(bt[j]))
-            rhs = [0] * r + [1]
-            if intlin.rational_polyhedron_nonempty(
-                intlin.imat(rows, cols=bt.shape[1]), intlin.ivec(rhs)
-            ):
-                raise ValueError(
-                    f"class {tuple(int(x) for x in w)} has an infinite fiber"
-                )
+            if intlin.rational_polyhedron_nonempty(bt + [bt[j]], [0] * r + [1]):
+                raise ValueError(f"class {tuple(w)} has an infinite fiber")
     x0 = intlin.solve_int(q, w)
     if x0 is None:
         return []
     if not kernel_rows:
-        if all(x >= 0 for x in x0):
-            return [tuple(int(x) for x in x0)]
-        return []
-    coeff_rows = intlin.imat([list(row) for row in bt], cols=bt.shape[1])
-    points = intlin.polyhedron_lattice_points(coeff_rows, -x0)
-    out = [
-        tuple(int(v) for v in x0 + bt @ intlin.ivec(list(c))) for c in points
-    ]
+        return [tuple(x0)] if min(x0) >= 0 else []
+    points = intlin.polyhedron_lattice_points(bt, [-x for x in x0])
+    out = [tuple(x + y for x, y in zip(x0, intlin.mat_vec(bt, c))) for c in points]
     out.sort()
     return out
 
@@ -119,10 +107,9 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
     Raises:
         ValueError: negative entries in e.
     """
-    e = intlin.imat([e]).T
-    if (e < 0).any():
+    if any(x < 0 for x in e):
         raise ValueError("exponent vectors must be nonnegative")
-    return _preimages(d, e)[0]
+    return _preimages(d, [[int(x)] for x in e])[0]
 
 
 def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
@@ -137,45 +124,41 @@ def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
     the binomial generates, to the least nonnegative one.
     """
     j = d.u.all_pairs.index((3, d.triple.rho))
-    y = intlin.unimodular_solve(np.delete(d.nu, j, axis=1), e)
+    y = intlin.unimodular_solve([row[:j] + row[j + 1:] for row in d.nu], e)
     assert y is not None  # determinant +-1, by the shape above
-    x0 = np.insert(y, j, 0, axis=0)
-    ok = np.ones(e.shape[1], dtype=bool)
-    return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0, ok)
+    x0 = y[:j] + [[0] * len(e[0])] + y[j:]
+    return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0, [True] * len(e[0]))
 
 
 def lift_polynomial(p: LiftProblem) -> LiftResult:
     """Lift each monomial through nu; assemble the result when all lift.
 
     The monomials are checked in input order (exponent count, class,
-    signs), and the first offending one is reported. Their classes come
-    from one product Q @ E, and their preimages from one elimination on
-    nu (see _preimages).
+    signs), and the first offending one is reported. Their preimages come
+    from one elimination on nu (see _preimages).
 
     Raises:
         ValueError: a class whose length is not the class group rank, or
             a monomial of the wrong length, with negative entries, or
             whose class differs from w.
     """
-    q = cox_data(p.fan).grading
+    q = cox_data(p.fan).grading_rows
     w = tuple(int(x) for x in p.w)
-    if len(w) != q.shape[0]:
-        raise ValueError(f"class has length {len(w)}, class group rank is {q.shape[0]}")
+    if len(w) != len(q):
+        raise ValueError(f"class has length {len(w)}, class group rank is {len(q)}")
     r = p.fan.n_rays
     exps = [tuple(map(int, e)) for _, e in p.monomials]
     # monomials before the first wrong length take part in the batch checks
     n_ok = next((i for i, e in enumerate(exps) if len(e) != r), len(exps))
-    e = intlin.imat(exps[:n_ok], cols=r).T  # column j: monomial j
-    classes = q @ e
-    bad = (classes != intlin.ivec(w).reshape(-1, 1)).any(axis=0) | (e < 0).any(axis=0)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        cls = tuple(classes[:, idx].tolist())
+    for idx, exp in enumerate(exps[:n_ok]):
+        cls = tuple(intlin.mat_vec(q, exp))
         if cls != w:
             raise ValueError(f"monomial {idx} has class {cls}, expected {w}")
-        raise ValueError("exponent vectors must be nonnegative")
+        if min(exp, default=0) < 0:
+            raise ValueError("exponent vectors must be nonnegative")
     if n_ok < len(exps):
         raise ValueError(f"monomial {n_ok} has {len(exps[n_ok])} exponents, expected {r}")
+    e = [[x[i] for x in exps] for i in range(r)]  # column j: monomial j
     lifts = tuple(
         MonomialLift(coefficient=int(coeff), exponent=exp, preimage=pre)
         for (coeff, _), exp, pre in zip(p.monomials, exps, _preimages(p.deformation, e))
@@ -197,8 +180,8 @@ def hilbert_basis_check(d: DeformationData) -> bool:
     pairs = d.u.all_pairs
     for block in (2, 3):
         idx = pairs.index((block, d.triple.rho))
-        sub = np.delete(d.nu, idx, axis=1)
-        if sub.shape[0] != sub.shape[1]:
+        sub = [row[:idx] + row[idx + 1:] for row in d.nu]
+        if len(sub) != len(sub[0]):
             return False
         if abs(intlin.determinant(sub)) != 1:
             return False
@@ -206,10 +189,23 @@ def hilbert_basis_check(d: DeformationData) -> bool:
 
 
 _FACTOR = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?\Z")
+_EMPTY_TERM = re.compile(r"[+-](?=[+-]|\Z)")
+
+
+@functools.cache
+def _term_pattern(var: str) -> re.Pattern:
+    """One term: a sign, then factors (a number, or var, an index and an
+    optional ^power) joined by *, up to the next sign or the end."""
+    factor = rf"(?:\d+|{re.escape(var)}\d+(?:\^\d+)?)"
+    return re.compile(rf"[+-]{factor}(?:\*{factor})*(?=[+-]|\Z)", re.ASCII)
 
 
 def parse_polynomial(text: str, n_vars: int, var: str = "S"):
     """Parse e.g. "2*S1^3*S4 + S2*S3" into (coefficient, exponents) terms.
+
+    Spaces are dropped, and one match of _term_pattern reads each term in
+    turn; its factors then need no pattern of their own. A term that does
+    not match is diagnosed by _parse_error.
 
     Raises:
         ValueError: malformed factors, unknown variables, or indices
@@ -220,29 +216,51 @@ def parse_polynomial(text: str, n_vars: int, var: str = "S"):
         return ()
     if compact[0] not in "+-":
         compact = "+" + compact
-    tokens = re.findall(r"[+-][^+-]+", compact)
-    if sum(len(t) for t in tokens) != len(compact):
-        raise ValueError(f"cannot parse polynomial {text!r}")
+    term = _term_pattern(var)
+    skip = len(var)
     terms = []
-    for token in tokens:
-        sign = -1 if token[0] == "-" else 1
-        coeff = sign
+    pos = 0
+    while pos < len(compact):
+        match = term.match(compact, pos)
+        if match is None:
+            _parse_error(compact, pos, text, n_vars, var)
+        coeff = -1 if compact[pos] == "-" else 1
         exps = [0] * n_vars
-        for factor in token[1:].split("*"):
-            if factor.isdigit():
+        for factor in match[0][1:].split("*"):
+            if factor[0].isdigit():
                 coeff *= int(factor)
                 continue
-            match = _FACTOR.match(factor)
-            if match is None or match.group(1) != var:
-                raise ValueError(f"cannot parse factor {factor!r}")
-            index = int(match.group(2))
+            index, _, power = factor[skip:].partition("^")
+            index = int(index)
             if not 1 <= index <= n_vars:
-                raise ValueError(
-                    f"variable {var}{index} out of range {var}1..{var}{n_vars}"
-                )
-            exps[index - 1] += int(match.group(3) or 1)
+                _parse_error(compact, pos, text, n_vars, var)
+            exps[index - 1] += int(power) if power else 1
         terms.append((coeff, tuple(exps)))
+        pos = match.end()
     return tuple(terms)
+
+
+def _parse_error(compact: str, pos: int, text: str, n_vars: int, var: str):
+    """Raise the error for the term at pos of compact, the first bad one.
+
+    A sign followed by a sign or the end anywhere from pos on makes the
+    whole polynomial unreadable; otherwise the first factor of the term
+    that is not a number or an in-range variable is named.
+    """
+    if _EMPTY_TERM.search(compact, pos):
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    end = next((k for k in range(pos + 1, len(compact)) if compact[k] in "+-"), len(compact))
+    for factor in compact[pos + 1 : end].split("*"):
+        if factor.isdigit():
+            int(factor)  # a non-ASCII digit fails here, as int() words it
+            continue
+        match = _FACTOR.match(factor)
+        if match is None or match.group(1) != var:
+            raise ValueError(f"cannot parse factor {factor!r}")
+        index = int(match.group(2))
+        if not 1 <= index <= n_vars:
+            raise ValueError(f"variable {var}{index} out of range {var}1..{var}{n_vars}")
+    raise AssertionError(f"term at {pos} of {compact!r} has no bad factor")
 
 
 def render_terms(terms, labels) -> str:

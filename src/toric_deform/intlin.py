@@ -1,10 +1,17 @@
-"""Exact integer linear algebra on arbitrary-precision numpy object arrays.
+"""Exact integer linear algebra on rows of Python ints.
+
+A matrix is a sequence of equal-length rows of Python ints (lists or
+tuples; the functions here return lists) and a vector a sequence of ints.
+Integers have arbitrary precision, so nothing overflows, and there is no
+floating point anywhere. A matrix with no rows reads as 0 x 0: callers
+that need a column count for an empty matrix keep it themselves.
 
 Everything downstream (fans, cohomology, deformations, lifting) reduces to
 the primitives here: Hermite and Smith normal forms with unimodular
 transforms, saturated kernel bases, cokernel presentations, exact linear
 solves, one-line nonnegative solving, and small Fourier-Motzkin utilities
-for bounded lattice-point enumeration. No floating point anywhere.
+for bounded lattice-point enumeration, plus the products and transposes
+(``mat_vec``, ``mat_mul``, ``transpose``) they are written with.
 
 Each exact job has one engine. Kernels come from one Hermite normal form
 with its transform (``kernel_basis``); the same HNF proves a cokernel
@@ -21,8 +28,8 @@ minor (``scroll path`` and Riemann-Roch use it today); ``solve_int`` and
 point on lines of solutions, whichever engine found them. Ranks and
 determinants read the one forward Bareiss elimination,
 ``kernels.bareiss``. ``FourierMotzkin`` is the one Fourier-Motzkin
-elimination; it works on Python ints, since its inputs are integral and
-every eliminated row is an integer combination of integral rows.
+elimination; its inputs are integral, and every eliminated row is an
+integer combination of integral rows.
 """
 
 from __future__ import annotations
@@ -30,47 +37,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import bareiss, matrix_rank
 
 
-def ivec(entries) -> np.ndarray:
-    """1-D integer vector with arbitrary-precision entries."""
-    values = [int(x) for x in entries]
-    v = np.empty(len(values), dtype=object)
-    v[:] = values
-    return v
+def identity(n: int) -> list[list[int]]:
+    """n x n identity."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def imat(rows, cols: int | None = None) -> np.ndarray:
-    """2-D integer matrix with arbitrary-precision entries.
-
-    Args:
-        rows: iterable of equal-length row iterables.
-        cols: column count, required when ``rows`` is empty.
-    """
-    rows = [[int(x) for x in r] for r in rows]
-    if not rows:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return np.empty((0, cols), dtype=object)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows")
-    return _objects(rows, len(rows), width)
+def transpose(a) -> list[list[int]]:
+    """The transpose of a matrix with at least one row."""
+    return [list(col) for col in zip(*a)]
 
 
-def identity(n: int) -> np.ndarray:
-    """n x n identity with Python int entries."""
-    return np.eye(n, dtype=object)
+def mat_vec(a, x) -> list[int]:
+    """a @ x."""
+    return [sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """a @ b, for a b with at least one row."""
+    cols = list(zip(*b))
+    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
 
 
 def rational_rank(a) -> int:
     """Rank of an integer matrix over the rationals (exact)."""
-    a = np.asarray(a, dtype=object)
-    if a.ndim != 2:
-        raise ValueError("rank needs a 2-D matrix")
     return matrix_rank(a)
 
 
@@ -80,28 +72,26 @@ def determinant(a) -> int:
     The signed last pivot of ``kernels.bareiss``, or 0 when the rank falls
     short.
     """
-    a = np.asarray(a, dtype=object)
-    n, ncols = a.shape
-    if n != ncols:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    rank, pivot = bareiss(a.tolist())
+    rank, pivot = bareiss(a)
     return pivot if rank == n else 0
 
 
-def hermite_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
+def hermite_normal_form(a) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form.
 
-    Works on rows as lists of Python ints; U is the product of the row
-    operations made on H.
+    U is the product of the row operations made on H.
 
     Returns:
         (H, U) with U unimodular, U @ a = H, pivots positive, entries above
         each pivot reduced into [0, pivot), zero rows last.
     """
-    a = np.asarray(a, dtype=object)
-    m, n = a.shape
-    h = [[int(x) for x in r] for r in a.tolist()]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    h = [[int(x) for x in r] for r in a]
+    m = len(h)
+    n = len(h[0]) if m else 0
+    u = identity(m)
     row = 0
     for col in range(n):
         if row >= m:
@@ -137,121 +127,112 @@ def hermite_normal_form(a) -> tuple[np.ndarray, np.ndarray]:
                 h[r] = [x - q * y for x, y in zip(h[r], hp)]
                 u[r] = [x - q * y for x, y in zip(u[r], up)]
         row += 1
-    return _objects(h, m, n), _objects(u, m, m)
-
-
-def _objects(rows: list[list[int]], m: int, n: int) -> np.ndarray:
-    """m x n object array of the given Python-int rows."""
-    out = np.empty((m, n), dtype=object)
-    if m and n:
-        out[:] = rows
-    return out
+    return h, u
 
 
 @dataclass(frozen=True)
 class SNFResult:
     """Smith decomposition U @ A @ V = S with U, V unimodular."""
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
+    u: list[list[int]]
+    s: list[list[int]]
+    v: list[list[int]]
 
     @property
     def diagonal(self) -> list[int]:
-        k = min(self.s.shape)
-        return [int(self.s[i, i]) for i in range(k)]
+        k = min(len(self.s), len(self.v))
+        return [self.s[i][i] for i in range(k)]
 
 
 def smith_normal_form(a) -> SNFResult:
     """Smith normal form with transforms; diagonal entries divide successors."""
-    a = np.asarray(a, dtype=object)
-    s = imat([list(r) for r in a], cols=a.shape[1])
-    m, n = s.shape
+    s = [[int(x) for x in r] for r in a]
+    m = len(s)
+    n = len(s[0]) if m else 0
     u = identity(m)
     v = identity(n)
     for t in range(min(m, n)):
         while True:
             # Move a minimal-magnitude nonzero of the trailing block to (t, t).
-            best = None
+            best, least = None, 0
             for i in range(t, m):
+                row = s[i]
                 for j in range(t, n):
-                    if s[i, j] != 0 and (best is None or abs(s[i, j]) < abs(s[best[0], best[1]])):
-                        best = (i, j)
+                    if row[j] != 0 and (best is None or abs(row[j]) < least):
+                        best, least = (i, j), abs(row[j])
             if best is None:
                 break
             bi, bj = best
             if bi != t:
-                s[[t, bi]] = s[[bi, t]]
-                u[[t, bi]] = u[[bi, t]]
+                s[t], s[bi] = s[bi], s[t]
+                u[t], u[bi] = u[bi], u[t]
             if bj != t:
-                s[:, [t, bj]] = s[:, [bj, t]]
-                v[:, [t, bj]] = v[:, [bj, t]]
-            piv = s[t, t]
+                for row in s:
+                    row[t], row[bj] = row[bj], row[t]
+                for row in v:
+                    row[t], row[bj] = row[bj], row[t]
+            piv = s[t][t]
             dirty = False
             for r in range(t + 1, m):
-                if s[r, t] != 0:
-                    q = s[r, t] // piv
-                    s[r] = s[r] - q * s[t]
-                    u[r] = u[r] - q * u[t]
-                    if s[r, t] != 0:
+                if s[r][t] != 0:
+                    q = s[r][t] // piv
+                    s[r] = [x - q * y for x, y in zip(s[r], s[t])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[t])]
+                    if s[r][t] != 0:
                         dirty = True
             for c in range(t + 1, n):
-                if s[t, c] != 0:
-                    q = s[t, c] // piv
-                    s[:, c] = s[:, c] - q * s[:, t]
-                    v[:, c] = v[:, c] - q * v[:, t]
-                    if s[t, c] != 0:
+                if s[t][c] != 0:
+                    q = s[t][c] // piv
+                    for row in s:
+                        row[c] -= q * row[t]
+                    for row in v:
+                        row[c] -= q * row[t]
+                    if s[t][c] != 0:
                         dirty = True
             if dirty:
                 continue
             # Enforce divisibility of the trailing block by the pivot.
-            witness = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i, j] % piv != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            witness = next(
+                (i for i in range(t + 1, m) if any(s[i][j] % piv for j in range(t + 1, n))),
+                None,
+            )
             if witness is None:
                 break
-            s[t] = s[t] + s[witness]
-            u[t] = u[t] + u[witness]
-        if s[t, t] < 0:
-            s[t] = -s[t]
-            u[t] = -u[t]
+            s[t] = [x + y for x, y in zip(s[t], s[witness])]
+            u[t] = [x + y for x, y in zip(u[t], u[witness])]
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
     return SNFResult(u=u, s=s, v=v)
 
 
-def _hnf_kernel(a) -> tuple[list[np.ndarray], np.ndarray]:
-    """(kernel_basis(a), H): one HNF U @ a^T = H serves both.
+def _left_kernel(b) -> tuple[list[list[int]], list[list[int]]]:
+    """(basis of {y : y @ b = 0}, H): one HNF U @ b = H serves both.
 
-    The rows of U at the zero rows of H are a basis of the kernel over Z,
-    because U is unimodular (H. Cohen, GTM 138, 1993, 2.4.3). That basis
-    is canonicalized by a second, row-style HNF. H comes back with its
-    zero rows dropped.
+    The rows of U at the zero rows of H are a basis of the left kernel
+    over Z, because U is unimodular (H. Cohen, GTM 138, 1993, 2.4.3).
+    That basis is canonicalized by a second, row-style HNF. H comes back
+    with its zero rows dropped.
     """
-    a = np.asarray(a, dtype=object)
-    n = a.shape[1]
-    h, u = hermite_normal_form(a.T)
+    h, u = hermite_normal_form(b)
     rank = sum(1 for row in h if any(row))  # zero rows come last
-    if rank == n:
+    if rank == len(b):
         return [], h[:rank]
     basis, _ = hermite_normal_form(u[rank:])
-    return list(basis), h[:rank]
+    return basis, h[:rank]
 
 
-def kernel_basis(a) -> list[np.ndarray]:
+def kernel_basis(a) -> list[list[int]]:
     """Basis of the saturated integer kernel lattice {x : a @ x = 0}.
 
-    Read from one Hermite normal form with its transform (_hnf_kernel),
-    then canonicalized by row-style HNF, so results are deterministic and
-    primitive as a lattice basis.
+    Read from one Hermite normal form with its transform (_left_kernel of
+    a^T), then canonicalized by row-style HNF, so results are
+    deterministic and primitive as a lattice basis.
     """
-    return _hnf_kernel(a)[0]
+    return _left_kernel(transpose(a))[0]
 
 
-def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
+def cokernel_map(a) -> tuple[list[list[int]], list[int]]:
     """Presentation of coker(a) = Z^m / column-span(a).
 
     Returns:
@@ -261,22 +242,19 @@ def cokernel_map(a) -> tuple[np.ndarray, list[int]]:
         ``grading @ a`` has zero rows on the free block and rows divisible
         by the matching invariant on the torsion block.
     """
-    a = np.asarray(a, dtype=object)
-    m, n = a.shape
     snf = smith_normal_form(a)
-    diag = [int(snf.s[i, i]) if i < min(m, n) else 0 for i in range(m)]
-    free_rows = [i for i in range(m) if diag[i] == 0]
-    torsion_rows = [i for i in range(m) if abs(diag[i]) > 1]
-    free = imat([list(snf.u[i]) for i in free_rows], cols=m)
-    if len(free_rows):
+    diag = snf.diagonal
+    diag += [0] * (len(snf.u) - len(diag))
+    free = [snf.u[i] for i, d in enumerate(diag) if d == 0]
+    if free:
         free, _ = hermite_normal_form(free)
-    torsion = imat([list(snf.u[i]) for i in torsion_rows], cols=m)
-    grading = np.vstack([free, torsion]) if torsion.shape[0] else free
+    torsion_rows = [i for i, d in enumerate(diag) if abs(d) > 1]
+    grading = free + [snf.u[i] for i in torsion_rows]
     invariants = [abs(diag[i]) for i in torsion_rows]
     return grading, invariants
 
 
-def free_cokernel(a) -> np.ndarray:
+def free_cokernel(a) -> list[list[int]]:
     """The grading of coker(a) = Z^m / column-span(a), which must be free.
 
     U @ a = H (one HNF, shared with kernel_basis(a^T)) maps coker(a) onto
@@ -289,10 +267,9 @@ def free_cokernel(a) -> np.ndarray:
     Raises:
         ValueError: coker(a) has torsion.
     """
-    a = np.asarray(a, dtype=object)
-    basis, h = _hnf_kernel(a.T)
+    basis, h = _left_kernel(a)
     if all(next(x for x in row if x) == 1 for row in h):
-        return imat(basis, cols=a.shape[0])
+        return basis
     grading, invariants = cokernel_map(a)
     if invariants:
         raise ValueError(f"cokernel has torsion {invariants}")
@@ -308,15 +285,15 @@ class Solver:
     """
 
     def __init__(self, a):
-        self.a = np.asarray(a, dtype=object)
+        self.a = [[int(x) for x in r] for r in a]
         self.snf = smith_normal_form(self.a)
-        m, n = self.a.shape
-        self._diag = [int(self.snf.s[i, i]) if i < min(m, n) else 0 for i in range(m)]
+        diag = self.snf.diagonal
+        self._diag = diag + [0] * (len(self.a) - len(diag))
 
-    def solve(self, b) -> np.ndarray | None:
+    def solve(self, b) -> list[int] | None:
         """Some integer solution x of a @ x = b, or None if there is none."""
-        c = self.snf.u @ np.asarray(b, dtype=object)
-        y = ivec([0] * self.a.shape[1])
+        c = mat_vec(self.snf.u, b)
+        y = [0] * len(self.snf.v)
         for i, d in enumerate(self._diag):
             if d == 0:
                 if c[i] != 0:
@@ -325,7 +302,7 @@ class Solver:
                 return None
             else:
                 y[i] = c[i] // d
-        return self.snf.v @ y
+        return mat_vec(self.snf.v, y)
 
     def nonneg_lines(self, e, k) -> list[tuple[int, ...] | None]:
         """Nonnegative integer solutions of a @ x = e[:, j] on the lines x0_j + t*k.
@@ -346,25 +323,23 @@ class Solver:
             ValueError: "no rational solution" naming the first column
                 that is not in im(a) over Q; k not in ker(a).
         """
-        e = np.asarray(e, dtype=object)
-        k = np.asarray(k, dtype=object)
-        if not all(x == 0 for x in self.a @ k):
+        if any(mat_vec(self.a, k)):
             raise ValueError("k is not in the kernel of a")
-        n_cols = e.shape[1]
-        c = self.snf.u @ e
-        y = np.zeros((self.a.shape[1], n_cols), dtype=object)
-        ok = np.ones(n_cols, dtype=bool)
+        n_cols = len(e[0])
+        c = mat_mul(self.snf.u, e)
+        y = [[0] * n_cols for _ in self.snf.v]
+        ok = [True] * n_cols
         for i, d in enumerate(self._diag):
             if d == 0:
-                bad = np.flatnonzero(c[i] != 0)
-                if bad.size:
-                    raise ValueError(f"no rational solution for column {bad[0]}")
+                bad = next((j for j, x in enumerate(c[i]) if x != 0), None)
+                if bad is not None:
+                    raise ValueError(f"no rational solution for column {bad}")
             elif d == 1:
                 y[i] = c[i]
             else:
-                ok &= c[i] % d == 0
-                y[i] = c[i] // d
-        return least_on_lines(self.a, e, k, self.snf.v @ y, ok)
+                ok = [good and x % d == 0 for good, x in zip(ok, c[i])]
+                y[i] = [x // d for x in c[i]]
+        return least_on_lines(self.a, e, k, mat_mul(self.snf.v, y), ok)
 
 
 def least_on_lines(a, e, k, x0, ok) -> list[tuple[int, ...] | None]:
@@ -376,27 +351,32 @@ def least_on_lines(a, e, k, x0, ok) -> list[tuple[int, ...] | None]:
     one, the largest of the lower bounds from the entries where k > 0;
     with no such entry, the least of the upper bounds from those where
     k < 0; with neither (k = 0), t = 0. The point does not depend on which
-    solution x0 names on the line. The columns that succeed are checked
-    in one product: x >= 0 and a @ x = e.
+    solution x0 names on the line. Each column that succeeds is checked:
+    x >= 0 and a @ x = e.
     """
-    n_cols = e.shape[1]
-    kc = k.reshape(-1, 1)
-    pos, neg = k > 0, k < 0
-    ok = ok & (x0[k == 0] >= 0).all(axis=0)
-    lo = (-(x0[pos] // kc[pos])).max(axis=0) if pos.any() else None
-    hi = (x0[neg] // -kc[neg]).min(axis=0) if neg.any() else None
-    if lo is None:
-        t = np.zeros(n_cols, dtype=object) if hi is None else hi
-    else:
-        t = lo
-        if hi is not None:
-            ok &= lo <= hi
-    x = x0 + kc * t
-    assert (x[:, ok] >= 0).all() and (a @ x[:, ok] == e[:, ok]).all()
-    return [tuple(col) if good else None for col, good in zip(x.T.tolist(), ok)]
+    pos = [(i, c) for i, c in enumerate(k) if c > 0]
+    neg = [(i, c) for i, c in enumerate(k) if c < 0]
+    fixed = [i for i, c in enumerate(k) if c == 0]
+    out: list[tuple[int, ...] | None] = []
+    for x, want, good in zip(zip(*x0), zip(*e), ok):
+        good = good and all(x[i] >= 0 for i in fixed)
+        lo = max(-(x[i] // c) for i, c in pos) if pos else None
+        hi = min(x[i] // -c for i, c in neg) if neg else None
+        if lo is None:
+            t = 0 if hi is None else hi
+        else:
+            t = lo
+            good = good and (hi is None or lo <= hi)
+        if not good:
+            out.append(None)
+            continue
+        x = tuple(p + t * q for p, q in zip(x, k))
+        assert min(x) >= 0 and mat_vec(a, x) == list(want)
+        out.append(x)
+    return out
 
 
-def unimodular_solve(b, r) -> np.ndarray | None:
+def unimodular_solve(b, r) -> list[list[int]] | None:
     """X with b @ X = r for a square b of determinant +-1; else None.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
@@ -409,12 +389,10 @@ def unimodular_solve(b, r) -> np.ndarray | None:
     Returns None when b is not square or det b is not +-1 (singular or
     of larger absolute value).
     """
-    b = np.asarray(b, dtype=object)
-    r = np.asarray(r, dtype=object)
-    n, n_cols = b.shape
-    if n != n_cols:
+    n = len(b)
+    if any(len(row) != n for row in b):
         return None
-    rows = [bi + ri for bi, ri in zip(b.tolist(), r.tolist())]
+    rows = [[*bi, *ri] for bi, ri in zip(b, r)]
     prev = 1
     for col in range(n):
         # rows hold columns col.. of [b | r]; the pivot column is the first
@@ -437,31 +415,27 @@ def unimodular_solve(b, r) -> np.ndarray | None:
         return None
     if prev == -1:
         rows = [[-x for x in row] for row in rows]
-    return np.array(rows, dtype=object).reshape(n, r.shape[1])
+    return rows
 
 
-def solve_int(a, b) -> np.ndarray | None:
+def solve_int(a, b) -> list[int] | None:
     """Some integer solution x of a @ x = b, or None if there is none."""
     return Solver(a).solve(b)
 
 
-def solve_nonneg_line(a, e, k) -> np.ndarray | None:
+def solve_nonneg_line(a, e, k) -> list[int] | None:
     """One-shot Solver(a).nonneg_lines on the single column e, as a vector."""
-    x = Solver(a).nonneg_lines(np.asarray(e, dtype=object).reshape(-1, 1), k)[0]
-    return None if x is None else ivec(x)
+    x = Solver(a).nonneg_lines([[v] for v in e], k)[0]
+    return None if x is None else list(x)
 
 
 def lattice_equal(rows_a, rows_b) -> bool:
     """Whether two row lists generate the same integer lattice."""
-    rows_a = np.asarray(rows_a, dtype=object)
-    rows_b = np.asarray(rows_b, dtype=object)
-    if rows_a.shape[1] != rows_b.shape[1]:
+    if len(rows_a) and len(rows_b) and len(rows_a[0]) != len(rows_b[0]):
         return False
     ha, _ = hermite_normal_form(rows_a)
     hb, _ = hermite_normal_form(rows_b)
-    ha = [list(r) for r in ha if any(x != 0 for x in r)]
-    hb = [list(r) for r in hb if any(x != 0 for x in r)]
-    return ha == hb
+    return [r for r in ha if any(r)] == [r for r in hb if any(r)]
 
 
 class FourierMotzkin:
@@ -575,7 +549,7 @@ class FourierMotzkin:
 
 def _fm_system(a, b) -> FourierMotzkin:
     """One engine holding the rows a @ x >= b."""
-    a = [tuple(map(int, r)) for r in np.asarray(a, dtype=object)]
+    a = [tuple(map(int, r)) for r in a]
     fm = FourierMotzkin(len(a[0]) if a else 0)
     for row, rhs in zip(a, b):
         fm.push(row, int(rhs))

@@ -4,7 +4,8 @@
 Python ints: it returns the rank and the signed last pivot, from which
 ``matrix_rank`` (the exact rank over Q) and ``intlin.determinant`` read
 their answers. ``rank_mod_p`` is the rank over the field F_p for the
-prime ``PRIME``, by int64 numpy row reduction. For an integer
+prime ``PRIME``, by sparse elimination on dicts of Python ints. Both
+take a matrix as a sequence of equal-length integer rows. For an integer
 matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a
 nonzero minor over Z. So rank mod p is a lower bound on the exact rank,
 which ``cohomology.span_check`` turns into a proof when it is sharp.
@@ -12,15 +13,11 @@ which ``cohomology.span_check`` turns into a proof when it is sharp.
 
 from __future__ import annotations
 
-import numpy as np
-
 # perfbench/run.py reports this flag on its environment line; numba is no
 # longer used by the package, so it is always False.
 _HAVE_NUMBA = False
 
-# A prime below 2^31: reduced entries are below 2^31, so each product of
-# two is below 2^62, and subtracting one from a reduced entry cannot wrap
-# int64.
+# A prime below 2^31.
 PRIME = 2147483629
 
 
@@ -63,47 +60,41 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return row, sign * prev
 
 
-def _as_row_lists(mat) -> list[list[int]]:
-    if isinstance(mat, np.ndarray):
-        return [list(r) for r in mat.tolist()] if mat.ndim == 2 else []
-    return [list(r) for r in mat]
+def matrix_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix given as rows."""
+    return bareiss(rows)[0]
 
 
-def matrix_rank(mat) -> int:
-    """Rank over the rationals of an integer matrix (rows or 2-D array)."""
-    return bareiss(_as_row_lists(mat))[0]
+def rank_mod_p(rows) -> int:
+    """Rank over F_p, p = ``PRIME``, of an integer matrix given as rows.
 
-
-def rank_mod_p(mat) -> int:
-    """Rank over F_p, p = ``PRIME``, of an integer matrix (rows or 2-D array).
-
-    Entries are reduced mod p in one step on an object array, as Python
-    ints, so any integer input is exact. The result is a lower bound on
-    the rank r over Q, and equals r unless p divides every r x r minor.
+    Each row is reduced mod p to a sparse dict {column: entry} of Python
+    ints, so any integer input is exact. Rows are eliminated one at a
+    time against the pivot rows kept so far, each normalised to 1 at its
+    leading column: a row loses its leading entry to the pivot row of that
+    column, which leaves only columns to its right, until it is zero or
+    leads at a new column. Only nonzero entries are ever touched, and the
+    scan stops once every column has a pivot. The result is a lower bound
+    on the rank r over Q, and equals r unless p divides every r x r minor.
     """
-    rows = _as_row_lists(mat)
-    if not rows or not rows[0]:
-        return 0
-    a = (np.array(rows, dtype=object) % PRIME).astype(np.int64)
-    if a.shape[0] < a.shape[1]:
-        a = np.ascontiguousarray(a.T)  # one pivot step per column: keep the short side
-    m, n = a.shape
-    row = 0
-    for col in range(n):
-        if row == m:
+    pivots: dict[int, dict[int, int]] = {}
+    width = len(rows[0]) if len(rows) else 0
+    for row in rows:
+        if len(pivots) == width:
             break
-        nonzero = a[row:, col].nonzero()[0]
-        if nonzero.size == 0:
-            continue
-        piv = row + int(nonzero[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        # the row swapped down to piv was zero in col, so the scan already
-        # lists every row below that needs an update
-        below = row + nonzero[1:]
-        if below.size:
-            inv = pow(int(a[row, col]), -1, PRIME)
-            pivot_row = a[row, col:] * inv % PRIME
-            a[below, col:] = (a[below, col:] - a[below, col, None] * pivot_row) % PRIME
-        row += 1
-    return row
+        vec = {c: x % PRIME for c, x in enumerate(row) if x % PRIME}
+        while vec:
+            col = min(vec)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(vec[col], -1, PRIME)
+                pivots[col] = {c: x * inv % PRIME for c, x in vec.items()}
+                break
+            f = vec[col]
+            for c, x in pivot.items():
+                y = (vec.get(c, 0) - f * x) % PRIME
+                if y:
+                    vec[c] = y
+                else:
+                    vec.pop(c, None)
+    return len(pivots)

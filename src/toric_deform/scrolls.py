@@ -135,9 +135,9 @@ def one_step(s: ScrollSpec, i: int, j: int, dprime: int) -> ScrollMove:
     values[1] = dprime - gap
     values[fiber_ray(s, i)] = -1
     values[fiber_ray(s, j)] = 1
-    m = intlin.solve_int(fan.ray_matrix().T, intlin.ivec(values))
+    m = intlin.solve_int(fan.rays, values)  # the rays are the rows of the ray matrix^T
     assert m is not None  # the value vector is orthogonal to the grading
-    m = tuple(int(x) for x in m)
+    m = tuple(m)
 
     rho = fiber_ray(s, i)
     g = marker_graph(fan, m, rho)

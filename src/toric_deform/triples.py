@@ -175,7 +175,7 @@ def _cone_inverse(fan: Fan, sigma) -> list[list[int]]:
     inv = intlin.unimodular_solve(fan.cone_matrix(sigma), intlin.identity(fan.dim))
     if inv is None:
         raise ValueError(f"cone {list(sigma)} is not unimodular")
-    return inv.tolist()
+    return inv
 
 
 def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:

@@ -249,6 +249,12 @@ def test_criterion_7_hilbert_basis():
     print(f"CRITERION 7 PASS: |det| = 1 both deletions on {len(suite)} deformations")
 
 
+def obj(rows) -> np.ndarray:
+    """A package matrix (rows of ints) or vector as a numpy object array,
+    for the products of the oracles."""
+    return np.array(rows, dtype=object)
+
+
 def _zero_matrix(mat) -> bool:
     return all(int(x) == 0 for row in mat for x in row)
 
@@ -273,12 +279,12 @@ def test_nonneg_lines_match_line_scan():
     while systems < 60:
         n = rng.randint(2, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
-        a = intlin.imat(rows, cols=n)
+        a = obj(rows)
         if intlin.rational_rank(a) != n - 1:
             continue
         k = intlin.kernel_basis(a)[0]
         zs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 6))]
-        e = np.stack([a @ intlin.ivec(z) for z in zs], axis=1)
+        e = np.stack([a @ obj(z) for z in zs], axis=1)
         got = intlin.Solver(a).nonneg_lines(e, k)
         assert len(got) == len(zs)
         for j, (z, x) in enumerate(zip(zs, got)):
@@ -289,7 +295,7 @@ def test_nonneg_lines_match_line_scan():
             else:
                 # the least t when k has a positive entry, else the greatest
                 want = feasible[0][1] if any(int(v) > 0 for v in k) else feasible[-1][1]
-                assert x == want == tuple(one.tolist())
+                assert x == want == tuple(one)
             columns += 1
         systems += 1
     print(f"NONNEG LINES PASS: {columns} columns in {systems} batches match brute force")
@@ -312,23 +318,23 @@ def test_criterion_8_property_suites():
     fans += [product_of_lines(2), product_of_lines(3)]
     fans += [scroll_fan(ScrollSpec(a)) for a in ((2, 1, 0), (3, 1), (1, 0))]
     for fan in fans:
-        prod = cox_data(fan).grading @ fan.ray_matrix().T
+        prod = obj(cox_data(fan).grading_rows) @ obj(fan.ray_matrix()).T
         assert _zero_matrix(prod)
 
     # nu kills its kernel vector, and the class-group map is an iso (SNF all 1)
     suite = suite_deformations()
     for fan, d in suite:
-        assert all(int(x) == 0 for x in d.nu @ kernel_binomial(d))
-        cl = d.Qtilde.shape[0]
+        assert all(int(x) == 0 for x in obj(d.nu) @ obj(kernel_binomial(d)))
+        cl = len(d.Qtilde)
         cols = []
         for i in range(cl):
-            e = intlin.ivec([1 if j == i else 0 for j in range(cl)])
+            e = [1 if j == i else 0 for j in range(cl)]
             col = intlin.solve_int(d.Qtilde, e)
             assert col is not None
             cols.append(col)
-        right_inverse = np.stack(cols, axis=1)
-        nbar = cox_data(fan).grading @ (d.nu @ right_inverse)
-        s = intlin.smith_normal_form(nbar).s
+        right_inverse = obj(cols).T
+        nbar = obj(cox_data(fan).grading_rows) @ (obj(d.nu) @ right_inverse)
+        s = obj(intlin.smith_normal_form(nbar).s)
         diag = [int(s[i, i]) for i in range(min(s.shape))]
         assert s.shape == (cl, cl) and diag == [1] * cl
 
@@ -338,12 +344,12 @@ def test_criterion_8_property_suites():
     while instances < 80:
         n = rng.randint(3, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
-        a = intlin.imat(rows, cols=n)
+        a = obj(rows)
         if intlin.rational_rank(a) != n - 1:
             continue
         k = intlin.kernel_basis(a)[0]
         z = [rng.randint(-4, 4) for _ in range(n)]
-        e = a @ intlin.ivec(z)
+        e = a @ obj(z)
         got = intlin.solve_nonneg_line(a, e, k)
         bound = max(abs(v) for v in z) + 1
         feasible = _brute_force_line(rows, e, z, k, bound)
@@ -352,7 +358,7 @@ def test_criterion_8_property_suites():
         else:
             got = tuple(int(x) for x in got)
             assert all(v >= 0 for v in got)
-            assert all(int(v) == 0 for v in a @ intlin.ivec(got) - e)
+            assert all(int(v) == 0 for v in a @ obj(got) - e)
             if any(int(v) > 0 for v in k):
                 assert feasible and got == feasible[0][1]
             else:
@@ -361,22 +367,22 @@ def test_criterion_8_property_suites():
     while instances < 97:
         n = rng.randint(2, 4)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        a = intlin.imat(rows, cols=n)
+        a = obj(rows)
         if intlin.rational_rank(a) != n:
             continue
         z = [rng.randint(-3, 3) for _ in range(n)]
-        e = a @ intlin.ivec(z)
-        got = intlin.solve_nonneg_line(a, e, intlin.ivec([0] * n))
+        e = a @ obj(z)
+        got = intlin.solve_nonneg_line(a, e, [0] * n)
         if all(v >= 0 for v in z):
             assert got is not None and tuple(int(x) for x in got) == tuple(z)
         else:
             assert got is None
         instances += 1
     for rhs in ((1, 3), (0, 1), (2, 5)):
-        a = intlin.imat([[1, 2, -1], [2, 4, -2]], cols=3)
+        a = obj([[1, 2, -1], [2, 4, -2]])
         k = intlin.kernel_basis(a)[0]
         try:
-            intlin.solve_nonneg_line(a, intlin.ivec(rhs), k)
+            intlin.solve_nonneg_line(a, rhs, k)
         except ValueError as exc:
             assert "no rational solution" in str(exc)
         else:

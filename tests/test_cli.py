@@ -828,6 +828,50 @@ class TestDeterminism:
         assert "seconds" in payload["timing"]
 
 
+# runs one command in a fresh interpreter, then reports its exit code and
+# whether numpy was loaded by then
+NUMPY_PROBE = """\
+import json, sys
+from toric_deform import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+class TestNoNumpy:
+    """No command loads numpy: the package works on rows of Python ints,
+    so a command pays neither numpy's import nor a deferred one."""
+
+    @pytest.mark.parametrize("args,code", [
+        pytest.param(["fan", "check", "--fan", "FAN"], 0, id="fan-check"),
+        pytest.param(["triples", "--fan", "FAN"], 0, id="triples"),
+        pytest.param(["triples", "--fan", "FAN", "--bound", "2"], 0, id="triples-bound"),
+        pytest.param(["h1", "--fan", "FAN"], 0, id="h1"),
+        pytest.param(["h1", "--fan", "FAN", "--bound", "2"], 0, id="h1-bound"),
+        pytest.param(["h1", "--fan", "FAN", "--degree", "-1,-1"], 0, id="h1-degree"),
+        pytest.param(["deform", "--fan", "FAN", *GOLDEN_DEFORM_ARGS], 0, id="deform"),
+        pytest.param(["lift", "--fan", "FAN", *GOLDEN_DEFORM_ARGS, "--class", "3,1",
+                      "--poly", "S1^3*S2 + 2*S1*S4"], 0, id="lift-exit-0"),
+        pytest.param(["lift", "--fan", "FAN", *GOLDEN_DEFORM_ARGS, "--class", "0,1",
+                      "--poly", "S2"], 1, id="lift-exit-1"),
+        pytest.param(["scroll", "rigid", "3,1,0"], 0, id="scroll-rigid"),
+        pytest.param(["scroll", "path", "3,1,0"], 0, id="scroll-path"),
+        pytest.param(["scroll", "fan", "3,1,0", "-o", "OUT"], 0, id="scroll-fan-o"),
+        pytest.param(["fan", "check", "--fan", "MISSING"], 2, id="input-error"),
+    ])
+    def test_command_runs_without_numpy(self, f2_path, tmp_path, args, code):
+        paths = {"FAN": f2_path, "OUT": str(tmp_path / "out.json"),
+                 "MISSING": str(tmp_path / "missing.json")}
+        argv = [paths.get(a, a) for a in args]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stderr.splitlines()[-1])
+        assert probe == {"code": code, "numpy": False}
+
+
 class TestParserBuiltOnce:
     """One process running many commands builds the parser once, and
     each report equals the one a fresh process gives."""

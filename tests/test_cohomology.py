@@ -499,6 +499,11 @@ def pairwise_rows(fan, m) -> list[list[int]]:
     return rows
 
 
+def flat_rows(vectors) -> list[list[int]]:
+    """Stalk vectors (x_0, ..., x_(s-1)) as rows over x_1..x_(s-1)."""
+    return [[c for block in x[1:] for c in block] for x in vectors]
+
+
 def in_span(vec, basis) -> bool:
     return matrix_rank([*basis, vec]) == matrix_rank(list(basis)) if basis else not any(vec)
 
@@ -516,6 +521,26 @@ class TestPerRayStalk:
             rank = matrix_rank(pairwise)
             assert matrix_rank(per_ray) == rank, m
             assert matrix_rank(pairwise + per_ray) == rank, m
+
+    @staticmethod
+    def assert_quotient_ranks(fan, by_degree):
+        # _span_ranks reads rank_b and rank_span through the quotient by
+        # the boundaries of sigma_1..; the full boundary rows are the oracle
+        for m, triples in by_degree.items():
+            stalk = cohomology._Stalk(fan, m)
+            cocycles = cohomology._checked_cocycles(stalk, triples)
+            boundaries = flat_rows(stalk.boundaries)
+            full = (matrix_rank(boundaries), matrix_rank(boundaries + flat_rows(cocycles)))
+            assert cohomology._span_ranks(stalk, cocycles) == full, m
+
+    @pytest.mark.parametrize("key", list(CERTIFICATE_FANS))
+    def test_quotient_ranks_match_full_rows(self, key):
+        fan = CERTIFICATE_FANS[key][0]
+        self.assert_quotient_ranks(fan, triples_by_degree(fan, 1))
+
+    def test_quotient_ranks_on_a_sixfold(self):
+        fan = product(product(hirzebruch(2), hirzebruch(3)), hirzebruch(4))
+        self.assert_quotient_ranks(fan, triples_by_degree(fan))
 
     def test_row_count_on_a_sixfold(self):
         fan = product(product(hirzebruch(2), hirzebruch(3)), hirzebruch(4))

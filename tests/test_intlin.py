@@ -31,8 +31,6 @@ from toric_deform.intlin import (
     free_cokernel,
     hermite_normal_form,
     identity,
-    imat,
-    ivec,
     kernel_basis,
     lattice_equal,
     polyhedron_lattice_points,
@@ -43,6 +41,26 @@ from toric_deform.intlin import (
     solve_nonneg_line,
     unimodular_solve,
 )
+
+def imat(rows, cols=None) -> np.ndarray:
+    """The rows as a numpy object matrix, for the products of the oracles.
+
+    intlin takes any sequence of integer rows, these included, and returns
+    lists; cols is the column count of a matrix with no rows.
+    """
+    rows = [[int(x) for x in r] for r in rows]
+    out = np.empty((len(rows), len(rows[0]) if rows else cols), dtype=object)
+    if out.size:
+        out[:] = rows
+    return out
+
+
+def ivec(entries) -> np.ndarray:
+    """The entries as a numpy object vector."""
+    out = np.empty(len(entries), dtype=object)
+    out[:] = [int(x) for x in entries]
+    return out
+
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -141,12 +159,12 @@ class TestHermite:
         a = imat(rows)
         h, u = hermite_normal_form(a)
         assert is_unimodular(u)
-        assert np.array_equal(u @ a, h)
+        assert (imat(u) @ a).tolist() == h
 
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_shape_invariants(self, rows):
-        h, _ = hermite_normal_form(imat(rows))
+        h = imat(hermite_normal_form(imat(rows))[0])
         pivots = []
         seen_zero_row = False
         for r in range(h.shape[0]):
@@ -165,8 +183,8 @@ class TestHermite:
 
     def test_canonical_example(self):
         h, u = hermite_normal_form(imat([[2, 4], [3, 5]]))
-        assert np.array_equal(h, imat([[1, 1], [0, 2]]))
-        assert np.array_equal(u @ imat([[2, 4], [3, 5]]), h)
+        assert h == [[1, 1], [0, 2]]
+        assert (imat(u) @ imat([[2, 4], [3, 5]])).tolist() == h
 
 
 class TestSmith:
@@ -177,11 +195,11 @@ class TestSmith:
         res = smith_normal_form(a)
         assert isinstance(res, SNFResult)
         assert is_unimodular(res.u) and is_unimodular(res.v)
-        assert np.array_equal(res.u @ a @ res.v, res.s)
-        for i in range(res.s.shape[0]):
-            for j in range(res.s.shape[1]):
+        assert (imat(res.u) @ a @ imat(res.v)).tolist() == res.s
+        for i in range(len(res.s)):
+            for j in range(len(res.s[i])):
                 if i != j:
-                    assert res.s[i, j] == 0
+                    assert res.s[i][j] == 0
         d = res.diagonal
         assert all(x >= 0 for x in d)
         for i in range(len(d) - 1):
@@ -253,7 +271,7 @@ class TestKernel:
         basis = kernel_basis(a)
         assert len(basis) == a.shape[1] - rational_rank(a)
         for v in basis:
-            assert all(x == 0 for x in a @ v)
+            assert all(x == 0 for x in a @ ivec(v))
         if basis:
             assert rational_rank(imat([list(v) for v in basis])) == len(basis)
 
@@ -269,7 +287,7 @@ class TestKernel:
         bt = imat([list(v) for v in basis]).T
         for v in basis:
             for scale in (1, 3):
-                assert solve_int(bt, scale * v) is not None
+                assert solve_int(bt, [scale * x for x in v]) is not None
 
     def test_saturation_example(self):
         # ker(2, -4) over Z is generated by (2, 1), not (4, 2).
@@ -284,14 +302,18 @@ class TestKernel:
 
 
 def snf_kernel_oracle(a) -> list[list[int]]:
-    """The Smith route to the kernel: columns of V at the zero diagonal, then HNF."""
-    m, n = a.shape
+    """The Smith route to the kernel: columns of V at the zero diagonal, then HNF.
+
+    The shape is read from the transforms: a matrix with no rows reads as
+    0 x 0 in intlin.
+    """
     snf = smith_normal_form(a)
-    cols = [j for j in range(n) if j >= min(m, n) or snf.s[j, j] == 0]
+    m, n = len(snf.u), len(snf.v)
+    cols = [j for j in range(n) if j >= min(m, n) or snf.s[j][j] == 0]
     if not cols:
         return []
-    h, _ = hermite_normal_form(imat([list(snf.v[:, j]) for j in cols]))
-    return h.tolist()
+    h, _ = hermite_normal_form([[row[j] for row in snf.v] for j in cols])
+    return h
 
 
 @st.composite
@@ -331,19 +353,19 @@ class TestHnfKernel:
                 with pytest.raises(ValueError, match="cokernel has torsion"):
                     free_cokernel(a)
             else:
-                assert free_cokernel(a).tolist() == grading.tolist()
+                assert free_cokernel(a) == grading
         assert spy.call_count == (not certified)
 
     def test_torsion_and_uncertified_inputs(self):
         for a in ([[2, 0], [0, 3]], [[2], [4]]):
             with pytest.raises(ValueError, match="cokernel has torsion"):
                 free_cokernel(imat(a))
-        assert free_cokernel(imat([[2], [3]])).tolist() == [[3, -2]]
-        assert free_cokernel(imat([[1, 0], [0, 1], [1, 1]])).tolist() == [[1, 1, -1]]
+        assert free_cokernel(imat([[2], [3]])) == [[3, -2]]
+        assert free_cokernel(imat([[1, 0], [0, 1], [1, 1]])) == [[1, 1, -1]]
         # coker of (2 3) is 0, free, but its HNF pivot is 2: the Smith form
         # decides, as it did for every cokernel before
         with mock.patch.object(intlin, "cokernel_map", wraps=cokernel_map) as spy:
-            assert free_cokernel(imat([[2, 3]])).shape == (0, 1)
+            assert free_cokernel(imat([[2, 3]])) == []  # 0 x 1, as rows
         assert spy.call_count == 1
 
     def test_no_smith_form(self):
@@ -360,8 +382,8 @@ class TestCokernel:
     def test_free_block_annihilates_image(self, rows):
         a = imat(rows)
         grading, invariants = cokernel_map(a)
-        n_free = grading.shape[0] - len(invariants)
-        prod = grading @ a
+        n_free = len(grading) - len(invariants)
+        prod = imat(grading, cols=a.shape[0]) @ a
         for i in range(n_free):
             assert all(x == 0 for x in prod[i])
         for k, d in enumerate(invariants):
@@ -376,7 +398,7 @@ class TestCokernel:
     def test_torsion_invariants(self):
         grading, invariants = cokernel_map(imat([[2, 0], [0, 3]]))
         assert invariants == [6]
-        assert grading.shape == (1, 2)
+        assert [len(row) for row in grading] == [2]
 
 
 class TestSolveInt:
@@ -387,7 +409,7 @@ class TestSolveInt:
         b = ivec((bvals * 4)[: a.shape[0]])
         x = solve_int(a, b)
         if x is not None:
-            assert all(v == 0 for v in a @ x - b)
+            assert all(v == 0 for v in a @ ivec(x) - b)
 
     @given(matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -418,12 +440,12 @@ class TestSolver:
         assert spy.call_count == 1
         for b, x in zip(rhs, got):
             assert x is not None
-            assert (a @ x).tolist() == b.tolist()
+            assert (a @ ivec(x)).tolist() == b.tolist()
 
     def test_status(self):
         # 2x = 3 has a rational but no integral solution; 0 = 1 has neither
         solver = Solver(imat([[2, 0], [0, 0]]))
-        assert solver.solve(ivec([4, 0])).tolist() == [2, 0]
+        assert solver.solve(ivec([4, 0])) == [2, 0]
         assert solver.solve(ivec([3, 0])) is None
         assert solver.solve(ivec([4, 1])) is None
 
@@ -433,7 +455,7 @@ class TestSolver:
         a = imat([[1, -1]])
         for r in (-3, -1, 0, 2, 5):
             got = solve_nonneg_line(a, ivec([r]), ivec([1, 1]))
-            assert got.tolist() == [max(r, 0), max(-r, 0)]
+            assert got == [max(r, 0), max(-r, 0)]
 
 
 class TestNonnegLines:
@@ -474,7 +496,7 @@ class TestSolverInverse:
         # unit lower times unit upper triangular, rows permuted: unimodular
         n = data.draw(st.integers(1, 4))
         entries = st.integers(-3, 3)
-        el, er = identity(n), identity(n)
+        el, er = imat(identity(n)), imat(identity(n))
         for i in range(n):
             for j in range(i):
                 el[i, j] = data.draw(entries)
@@ -483,9 +505,9 @@ class TestSolverInverse:
         with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
             inv = unimodular_solve(a, identity(n))
         assert spy.call_count == 0
-        assert (inv @ a).tolist() == identity(n).tolist()
-        assert (a @ inv).tolist() == identity(n).tolist()
-        assert all(type(x) is int for x in np.ravel(inv))
+        assert (imat(inv) @ a).tolist() == identity(n)
+        assert (a @ imat(inv)).tolist() == identity(n)
+        assert all(type(x) is int for row in inv for x in row)
 
     @pytest.mark.parametrize("rows", [
         [[2, 0], [0, 1]],  # determinant 2
@@ -507,7 +529,7 @@ def unimodular_matrices(n: int):
     )
 
     def build(moves):
-        a = identity(n)
+        a = imat(identity(n))
         for kind, i, j, c in moves:
             if kind == "add" and i != j:
                 a[i] = a[i] + c * a[j]
@@ -536,13 +558,13 @@ class TestUnimodularSolve:
     def test_unimodular_matches_solver_and_sympy(self, case):
         b, r = case
         x = unimodular_solve(b, r)
-        assert x is not None and x.shape == r.shape
-        assert all(type(v) is int for v in np.ravel(x))
-        assert (b @ x).tolist() == r.tolist()
+        assert x is not None and [len(row) for row in x] == [r.shape[1]] * r.shape[0]
+        assert all(type(v) is int for row in x for v in row)
+        assert (b @ imat(x, cols=r.shape[1])).tolist() == r.tolist()
         solver = Solver(b)
         for j in range(r.shape[1]):
-            assert solver.solve(r[:, j]).tolist() == x[:, j].tolist()
-        assert sympy.Matrix(b.tolist()).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x.tolist())
+            assert solver.solve(r[:, j]) == [row[j] for row in x]
+        assert sympy.Matrix(b.tolist()).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
@@ -552,7 +574,7 @@ class TestUnimodularSolve:
         x = unimodular_solve(b, identity(len(rows)))
         det = sympy.Matrix(rows).det()
         if abs(det) == 1:
-            assert sympy.Matrix(x.tolist()) == sympy.Matrix(rows).inv()
+            assert sympy.Matrix(x) == sympy.Matrix(rows).inv()
         else:
             assert x is None
 
@@ -571,12 +593,12 @@ class TestUnimodularSolve:
         assert unimodular_solve(0 * b, r) is None
 
     def test_one_by_one_and_det_minus_one(self):
-        assert unimodular_solve(imat([[-1]]), imat([[5, -2]])).tolist() == [[-5, 2]]
-        assert unimodular_solve(imat([[1]]), imat([[7]])).tolist() == [[7]]
+        assert unimodular_solve(imat([[-1]]), imat([[5, -2]])) == [[-5, 2]]
+        assert unimodular_solve(imat([[1]]), imat([[7]])) == [[7]]
         assert unimodular_solve(imat([[3]]), imat([[3]])) is None
         swap = imat([[0, 1], [1, 0]])  # det -1, and a zero first pivot
-        assert unimodular_solve(swap, imat([[2], [3]])).tolist() == [[3], [2]]
-        assert unimodular_solve(imat([[2, 1], [1, 0]]), identity(2)).tolist() == [[0, 1], [1, -2]]
+        assert unimodular_solve(swap, imat([[2], [3]])) == [[3], [2]]
+        assert unimodular_solve(imat([[2, 1], [1, 0]]), identity(2)) == [[0, 1], [1, -2]]
 
 
 class TestSolveNonnegLine:
@@ -605,11 +627,11 @@ class TestSolveNonnegLine:
             pytest.fail("rationally solvable system reported as unsolvable")
         # target itself is a nonnegative solution, so one must be found
         assert got is not None
-        assert all(v == 0 for v in a @ got - e)
+        assert all(v == 0 for v in a @ ivec(got) - e)
         assert all(x >= 0 for x in got)
         # minimality: one step back along the line leaves the orthant
         if any(x > 0 for x in k):
-            assert any(x < 0 for x in got - k)
+            assert any(x < 0 for x in ivec(got) - ivec(k))
 
     def test_no_nonnegative_point(self):
         # x - y = -1 with kernel (1, 1): solutions (t-1, t), nonneg at t=1.
@@ -657,9 +679,8 @@ class TestLatticeEqual:
 
 def test_identity_entries_are_python_ints():
     eye = identity(3)
-    assert eye.dtype == object
-    assert all(type(x) is int for x in eye.ravel())
-    assert eye.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert all(type(x) is int for row in eye for x in row)
+    assert eye == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestPolyhedra:

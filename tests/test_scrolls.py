@@ -80,14 +80,11 @@ class TestScrollFan:
     def test_grading_is_the_twist_matrix(self, a):
         fan = scroll_fan(ScrollSpec(a))
         n = len(a)
-        expected = intlin.imat(
-            [
-                [1, 1] + [-x for x in a],
-                [0, 0] + [1] * n,
-            ],
-            cols=n + 2,
-        )
-        assert intlin.lattice_equal(cox_data(fan).grading, expected)
+        expected = [
+            [1, 1] + [-x for x in a],
+            [0, 0] + [1] * n,
+        ]
+        assert intlin.lattice_equal(cox_data(fan).grading_rows, expected)
 
     @pytest.mark.parametrize("a", [(2, 0), (3, 1, 0), (2, 2, 1, 0)])
     def test_irrelevant_structure(self, a):
