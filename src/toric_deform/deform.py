@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import intlin
 from .fan import Fan
+from .kernels import matrix_rank
 from .triples import (
     AdmissibleTriple,
     admissible_components,
@@ -311,9 +312,9 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     X_sigma = B^-1 @ iota @ V_sigma, an (n+2) x n integer matrix whose
     column i holds the sigma-tilde coordinates of iota(v_sigma[i]), and no
     Smith form is taken. Both cone_membership and fiber_fan_roundtrip
-    read X_sigma. Only a B that is not unimodular gets an intlin.Solver,
-    whose per-ray solves decide cone_membership there. The named checks
-    are:
+    read X_sigma. Only a B that is not unimodular is solved by
+    intlin.solve_int, once per ray, to decide cone_membership there. The
+    named checks are:
 
     * cone_membership: iota of every ray of every maximal cone is a
       nonnegative integer combination of its sigma-tilde columns, i.e.
@@ -344,10 +345,9 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
 
     witness = None
     for ci, (sigma, st, x) in enumerate(zip(fan.max_cones, d.ambient_cones, coords)):
-        b = intlin.Solver(_columns(d.P, st)) if x is None else None
         for i, j in enumerate(sigma):
             if x is None:
-                y = b.solve([row[j] for row in images])
+                y = intlin.solve_int(_columns(d.P, st), [row[j] for row in images])
                 bad = y is None or any(v < 0 for v in y)
             else:
                 bad = any(row[i] < 0 for row in x)
@@ -369,7 +369,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
         e_last[n + 1] = 1
         n0 = intlin.kernel_basis([uvec, e_last])
         same = len(n0) == n and intlin.lattice_equal(n0, intlin.transpose(iota))
-        injective = intlin.rational_rank(iota) == n
+        injective = matrix_rank(iota) == n
         checks["lattice_identification"] = {
             "ok": same and injective,
             "witness": None if same and injective else {"u": uvec},

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import intlin
+from .kernels import matrix_rank
 
 
 def _gcd_vec(v) -> int:
@@ -195,7 +196,7 @@ def validate(fan: Fan) -> dict:
                 raise ValueError(f"cone {ci} is not simplicial")
             smooth = smooth and abs(det) == 1
         else:
-            if intlin.rational_rank(fan.cone_matrix(c)) != len(c):
+            if matrix_rank(fan.cone_matrix(c)) != len(c):
                 raise ValueError(f"cone {ci} is not simplicial")
             smooth = smooth and _cone_is_unimodular(fan, ci)
     complete = _complete_facet_pairing(fan)

@@ -11,7 +11,6 @@ determinant-one column deletions.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -84,9 +83,10 @@ def riemann_roch_points(fan: Fan, w) -> list[tuple[int, ...]]:
     kernel_rows = intlin.kernel_basis(q) if q else intlin.identity(r)
     if kernel_rows:
         bt = intlin.transpose(kernel_rows)  # e = x0 + bt @ c
-        for j in range(r):
-            if intlin.rational_polyhedron_nonempty(bt + [bt[j]], [0] * r + [1]):
-                raise ValueError(f"class {tuple(w)} has an infinite fiber")
+        # a nonzero direction c of the recession cone: bt @ c >= 0, sum >= 1
+        total = [sum(col) for col in zip(*bt)]
+        if intlin.rational_polyhedron_nonempty(bt + [total], [0] * r + [1]):
+            raise ValueError(f"class {tuple(w)} has an infinite fiber")
     x0 = intlin.solve_int(q, w)
     if x0 is None:
         return []
@@ -127,7 +127,7 @@ def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
     y = intlin.unimodular_solve([row[:j] + row[j + 1:] for row in d.nu], e)
     assert y is not None  # determinant +-1, by the shape above
     x0 = y[:j] + [[0] * len(e[0])] + y[j:]
-    return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0, [True] * len(e[0]))
+    return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0)
 
 
 def lift_polynomial(p: LiftProblem) -> LiftResult:
@@ -188,79 +188,47 @@ def hilbert_basis_check(d: DeformationData) -> bool:
     return True
 
 
-_FACTOR = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?\Z")
-_EMPTY_TERM = re.compile(r"[+-](?=[+-]|\Z)")
+_VARIABLE = re.compile(r"S(\d+)(?:\^(\d+))?\Z")
 
 
-@functools.cache
-def _term_pattern(var: str) -> re.Pattern:
-    """One term: a sign, then factors (a number, or var, an index and an
-    optional ^power) joined by *, up to the next sign or the end."""
-    factor = rf"(?:\d+|{re.escape(var)}\d+(?:\^\d+)?)"
-    return re.compile(rf"[+-]{factor}(?:\*{factor})*(?=[+-]|\Z)", re.ASCII)
-
-
-def parse_polynomial(text: str, n_vars: int, var: str = "S"):
+def parse_polynomial(text: str, n_vars: int):
     """Parse e.g. "2*S1^3*S4 + S2*S3" into (coefficient, exponents) terms.
 
-    Spaces are dropped, and one match of _term_pattern reads each term in
-    turn; its factors then need no pattern of their own. A term that does
-    not match is diagnosed by _parse_error.
+    Spaces are dropped and the text is cut into signed terms; each factor
+    of a term is a number or S<index>, optionally ^<power>. Terms with
+    coefficient 0 are dropped, so "0" parses to no terms, as render_terms
+    writes them.
 
     Raises:
-        ValueError: malformed factors, unknown variables, or indices
-            outside 1..n_vars.
+        ValueError: at the first fault: an empty term, a malformed factor,
+            or an index outside 1..n_vars.
     """
     compact = text.replace(" ", "")
     if not compact:
         return ()
     if compact[0] not in "+-":
         compact = "+" + compact
-    term = _term_pattern(var)
-    skip = len(var)
+    tokens = re.findall(r"[+-][^+-]+", compact)
+    if sum(len(t) for t in tokens) != len(compact):
+        raise ValueError(f"cannot parse polynomial {text!r}")
     terms = []
-    pos = 0
-    while pos < len(compact):
-        match = term.match(compact, pos)
-        if match is None:
-            _parse_error(compact, pos, text, n_vars, var)
-        coeff = -1 if compact[pos] == "-" else 1
+    for token in tokens:
+        coeff = -1 if token[0] == "-" else 1
         exps = [0] * n_vars
-        for factor in match[0][1:].split("*"):
-            if factor[0].isdigit():
+        for factor in token[1:].split("*"):
+            if factor.isdigit():
                 coeff *= int(factor)
                 continue
-            index, _, power = factor[skip:].partition("^")
-            index = int(index)
+            match = _VARIABLE.match(factor)
+            if match is None:
+                raise ValueError(f"cannot parse factor {factor!r}")
+            index = int(match[1])
             if not 1 <= index <= n_vars:
-                _parse_error(compact, pos, text, n_vars, var)
-            exps[index - 1] += int(power) if power else 1
-        terms.append((coeff, tuple(exps)))
-        pos = match.end()
+                raise ValueError(f"variable S{index} out of range S1..S{n_vars}")
+            exps[index - 1] += int(match[2] or 1)
+        if coeff:
+            terms.append((coeff, tuple(exps)))
     return tuple(terms)
-
-
-def _parse_error(compact: str, pos: int, text: str, n_vars: int, var: str):
-    """Raise the error for the term at pos of compact, the first bad one.
-
-    A sign followed by a sign or the end anywhere from pos on makes the
-    whole polynomial unreadable; otherwise the first factor of the term
-    that is not a number or an in-range variable is named.
-    """
-    if _EMPTY_TERM.search(compact, pos):
-        raise ValueError(f"cannot parse polynomial {text!r}")
-    end = next((k for k in range(pos + 1, len(compact)) if compact[k] in "+-"), len(compact))
-    for factor in compact[pos + 1 : end].split("*"):
-        if factor.isdigit():
-            int(factor)  # a non-ASCII digit fails here, as int() words it
-            continue
-        match = _FACTOR.match(factor)
-        if match is None or match.group(1) != var:
-            raise ValueError(f"cannot parse factor {factor!r}")
-        index = int(match.group(2))
-        if not 1 <= index <= n_vars:
-            raise ValueError(f"variable {var}{index} out of range {var}1..{var}{n_vars}")
-    raise AssertionError(f"term at {pos} of {compact!r} has no bad factor")
 
 
 def render_terms(terms, labels) -> str:

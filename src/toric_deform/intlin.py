@@ -20,16 +20,15 @@ it cannot settle goes to the Smith form of ``cokernel_map``. A square
 matrix expected to be unimodular (a smooth cone) needs no Smith form
 either: ``unimodular_solve`` runs one fraction-free Gauss-Jordan
 elimination on [b | r], which also decides whether det b = +-1, and is
-the one way to invert. ``Solver``, one Smith factorisation reused by
-every right-hand side, is only for matrices with no known unimodular
-minor (``scroll path`` and Riemann-Roch use it today); ``solve_int`` and
-``solve_nonneg_line`` are one-shot wrappers over ``Solver.solve`` and
-``Solver.nonneg_lines``. ``least_on_lines`` picks the least nonnegative
-point on lines of solutions, whichever engine found them. Ranks and
-determinants read the one forward Bareiss elimination,
-``kernels.bareiss``. ``FourierMotzkin`` is the one Fourier-Motzkin
-elimination; its inputs are integral, and every eliminated row is an
-integer combination of integral rows.
+the one way to invert. ``solve_int`` takes one Smith form per call and is
+only for matrices with no known unimodular minor (``scroll path``,
+Riemann-Roch and broken deformation packages use it);
+``solve_nonneg_line`` is ``solve_int`` followed by ``least_on_lines``,
+which picks the least nonnegative point on lines of solutions,
+whichever engine found them. Ranks and determinants read the one
+forward Bareiss elimination, ``kernels.bareiss``. ``FourierMotzkin``
+is the one Fourier-Motzkin elimination; its inputs are integral, and
+every eliminated row is an integer combination of integral rows.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ def mat_mul(a, b) -> list[list[int]]:
     """a @ b, for a b with at least one row."""
     cols = list(zip(*b))
     return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
-
-
-def rational_rank(a) -> int:
-    """Rank of an integer matrix over the rationals (exact)."""
-    return matrix_rank(a)
 
 
 def determinant(a) -> int:
@@ -276,78 +270,11 @@ def free_cokernel(a) -> list[list[int]]:
     return grading
 
 
-class Solver:
-    """One Smith factorisation of ``a``, shared by every solve against it.
-
-    U @ a @ V = S turns a @ x = b into S @ y = U @ b with x = V @ y, so
-    each right-hand side costs two matrix-vector products and a division
-    per invariant factor instead of a new Smith form.
-    """
-
-    def __init__(self, a):
-        self.a = [[int(x) for x in r] for r in a]
-        self.snf = smith_normal_form(self.a)
-        diag = self.snf.diagonal
-        self._diag = diag + [0] * (len(self.a) - len(diag))
-
-    def solve(self, b) -> list[int] | None:
-        """Some integer solution x of a @ x = b, or None if there is none."""
-        c = mat_vec(self.snf.u, b)
-        y = [0] * len(self.snf.v)
-        for i, d in enumerate(self._diag):
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            elif c[i] % d != 0:
-                return None
-            else:
-                y[i] = c[i] // d
-        return mat_vec(self.snf.v, y)
-
-    def nonneg_lines(self, e, k) -> list[tuple[int, ...] | None]:
-        """Nonnegative integer solutions of a @ x = e[:, j] on the lines x0_j + t*k.
-
-        All columns share two matrix products: U @ e gives the Smith
-        coordinates, V @ y the particular solutions x0. ``least_on_lines``
-        then picks the point on each line.
-
-        Args:
-            e: m x N right-hand sides, one per column; k: generator of
-                ker(a) (zero vector if trivial).
-
-        Returns:
-            Per column, the solution as a tuple of ints, or None when that
-            column has no nonnegative integer solution.
-
-        Raises:
-            ValueError: "no rational solution" naming the first column
-                that is not in im(a) over Q; k not in ker(a).
-        """
-        if any(mat_vec(self.a, k)):
-            raise ValueError("k is not in the kernel of a")
-        n_cols = len(e[0])
-        c = mat_mul(self.snf.u, e)
-        y = [[0] * n_cols for _ in self.snf.v]
-        ok = [True] * n_cols
-        for i, d in enumerate(self._diag):
-            if d == 0:
-                bad = next((j for j, x in enumerate(c[i]) if x != 0), None)
-                if bad is not None:
-                    raise ValueError(f"no rational solution for column {bad}")
-            elif d == 1:
-                y[i] = c[i]
-            else:
-                ok = [good and x % d == 0 for good, x in zip(ok, c[i])]
-                y[i] = [x // d for x in c[i]]
-        return least_on_lines(self.a, e, k, mat_mul(self.snf.v, y), ok)
-
-
-def least_on_lines(a, e, k, x0, ok) -> list[tuple[int, ...] | None]:
+def least_on_lines(a, e, k, x0) -> list[tuple[int, ...] | None]:
     """The least nonnegative point on each line x0[:, j] + t*k, t in Z.
 
-    ``x0`` holds integer solutions of a @ x = e column by column, ``k``
-    generates ker(a), and ``ok`` is False on the columns already known to
-    have no integer solution. Each line keeps one t: the least feasible
+    ``x0`` holds integer solutions of a @ x = e column by column, and ``k``
+    generates ker(a). Each line keeps one t: the least feasible
     one, the largest of the lower bounds from the entries where k > 0;
     with no such entry, the least of the upper bounds from those where
     k < 0; with neither (k = 0), t = 0. The point does not depend on which
@@ -358,8 +285,8 @@ def least_on_lines(a, e, k, x0, ok) -> list[tuple[int, ...] | None]:
     neg = [(i, c) for i, c in enumerate(k) if c < 0]
     fixed = [i for i, c in enumerate(k) if c == 0]
     out: list[tuple[int, ...] | None] = []
-    for x, want, good in zip(zip(*x0), zip(*e), ok):
-        good = good and all(x[i] >= 0 for i in fixed)
+    for x, want in zip(zip(*x0), zip(*e)):
+        good = all(x[i] >= 0 for i in fixed)
         lo = max(-(x[i] // c) for i, c in pos) if pos else None
         hi = min(x[i] // -c for i, c in neg) if neg else None
         if lo is None:
@@ -419,13 +346,44 @@ def unimodular_solve(b, r) -> list[list[int]] | None:
 
 
 def solve_int(a, b) -> list[int] | None:
-    """Some integer solution x of a @ x = b, or None if there is none."""
-    return Solver(a).solve(b)
+    """Some integer solution x of a @ x = b, or None if there is none.
+
+    U @ a @ V = S (one Smith form) turns a @ x = b into S @ y = U @ b
+    with x = V @ y.
+    """
+    snf = smith_normal_form(a)
+    diag = snf.diagonal
+    y = [0] * len(snf.v)
+    for i, c in enumerate(mat_vec(snf.u, b)):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if c != 0:
+                return None
+        elif c % d != 0:
+            return None
+        else:
+            y[i] = c // d
+    return mat_vec(snf.v, y)
 
 
 def solve_nonneg_line(a, e, k) -> list[int] | None:
-    """One-shot Solver(a).nonneg_lines on the single column e, as a vector."""
-    x = Solver(a).nonneg_lines([[v] for v in e], k)[0]
+    """The least nonnegative integer solution of a @ x = e on a line x0 + t*k.
+
+    ``solve_int`` finds x0 and ``least_on_lines`` the point; ``k``
+    generates ker(a) (the zero vector if it is trivial).
+
+    Raises:
+        ValueError: k not in ker(a); "no rational solution" when e is not
+            in the image of a over Q.
+    """
+    if any(mat_vec(a, k)):
+        raise ValueError("k is not in the kernel of a")
+    x0 = solve_int(a, e)
+    if x0 is None:
+        if matrix_rank(a) != matrix_rank([[*row, v] for row, v in zip(a, e)]):
+            raise ValueError("no rational solution")
+        return None
+    x = least_on_lines(a, [[v] for v in e], k, [[v] for v in x0])[0]
     return None if x is None else list(x)
 
 

@@ -706,6 +706,29 @@ class TestLift:
         n = len(cls.split(","))
         assert json.loads(err)["error"] == f"--class has length {n}, class group rank is 2"
 
+    def test_non_ascii_digit_coefficient(self, f2_path):
+        # str.isdigit and int() both read the Arabic-Indic two
+        code, payload, err = run_json(
+            [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1",
+             "--poly", "S1^3*S2 + ٢*S1*S4"]
+        )
+        assert code == 0, err
+        res = payload["results"]
+        assert res["monomials"][1]["coefficient"] == 2
+        assert res["polynomial"] == "S1^3*S2 + 2*S1*S4"
+
+    def test_zero_polynomial(self, f2_path):
+        code, payload, err = run_json(
+            [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1", "--poly", "0"]
+        )
+        assert code == 0, err
+        assert check_map(payload) == {"all_liftable": True}
+        res = payload["results"]
+        assert res["polynomial"] == "0"
+        assert res["monomials"] == []
+        assert res["lifted"]["terms"] == []
+        assert res["lifted"]["rendered"] == "0"
+
     def test_malformed_polynomial(self, f2_path):
         code, _, err = run_cli(
             [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1",

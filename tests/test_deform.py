@@ -228,13 +228,13 @@ class TestUIndexAndSplitting:
 
 
 def splitting_reference(fan, m, rho):
-    """build_splitting the Smith way: kernel of m from V, proj by Solver."""
+    """build_splitting the Smith way: kernel of m from V, proj by solve_int."""
     n = fan.dim
     snf = intlin.smith_normal_form([list(m)])
     kb, _ = intlin.hermite_normal_form(obj(snf.v)[:, 1:].T)
-    solver = intlin.Solver(obj(kb).T)
+    kbt = obj(kb).T
     v_rho = fan.rays[rho]
-    cols = [solver.solve([int(i == j) + m[j] * v_rho[i] for i in range(n)]) for j in range(n)]
+    cols = [intlin.solve_int(kbt, [int(i == j) + m[j] * v_rho[i] for i in range(n)]) for j in range(n)]
     return kb, obj(cols).T.tolist()
 
 
@@ -261,7 +261,12 @@ class TestSmithOracles:
         good = build_deformation(fan, bad.triple)
         with mock.patch.object(intlin, "solve_int", wraps=intlin.solve_int) as spy:
             report = verify_central_fiber(fan, bad)
-        assert spy.call_count == 1
+        # one solve on P^T for u; the others are the per-ray membership
+        # solves on the non-unimodular P[:, sigma-tilde_0]
+        matrices = [c.args[0] for c in spy.call_args_list]
+        assert matrices.count(intlin.transpose(bad.P)) == 1
+        b0 = [[row[c] for c in bad.ambient_cones[0]] for row in bad.P]
+        assert matrices.count(b0) == len(matrices) - 1 >= 1
         want = verify_central_fiber(fan, good)["checks"]["lattice_identification"]
         assert report["checks"]["lattice_identification"] == want == {"ok": True, "witness": None}
 

@@ -108,6 +108,14 @@ class TestRiemannRoch:
         with pytest.raises(ValueError, match="infinite fiber"):
             riemann_roch_points(half_plane, (1,))
 
+    def test_one_finiteness_system_per_call(self):
+        # the recession cone is decided by one Fourier-Motzkin system
+        fm = intlin.rational_polyhedron_nonempty
+        for fan, w in ((hirzebruch(2), (3, 1)), (scroll_fan(ScrollSpec((2, 1, 0))), (1, 1))):
+            with mock.patch.object(intlin, "rational_polyhedron_nonempty", wraps=fm) as spy:
+                assert riemann_roch_points(fan, w)
+            assert spy.call_count == 1
+
     def test_wrong_class_length(self):
         with pytest.raises(ValueError, match="length"):
             riemann_roch_points(hirzebruch(2), (1, 2, 3))
@@ -367,6 +375,32 @@ class TestPolynomialSyntax:
         with pytest.raises(ValueError, match="cannot parse factor"):
             parse_polynomial("Q1", 4)
 
+    def test_zero_terms_dropped(self):
+        assert parse_polynomial("0", 3) == ()
+        assert parse_polynomial("S1 + 0*S2 - 0", 2) == ((1, (1, 0)),)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_polynomial("0*S3", 2)
+
+    def test_unicode_digits(self):
+        # str.isdigit reads other scripts' digits, and int() them too; a
+        # digit that int() cannot read is a ValueError
+        assert parse_polynomial("٢*S1 + S١", 2) == ((2, (1, 0)), (1, (1, 0)))
+        with pytest.raises(ValueError):
+            parse_polynomial("²*S1", 2)
+        with pytest.raises(ValueError, match="cannot parse factor"):
+            parse_polynomial("S1^²", 2)
+
+    @given(st.lists(st.sampled_from(
+        ["S", "1", "2", "3", "0", "^", "*", "+", "-", "Q", "x", "9", "SS", "²", "١", "٢", " "]
+    ), max_size=12).map("".join))
+    @settings(max_examples=2000, deadline=None)
+    def test_returns_or_raises_value_error(self, text):
+        try:
+            terms = parse_polynomial(text, 3)
+        except ValueError:
+            return
+        assert all(c and len(e) == 3 and min(e) >= 0 for c, e in terms)
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_polynomial("2**S1", 4)
@@ -386,10 +420,9 @@ class TestPolynomialSyntax:
     @given(st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), st.lists(st.tuples(
         st.integers(-10**6, 10**6).filter(bool),
         st.tuples(*[st.integers(0, 12)] * r),
-    ), min_size=1, max_size=6))))
+    ), min_size=0, max_size=6))))
     @settings(max_examples=300, deadline=None)
     def test_parse_inverts_render(self, case):
-        # no terms render as "0", which parses to one zero term
         r, terms = case
         terms = tuple(terms)
         labels = [f"S{i + 1}" for i in range(r)]

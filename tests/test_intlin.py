@@ -25,7 +25,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from toric_deform import intlin
 from toric_deform.intlin import (
     SNFResult,
-    Solver,
     cokernel_map,
     determinant,
     free_cokernel,
@@ -35,12 +34,13 @@ from toric_deform.intlin import (
     lattice_equal,
     polyhedron_lattice_points,
     rational_polyhedron_nonempty,
-    rational_rank,
     smith_normal_form,
     solve_int,
     solve_nonneg_line,
     unimodular_solve,
 )
+from toric_deform.kernels import matrix_rank
+
 
 def imat(rows, cols=None) -> np.ndarray:
     """The rows as a numpy object matrix, for the products of the oracles.
@@ -99,11 +99,11 @@ class TestRankAndDet:
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_rank_matches_fraction_elimination(self, rows):
-        assert rational_rank(imat(rows)) == rank_oracle(rows)
+        assert matrix_rank(imat(rows)) == rank_oracle(rows)
 
     def test_rank_big_entries(self):
         a = imat([[10**30, 1], [10**30, 1], [0, 7]])
-        assert rational_rank(a) == 2
+        assert matrix_rank(a) == 2
 
     def test_rank_with_rows_untouched_by_early_pivots(self):
         # regression: rows with zero entries in every pivot column so far
@@ -119,7 +119,7 @@ class TestRankAndDet:
             [0, 0, 0, 0, 0, 1, 0, -1],
         ]
         assert rank_oracle(m) == 6
-        assert rational_rank(imat(m)) == 6
+        assert matrix_rank(imat(m)) == 6
 
     @given(
         st.lists(
@@ -136,7 +136,7 @@ class TestRankAndDet:
     )
     @settings(max_examples=150, deadline=None)
     def test_sparse_rank_matches_oracle(self, rows):
-        assert rational_rank(imat(rows)) == rank_oracle(rows)
+        assert matrix_rank(imat(rows)) == rank_oracle(rows)
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=100, deadline=None)
@@ -239,7 +239,7 @@ class TestAgainstSympy:
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_rational_rank(self, rows):
-        assert rational_rank(imat(rows)) == sympy.Matrix(rows).rank()
+        assert matrix_rank(imat(rows)) == sympy.Matrix(rows).rank()
 
     @given(matrices)
     @settings(max_examples=120, deadline=None)
@@ -269,11 +269,11 @@ class TestKernel:
     def test_kernel_vectors_lie_in_kernel(self, rows):
         a = imat(rows)
         basis = kernel_basis(a)
-        assert len(basis) == a.shape[1] - rational_rank(a)
+        assert len(basis) == a.shape[1] - matrix_rank(a)
         for v in basis:
             assert all(x == 0 for x in a @ ivec(v))
         if basis:
-            assert rational_rank(imat([list(v) for v in basis])) == len(basis)
+            assert matrix_rank(imat([list(v) for v in basis])) == len(basis)
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
@@ -390,7 +390,7 @@ class TestCokernel:
             assert all(x % d == 0 for x in prod[n_free + k])
             assert d > 1
         # free rank equals m - rank(a)
-        assert n_free == a.shape[0] - rational_rank(a)
+        assert n_free == a.shape[0] - matrix_rank(a)
         # invariants in divisibility order
         for i in range(len(invariants) - 1):
             assert invariants[i + 1] % invariants[i] == 0
@@ -426,40 +426,16 @@ class TestSolveInt:
     def test_rational_obstruction(self):
         assert solve_int(imat([[1], [1]]), ivec([1, 2])) is None
 
-
-class TestSolver:
-    @given(matrices, st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=5))
-    @settings(max_examples=100, deadline=None)
-    def test_one_factorisation_serves_every_rhs(self, rows, xs):
-        # every b = a @ x is solvable, and each answer must check out
-        a = imat(rows)
-        rhs = [a @ ivec(x[: a.shape[1]]) for x in xs]
-        with mock.patch.object(intlin, "smith_normal_form", wraps=smith_normal_form) as spy:
-            solver = Solver(a)
-            got = [solver.solve(b) for b in rhs]
-        assert spy.call_count == 1
-        for b, x in zip(rhs, got):
-            assert x is not None
-            assert (a @ ivec(x)).tolist() == b.tolist()
-
     def test_status(self):
         # 2x = 3 has a rational but no integral solution; 0 = 1 has neither
-        solver = Solver(imat([[2, 0], [0, 0]]))
-        assert solver.solve(ivec([4, 0])) == [2, 0]
-        assert solver.solve(ivec([3, 0])) is None
-        assert solver.solve(ivec([4, 1])) is None
-
-    def test_nonneg_line_reuses_the_factorisation(self):
-        # x - y = r on the line t*(1, 1): the least nonnegative point is
-        # (max(r, 0), max(-r, 0))
-        a = imat([[1, -1]])
-        for r in (-3, -1, 0, 2, 5):
-            got = solve_nonneg_line(a, ivec([r]), ivec([1, 1]))
-            assert got == [max(r, 0), max(-r, 0)]
+        a = imat([[2, 0], [0, 0]])
+        assert solve_int(a, ivec([4, 0])) == [2, 0]
+        assert solve_int(a, ivec([3, 0])) is None
+        assert solve_int(a, ivec([4, 1])) is None
 
 
 class TestNonnegLines:
-    """nonneg_lines on several columns at once.
+    """solve_nonneg_line on several right-hand sides, one at a time.
 
     The differential against a brute-force line scan is in
     test_acceptance.test_nonneg_lines_match_line_scan.
@@ -470,21 +446,14 @@ class TestNonnegLines:
         # x - y = r: the point nearest the origin on the line, whichever
         # way k points (an all-negative k takes the least upper bound)
         rhs = [-3, -1, 0, 2, 5]
-        got = Solver(imat([[1, -1]])).nonneg_lines(imat([rhs]), ivec(k))
-        assert got == [(max(r, 0), max(-r, 0)) for r in rhs]
+        got = [solve_nonneg_line(imat([[1, -1]]), ivec([r]), ivec(k)) for r in rhs]
+        assert got == [[max(r, 0), max(-r, 0)] for r in rhs]
 
     def test_trivial_kernel_and_integrality(self):
-        solver = Solver(imat([[2, 0], [0, 1]]))
-        got = solver.nonneg_lines(imat([[4, 3, 2, -2], [1, 1, 0, 5]]), ivec([0, 0]))
-        assert got == [(2, 1), None, (1, 0), None]
-
-    def test_first_column_without_rational_solution_is_named(self):
-        solver = Solver(imat([[1, 0], [1, 0]]))
-        with pytest.raises(ValueError, match="no rational solution for column 1"):
-            solver.nonneg_lines(imat([[1, 1, 1], [1, 2, 3]]), ivec([0, 1]))
-
-    def test_no_columns(self):
-        assert Solver(imat([[1, -1]])).nonneg_lines(imat([[]], cols=0), ivec([1, 1])) == []
+        a = imat([[2, 0], [0, 1]])
+        rhs = [(4, 1), (3, 1), (2, 0), (-2, 5)]
+        got = [solve_nonneg_line(a, ivec(b), ivec([0, 0])) for b in rhs]
+        assert got == [[2, 1], None, [1, 0], None]
 
 
 class TestSolverInverse:
@@ -551,7 +520,7 @@ def right_hand_sides(n: int):
 
 
 class TestUnimodularSolve:
-    """unimodular_solve against Solver and sympy."""
+    """unimodular_solve against the Smith route (solve_int) and sympy."""
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(unimodular_matrices(n), right_hand_sides(n))))
     @settings(max_examples=150, deadline=None)
@@ -561,9 +530,8 @@ class TestUnimodularSolve:
         assert x is not None and [len(row) for row in x] == [r.shape[1]] * r.shape[0]
         assert all(type(v) is int for row in x for v in row)
         assert (b @ imat(x, cols=r.shape[1])).tolist() == r.tolist()
-        solver = Solver(b)
         for j in range(r.shape[1]):
-            assert solver.solve(r[:, j]) == [row[j] for row in x]
+            assert solve_int(b, r[:, j]) == [row[j] for row in x]
         assert sympy.Matrix(b.tolist()).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(

@@ -112,9 +112,8 @@ def slice_triples(fan: Fan, bound: int) -> list[tuple]:
     found = []
     for rho in range(fan.n_rays):
         sigma = next(c for c in fan.max_cones if rho in c)
-        solver = intlin.Solver(fan.cone_matrix(sigma))
         # inv[i][j] = (V_sigma^-1)[i][j]; m = inv^T @ values on sigma
-        cols = [solver.solve(e) for e in intlin.identity(n)]
+        cols = [intlin.solve_int(fan.cone_matrix(sigma), e) for e in intlin.identity(n)]
         inv = np.array([[int(cols[j][i]) for j in range(n)] for i in range(n)], dtype=np.int64)
         axes = [np.array([-1]) if sigma[j] == rho else np.arange(-bound, bound + 1) for j in range(n)]
         vals = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
