@@ -70,6 +70,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul, sub
 
 from .fan import Fan
 from .kernels import matrix_rank, rank_mod_p
@@ -274,8 +275,10 @@ class _Stalk:
         constraints . rows(x), exactly, from the two blocks of each link."""
         for i0, j, functionals in self.links:
             a, b = x[i0], x[j]
-            if a != b and any(sum(c * (q - p) for c, p, q in zip(f, a, b)) for f in functionals):
-                return i0, j
+            if a != b:
+                diff = tuple(map(sub, b, a))
+                if any(sum(map(mul, f, diff)) for f in functionals):
+                    return i0, j
         return None
 
 
@@ -334,7 +337,7 @@ def _span_ranks(stalk: _Stalk, cocycles) -> tuple[int, int]:
     blocks = [_annihilator(basis, n) for basis in stalk.sections[1:]]
 
     def image(x) -> list[int]:
-        return [sum(c * y for c, y in zip(f, xj)) for a, xj in zip(blocks, x[1:]) for f in a]
+        return [sum(map(mul, f, xj)) for a, xj in zip(blocks, x[1:]) for f in a]
 
     # the boundary of b in F(sigma_0) is x_k = -b for every k >= 1
     rows = [image([b] + [tuple(-c for c in b)] * len(blocks)) for b in stalk.sections[0]]

@@ -439,16 +439,28 @@ def _roundtrip_check(coords, work: dict) -> dict:
     then at every k != i each term is 0, so every row used is supported
     on {i}, and one of them is positive at i because the sum there is 1.
 
-    A negative entry in X_sigma (cone_membership has failed) falls back to
-    exact Fourier-Motzkin on {X_sigma w >= 0, -w_i >= 1}, one system per i,
-    counted in ``work["fm_systems"]``.
+    So a nonnegative X_sigma is tested once per cone: the columns of its
+    rows with a single nonzero entry must be all of 0..n-1, and the first
+    one missing is the witness. A negative entry in X_sigma
+    (cone_membership has failed) falls back to _pullback_leaves_orthant,
+    exact Fourier-Motzkin on {X_sigma w >= 0, -w_i >= 1}, one system per
+    i up to the first that is feasible, counted in ``work["fm_systems"]``.
     """
     for ci, x in enumerate(coords):
         if x is None:
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
-        for i in range(len(x[0])):
-            if _pullback_leaves_orthant(x, i, work):
-                return {"ok": False, "witness": {"cone": ci, "functional": i}}
+        n = len(x[0])
+        if min(map(min, x)) >= 0:
+            units = set()
+            for row in x:
+                support = [i for i, v in enumerate(row) if v]
+                if len(support) == 1:
+                    units.update(support)
+            bad = next((i for i in range(n) if i not in units), None)
+        else:
+            bad = next((i for i in range(n) if _pullback_leaves_orthant(x, i, work)), None)
+        if bad is not None:
+            return {"ok": False, "witness": {"cone": ci, "functional": bad}}
     return {"ok": True, "witness": None}
 
 

@@ -18,13 +18,6 @@ from . import intlin
 from .kernels import matrix_rank
 
 
-def _gcd_vec(v) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
-    return g
-
-
 @dataclass(frozen=True)
 class Fan:
     """Complete description of a fan by rays and maximal cones.
@@ -40,7 +33,7 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(tuple(map(int, r)) for r in self.rays)
         cones = tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
@@ -49,9 +42,9 @@ class Fan:
         for i, r in enumerate(rays):
             if len(r) != self.dim:
                 raise ValueError(f"ray {i} has length {len(r)}, expected {self.dim}")
-            if all(x == 0 for x in r):
+            if not any(r):
                 raise ValueError(f"ray {i} is zero")
-            if _gcd_vec(r) != 1:
+            if math.gcd(*r) != 1:
                 raise ValueError(f"non-primitive ray {i}")
         if len(set(rays)) != len(rays):
             dup = next(r for r in rays if rays.count(r) > 1)

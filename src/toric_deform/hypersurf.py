@@ -216,7 +216,7 @@ def parse_polynomial(text: str, n_vars: int):
         coeff = -1 if token[0] == "-" else 1
         exps = [0] * n_vars
         for factor in token[1:].split("*"):
-            if factor.isdigit():
+            if factor.isdecimal():
                 coeff *= int(factor)
                 continue
             match = _VARIABLE.match(factor)

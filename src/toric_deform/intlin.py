@@ -20,9 +20,12 @@ it cannot settle goes to the Smith form of ``cokernel_map``. A square
 matrix expected to be unimodular (a smooth cone) needs no Smith form
 either: ``unimodular_solve`` runs one fraction-free Gauss-Jordan
 elimination on [b | r], which also decides whether det b = +-1, and is
-the one way to invert. ``solve_int`` takes one Smith form per call and is
-only for matrices with no known unimodular minor (``scroll path``,
-Riemann-Roch and broken deformation packages use it);
+the one way to invert. It takes a +-1 pivot wherever a column has one,
+and the cone matrices of smooth fans often have one in every column;
+then every step is a row subtraction with nothing to divide.
+``solve_int`` takes one Smith form per call and is only for matrices
+with no known unimodular minor (``scroll path``, Riemann-Roch and
+broken deformation packages use it);
 ``solve_nonneg_line`` is ``solve_int`` followed by ``least_on_lines``,
 which picks the least nonnegative point on lines of solutions,
 whichever engine found them. Ranks and determinants read the one
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .kernels import bareiss, matrix_rank
 
@@ -51,13 +55,13 @@ def transpose(a) -> list[list[int]]:
 
 def mat_vec(a, x) -> list[int]:
     """a @ x."""
-    return [sum(p * q for p, q in zip(row, x)) for row in a]
+    return [sum(map(mul, row, x)) for row in a]
 
 
 def mat_mul(a, b) -> list[list[int]]:
     """a @ b, for a b with at least one row."""
     cols = list(zip(*b))
-    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def determinant(a) -> int:
@@ -307,12 +311,21 @@ def unimodular_solve(b, r) -> list[list[int]] | None:
     """X with b @ X = r for a square b of determinant +-1; else None.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) on [b | r]. Step k scales every other row by the pivot, clears
-    column k and divides by the previous pivot; the division is exact
-    because each entry is then a (k+1)-minor of the row-swapped [b | r].
-    The last step leaves [d*I | d*X] with d = +-det b, so when |d| = 1
-    X is read off directly. A cleared column is dropped from every row
-    at once, since only the diagonal of the left block (all d) remains.
+    1968) on the full rows of [b | r]. Step k takes as pivot the first
+    entry +-1 in column k at or below row k, or else the first nonzero
+    one, and swaps it into row k; a pivot row holding -1 is negated, so
+    the pivot is +1. Every other row is then scaled by the pivot, loses
+    its multiple of the pivot row and is divided by the previous pivot.
+    The division is exact because each entry is then a (k+1)-minor of
+    [b | r] after its row swaps and negations. Negating the pivot row is
+    the same as negating that row of [b | r] before the first step: the
+    entries so far are minors of the rows already pivoted, which do not
+    hold it, and every later minor is one of the negated matrix, which
+    has the same X. While every pivot is +1 the step is x - f*y with
+    nothing to divide, and a row with f = 0 is left as it is. The last
+    step leaves [d*I | d*X], d the last pivot and +-det b; a last entry
+    -1 becomes the pivot +1, so d = 1 exactly when |det b| = 1, and X is
+    read off directly.
     Returns None when b is not square or det b is not +-1 (singular or
     of larger absolute value).
     """
@@ -322,27 +335,36 @@ def unimodular_solve(b, r) -> list[list[int]] | None:
     rows = [[*bi, *ri] for bi, ri in zip(b, r)]
     prev = 1
     for col in range(n):
-        # rows hold columns col.. of [b | r]; the pivot column is the first
-        p = next((i for i in range(col, n) if rows[i][0]), None)
+        p = None
+        for i in range(col, n):
+            v = rows[i][col]
+            if v == 1 or v == -1:
+                p = i
+                break
+            if v and p is None:
+                p = i
         if p is None:
             return None
-        rows[col], rows[p] = rows[p], rows[col]
-        piv, *tail = rows[col]
-        for i in range(n):
-            if i == col:
-                rows[i] = tail
-                continue
-            f, *rest = rows[i]
-            if f == 0 and piv == prev:
-                rows[i] = rest
-            else:
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rest, tail)]
+        prow = rows[p]
+        if prow[col] == -1:
+            prow = [-x for x in prow]
+        rows[p] = rows[col]
+        rows[col] = prow
+        piv = prow[col]
+        if piv == prev == 1:
+            for i, row in enumerate(rows):
+                f = row[col]
+                if f and i != col:
+                    rows[i] = [x - f * y for x, y in zip(row, prow)]
+        else:
+            for i, row in enumerate(rows):
+                if i != col:
+                    f = row[col]
+                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
         prev = piv
-    if abs(prev) != 1:
+    if prev != 1:
         return None
-    if prev == -1:
-        rows = [[-x for x in row] for row in rows]
-    return rows
+    return [row[n:] for row in rows]
 
 
 def solve_int(a, b) -> list[int] | None:
@@ -493,7 +515,7 @@ class FourierMotzkin:
                 raise ValueError("polyhedron is unbounded")
 
             def rest(c, r):  # rhs minus the prefix's part of the row
-                return r - sum(x * y for x, y in zip(c, prefix))
+                return r - sum(map(mul, c, prefix))
 
             # x_v >= rest / c on pos rows (ceiling), <= rest / c on neg ones
             lo = max(-(-rest(c, r) // c[v]) for c, r in pos)

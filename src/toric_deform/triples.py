@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from . import intlin
 from .fan import Fan, validate
@@ -38,7 +39,7 @@ _MAX_BOX_POINTS = 2**25
 
 def pairing(m, ray) -> int:
     """Value of the character m on a lattice point (dual pairing)."""
-    return sum(int(a) * int(b) for a, b in zip(m, ray))
+    return sum(map(mul, m, ray))
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
         sigma = next(c for c in fan.max_cones if rho in c)
         if sigma not in tables:
             inv = _cone_inverse(fan, sigma)
-            coords = [[sum(x * y for x, y in zip(row, v)) for row in inv] for v in fan.rays]
+            coords = [[sum(map(mul, row, v)) for row in inv] for v in fan.rays]
             tables[sigma] = inv, coords
         search = _ChamberSearch(fan, adj, rho, sigma, *tables[sigma], bound, support)
         search.grow(frozenset(), sorted(adj[rho]), frozenset({rho}))

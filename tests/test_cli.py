@@ -707,7 +707,7 @@ class TestLift:
         assert json.loads(err)["error"] == f"--class has length {n}, class group rank is 2"
 
     def test_non_ascii_digit_coefficient(self, f2_path):
-        # str.isdigit and int() both read the Arabic-Indic two
+        # str.isdecimal and int() both read the Arabic-Indic two
         code, payload, err = run_json(
             [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1",
              "--poly", "S1^3*S2 + ٢*S1*S4"]
@@ -736,6 +736,16 @@ class TestLift:
         )
         assert code == 2
         assert "cannot parse" in json.loads(err)["error"]
+
+    def test_superscript_coefficient_names_the_factor(self, f2_path):
+        # '²' is a digit to str.isdigit but not a decimal, and int() rejects it
+        code, out, err = run_cli(
+            [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1",
+             "--poly", "²*S1^3*S2"]
+        )
+        assert code == 2
+        assert not out.strip()
+        assert json.loads(err)["error"] == "cannot parse factor '²'"
 
 
 class TestScroll:

@@ -33,6 +33,7 @@ from toric_deform.deform import (
     _binomial_character,
     _iota_matrix,
     _pullback_leaves_orthant,
+    _roundtrip_check,
     ambient_fan,
     ambient_irrelevant_primes,
     build_deformation,
@@ -554,6 +555,40 @@ class TestRoundTripLemma:
             work = {"fm_systems": 0}
             assert _pullback_leaves_orthant(x, i, work) == escapes_by_fm(pull, d.row(i))
             assert work["fm_systems"] == 1
+
+
+def roundtrip_reference(coords, work):
+    """_roundtrip_check decided one (cone, functional) at a time."""
+    for ci, x in enumerate(coords):
+        if x is None:
+            return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
+        for i in range(len(x[0])):
+            if _pullback_leaves_orthant(x, i, work):
+                return {"ok": False, "witness": {"cone": ci, "functional": i}}
+    return {"ok": True, "witness": None}
+
+
+class TestRoundtripCheck:
+    """The per-cone unit-row scan against the per-functional reference."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_functional_reference(self, data):
+        n = data.draw(st.integers(1, 3))
+        coords = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["nonnegative", "negative", "none"]))
+            if kind == "none":
+                coords.append(None)
+                continue
+            entries = st.sampled_from([0, 0, 0, 1, 2])
+            x = [[data.draw(entries) for _ in range(n)] for _ in range(n + 2)]
+            if kind == "negative":
+                x[data.draw(st.integers(0, n + 1))][data.draw(st.integers(0, n - 1))] = -1
+            coords.append(x)
+        work, ref_work = {"fm_systems": 0}, {"fm_systems": 0}
+        assert _roundtrip_check(coords, work) == roundtrip_reference(coords, ref_work)
+        assert work == ref_work
 
 
 def f3_with_non_unimodular_cone():

@@ -44,6 +44,16 @@ class TestFanStructure:
         with pytest.raises(ValueError, match="ray 0 is zero"):
             Fan(dim=2, rays=((0, 0), (1, 0)), max_cones=((0, 1),))
 
+    @pytest.mark.parametrize("ray, message", [
+        ((0, 0), "ray 1 is zero"),
+        ((2, 4), "non-primitive ray 1"),
+        ((-2, 0), "non-primitive ray 1"),
+    ])
+    def test_ray_messages(self, ray, message):
+        with pytest.raises(ValueError) as info:
+            Fan(dim=2, rays=((1, 0), ray, (0, 1)), max_cones=((0, 1), (1, 2)))
+        assert str(info.value) == message
+
     def test_rejects_duplicate_ray(self):
         with pytest.raises(ValueError, match="duplicate ray"):
             Fan(dim=2, rays=((1, 0), (1, 0)), max_cones=((0, 1),))

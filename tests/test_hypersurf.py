@@ -382,10 +382,10 @@ class TestPolynomialSyntax:
             parse_polynomial("0*S3", 2)
 
     def test_unicode_digits(self):
-        # str.isdigit reads other scripts' digits, and int() them too; a
-        # digit that int() cannot read is a ValueError
+        # str.isdecimal reads other scripts' decimal digits, and int() them
+        # too; a superscript is no decimal, so its factor is named
         assert parse_polynomial("٢*S1 + S١", 2) == ((2, (1, 0)), (1, (1, 0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot parse factor '²'"):
             parse_polynomial("²*S1", 2)
         with pytest.raises(ValueError, match="cannot parse factor"):
             parse_polynomial("S1^²", 2)

@@ -95,6 +95,19 @@ def is_unimodular(u) -> bool:
     return abs(determinant(u)) == 1
 
 
+class TestProducts:
+    """mat_vec and mat_mul give Python ints, which the report writer needs."""
+
+    def test_python_ints_on_tuple_rows(self):
+        a = ((1, -2, 3), (0, 4, -5))
+        b = ((2, 0), (1, -1), (-3, 7))
+        av = intlin.mat_vec(a, (10**20, 1, -1))
+        ab = intlin.mat_mul(a, b)
+        assert av == [10**20 - 5, 9] and ab == [[-9, 23], [19, -39]]
+        assert all(type(v) is int for v in av)
+        assert all(type(v) is int for row in ab for v in row)
+
+
 class TestRankAndDet:
     @given(matrices)
     @settings(max_examples=150, deadline=None)
@@ -567,6 +580,38 @@ class TestUnimodularSolve:
         swap = imat([[0, 1], [1, 0]])  # det -1, and a zero first pivot
         assert unimodular_solve(swap, imat([[2], [3]])) == [[3], [2]]
         assert unimodular_solve(imat([[2, 1], [1, 0]]), identity(2)) == [[0, 1], [1, -2]]
+
+    @pytest.mark.parametrize("rows", [
+        # no +-1 in the first column: the first step is fraction-free
+        [[2, 3], [3, 5]],
+        [[3, 2], [4, 3]],
+        [[3, -2, 2], [3, -3, 4], [5, -4, 5]],  # no +-1 entry at all
+        # every unit pivot is -1, so each pivot row is negated
+        [[-1, 2], [1, -3]],
+        [[0, -1], [-1, 0]],
+        # a non-unit step, then unit steps
+        [[2, 3, 1], [3, 5, 2], [0, 0, 1]],
+    ])
+    def test_pivots_off_the_unit_path(self, rows):
+        b = imat(rows)
+        r = imat([[i + 1, -2 * i, 7] for i in range(len(rows))])
+        x = unimodular_solve(b, r)
+        assert x is not None and all(type(v) is int for row in x for v in row)
+        for j in range(r.shape[1]):
+            assert solve_int(b, r[:, j]) == [row[j] for row in x]
+        assert sympy.Matrix(rows).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x)
+
+    @pytest.mark.parametrize("rows", [
+        # det +-2 after +-1 pivots
+        [[1, 0], [0, 2]],
+        [[1, 2, 3], [0, -1, 4], [1, 1, 9]],
+        # singular after +-1 pivots
+        [[1, 2], [2, 4]],
+        [[-1, 0, 0], [0, -1, 1], [0, 1, -1]],
+    ])
+    def test_non_unit_after_unit_pivots(self, rows):
+        assert abs(sympy.Matrix(rows).det()) in (0, 2)
+        assert unimodular_solve(imat(rows), identity(len(rows))) is None
 
 
 class TestSolveNonnegLine:

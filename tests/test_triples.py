@@ -158,6 +158,11 @@ def brute_triples(fan: Fan, bound: int) -> set[tuple]:
     return found
 
 
+def test_pairing_is_a_python_int():
+    value = pairing((3, -2, 10**20), (1, 4, -1))
+    assert value == -5 - 10**20 and type(value) is int
+
+
 class TestMarkerGraph:
     @pytest.mark.parametrize("n,alpha", [(2, 1), (3, 1), (3, 2), (5, 4)])
     def test_hirzebruch_split_graph(self, n, alpha):
