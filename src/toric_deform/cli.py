@@ -392,7 +392,7 @@ def cmd_lift(args) -> tuple[dict, list[dict]]:
     fan = parse_fan(args.fan)
     d = build_deformation(fan, _build_triple(fan, args))
     w = _parse_vector(args.cls, "--class")
-    rank = fan.n_rays - fan.dim  # Cl(X) is free of this rank on a smooth complete fan
+    rank = cox_data(fan).cl_rank
     if len(w) != rank:
         raise InputError(f"--class has length {len(w)}, class group rank is {rank}")
     monomials = parse_polynomial(args.poly, fan.n_rays)

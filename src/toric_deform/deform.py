@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import intlin
 from .fan import Fan
-from .kernels import matrix_rank
 from .triples import (
     AdmissibleTriple,
     admissible_components,
@@ -171,56 +170,35 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     u = build_u_index(a, t.rho, comp)
     pairs = u.all_pairs
     labels = ("T1",) + tuple(_column_label(p) for p in pairs)
-    width = 1 + len(pairs)
 
-    p = [[0] * width for _ in range(n + 2)]
-    p[0][0] = 1
-    p[1][0] = 1
-    p[n + 1][0] = 1
-    for c, (k, i) in enumerate(pairs, start=1):
-        if k in (1, 2):
-            p[0][c] = a[i]
-        if k in (1, 3):
-            p[1][c] = a[i]
-        for row, x in enumerate(intlin.mat_vec(split.proj, fan.rays[i])):
-            p[2 + row][c] = x
+    # One walk over the pairs: the P column of (k, i) is
+    # [a_i if k in (1, 2), a_i if k in (1, 3), proj(v_i), 0], its exponent
+    # in the trinomial term of block k <= 3 is |a_i|, and its psi row is
+    # e_i, except that the rows of (2, rho) and (3, rho) add -a_j for the
+    # marker-graph vertices outside and inside C.
+    inside = set(comp)
+    outside = [j for j in g.vertices if j not in inside]
+    p_cols = [(1, 1, *[0] * (n - 1), 1)]
+    terms = ([1], [0], [0])  # T1 * prod(U1), prod(U2), prod(U3)
+    psi = []
+    for k, i in pairs:
+        ai = a[i]
+        proj = intlin.mat_vec(split.proj, fan.rays[i])
+        p_cols.append((ai if k in (1, 2) else 0, ai if k in (1, 3) else 0, *proj, 0))
+        for b, term in enumerate(terms, start=1):
+            term.append(abs(ai) if k == b else 0)
+        row = [0] * r
+        row[i] = 1
+        if i == t.rho:
+            for j in (outside if k == 2 else inside):
+                row[j] -= a[j]
+        psi.append(row)
+    p = intlin.transpose(p_cols)
     ptilde = [row[1:] for row in p[: n + 1]]
-
-    term1 = [0] * width
-    term1[0] = 1
-    for c, (k, i) in enumerate(pairs, start=1):
-        if k == 1:
-            term1[c] = a[i]
-    term2 = [0] * width
-    term3 = [0] * width
-    for c, (k, i) in enumerate(pairs, start=1):
-        if k == 2:
-            term2[c] = -a[i]
-        elif k == 3:
-            term3[c] = -a[i]
     trinomial = Trinomial(
-        terms=((1, tuple(term1)), (-1, tuple(term2)), (1, tuple(term3))),
+        terms=tuple(zip((1, -1, 1), map(tuple, terms))),
         labels=labels,
     )
-
-    col_of = {pair: c for c, pair in enumerate(pairs)}
-    gamma_minus_c = {i for i in g.vertices if i not in set(comp)}
-    psi = [[0] * r for _ in range(len(pairs))]
-    for j in range(r):
-        if a[j] > 0:
-            psi[col_of[(1, j)]][j] = 1
-        elif a[j] == 0:
-            psi[col_of[(4, j)]][j] = 1
-        elif j == t.rho:
-            psi[col_of[(2, t.rho)]][j] = 1
-            psi[col_of[(3, t.rho)]][j] += 1
-        elif j in set(comp):
-            psi[col_of[(2, j)]][j] = 1
-            psi[col_of[(3, t.rho)]][j] += -a[j]
-        else:
-            assert j in gamma_minus_c
-            psi[col_of[(3, j)]][j] = 1
-            psi[col_of[(2, t.rho)]][j] += -a[j]
     nu = intlin.transpose(psi)
 
     # Row n+1 of P is e_T1 and every sigma-tilde holds column 0, so a
@@ -231,16 +209,14 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     # the binomial difference kills nu
     assert not any(intlin.mat_vec(nu, trinomial.binomial_difference()[1:]))
 
+    # sigma-tilde: T1, the pairs of the rays of sigma, and (2, rho) when
+    # sigma misses C, else (3, rho)
     cones = []
-    comp_set = set(comp)
     for sigma in fan.max_cones:
-        idx = {0}
-        for c, (k, i) in enumerate(pairs, start=1):
-            if i in sigma:
-                idx.add(c)
-        extra = (2, t.rho) if not (set(sigma) & comp_set) else (3, t.rho)
-        idx.add(1 + col_of[extra])
-        cones.append(tuple(sorted(idx)))
+        extra = (3 if inside.intersection(sigma) else 2, t.rho)
+        cones.append((0, *(
+            c for c, pair in enumerate(pairs, start=1) if pair[1] in sigma or pair == extra
+        )))
 
     return DeformationData(
         triple=t,
@@ -307,12 +283,12 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     valid package; see _roundtrip_check).
 
     For each maximal cone sigma, intlin.unimodular_solve runs one
-    fraction-free Gauss-Jordan elimination on [B | iota @ V_sigma] with
-    B = P[:, sigma-tilde]. When det B = +-1 it returns
+    fraction-free elimination (kernels.eliminate) on [B | iota @ V_sigma]
+    with B = P[:, sigma-tilde]. When det B = +-1 it returns
     X_sigma = B^-1 @ iota @ V_sigma, an (n+2) x n integer matrix whose
     column i holds the sigma-tilde coordinates of iota(v_sigma[i]), and no
     Smith form is taken. Both cone_membership and fiber_fan_roundtrip
-    read X_sigma. Only a B that is not unimodular is solved by
+    read X_sigma and one scan of it for X_sigma >= 0. Only a B that is not unimodular is solved by
     intlin.solve_int, once per ray, to decide cone_membership there. The
     named checks are:
 
@@ -343,8 +319,12 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
         for sigma, st in zip(fan.max_cones, d.ambient_cones)
     ]
 
+    nonneg = _nonnegative(coords)  # read by both checks
+
     witness = None
     for ci, (sigma, st, x) in enumerate(zip(fan.max_cones, d.ambient_cones, coords)):
+        if nonneg[ci]:
+            continue
         for i, j in enumerate(sigma):
             if x is None:
                 y = intlin.solve_int(_columns(d.P, st), [row[j] for row in images])
@@ -368,11 +348,12 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
         e_last = [0] * (n + 2)
         e_last[n + 1] = 1
         n0 = intlin.kernel_basis([uvec, e_last])
+        # n independent rows spanning the lattice of iota's n columns, so
+        # iota is injective too
         same = len(n0) == n and intlin.lattice_equal(n0, intlin.transpose(iota))
-        injective = matrix_rank(iota) == n
         checks["lattice_identification"] = {
-            "ok": same and injective,
-            "witness": None if same and injective else {"u": uvec},
+            "ok": same,
+            "witness": None if same else {"u": uvec},
         }
 
     lhs = intlin.mat_mul(d.Ptilde, d.psi)
@@ -395,7 +376,7 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             break
     checks["cox_cone_mapping"] = {"ok": witness is None, "witness": witness}
 
-    checks["fiber_fan_roundtrip"] = _roundtrip_check(coords, work)
+    checks["fiber_fan_roundtrip"] = _roundtrip_check(coords, work, nonneg)
 
     return {"passes": all(c["ok"] for c in checks.values()), "checks": checks, "work": work}
 
@@ -419,7 +400,12 @@ def _binomial_character(d: DeformationData) -> list[int] | None:
     return u if intlin.mat_vec(pt, u) == b else None
 
 
-def _roundtrip_check(coords, work: dict) -> dict:
+def _nonnegative(coords) -> list[bool]:
+    """Whether each X_sigma is >= 0; False where it is None."""
+    return [x is not None and min(map(min, x)) >= 0 for x in coords]
+
+
+def _roundtrip_check(coords, work: dict, nonneg=None) -> dict:
     """Pull each sigma-tilde back through iota; the result must be sigma.
 
     ``coords`` holds X_sigma = B^-1 @ iota @ V_sigma for each maximal cone,
@@ -445,12 +431,16 @@ def _roundtrip_check(coords, work: dict) -> dict:
     (cone_membership has failed) falls back to _pullback_leaves_orthant,
     exact Fourier-Motzkin on {X_sigma w >= 0, -w_i >= 1}, one system per
     i up to the first that is feasible, counted in ``work["fm_systems"]``.
+    ``nonneg`` is _nonnegative(coords), computed here unless the caller
+    has it already.
     """
+    if nonneg is None:
+        nonneg = _nonnegative(coords)
     for ci, x in enumerate(coords):
         if x is None:
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
         n = len(x[0])
-        if min(map(min, x)) >= 0:
+        if nonneg[ci]:
             units = set()
             for row in x:
                 support = [i for i, v in enumerate(row) if v]

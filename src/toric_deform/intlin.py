@@ -18,20 +18,20 @@ with its transform (``kernel_basis``); the same HNF proves a cokernel
 free when its pivots are all 1 (``free_cokernel``), and only a cokernel
 it cannot settle goes to the Smith form of ``cokernel_map``. A square
 matrix expected to be unimodular (a smooth cone) needs no Smith form
-either: ``unimodular_solve`` runs one fraction-free Gauss-Jordan
-elimination on [b | r], which also decides whether det b = +-1, and is
-the one way to invert. It takes a +-1 pivot wherever a column has one,
-and the cone matrices of smooth fans often have one in every column;
-then every step is a row subtraction with nothing to divide.
+either: ``unimodular_solve`` runs one elimination on [b | r], which
+also decides whether det b = +-1, and is the one way to invert.
 ``solve_int`` takes one Smith form per call and is only for matrices
 with no known unimodular minor (``scroll path``, Riemann-Roch and
 broken deformation packages use it);
 ``solve_nonneg_line`` is ``solve_int`` followed by ``least_on_lines``,
 which picks the least nonnegative point on lines of solutions,
-whichever engine found them. Ranks and determinants read the one
-forward Bareiss elimination, ``kernels.bareiss``. ``FourierMotzkin``
-is the one Fourier-Motzkin elimination; its inputs are integral, and
-every eliminated row is an integer combination of integral rows.
+whichever engine found them. ``kernels.eliminate`` is the one
+fraction-free elimination (rank, determinant, unimodular solve). It
+takes a +-1 pivot wherever a column has one, and the cone matrices of
+smooth fans often have one in every column; then every step is a row
+subtraction with nothing to divide. ``FourierMotzkin`` is the one
+Fourier-Motzkin elimination; its inputs are integral, and every
+eliminated row is an integer combination of integral rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .kernels import bareiss, matrix_rank
+from .kernels import eliminate, matrix_rank
 
 
 def identity(n: int) -> list[list[int]]:
@@ -67,13 +67,13 @@ def mat_mul(a, b) -> list[list[int]]:
 def determinant(a) -> int:
     """Exact determinant of a square integer matrix.
 
-    The signed last pivot of ``kernels.bareiss``, or 0 when the rank falls
-    short.
+    The signed last pivot of ``kernels.eliminate``, or 0 when the rank
+    falls short.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    rank, pivot = bareiss(a)
+    rank, pivot, _ = eliminate(a)
     return pivot if rank == n else 0
 
 
@@ -310,59 +310,17 @@ def least_on_lines(a, e, k, x0) -> list[tuple[int, ...] | None]:
 def unimodular_solve(b, r) -> list[list[int]] | None:
     """X with b @ X = r for a square b of determinant +-1; else None.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) on the full rows of [b | r]. Step k takes as pivot the first
-    entry +-1 in column k at or below row k, or else the first nonzero
-    one, and swaps it into row k; a pivot row holding -1 is negated, so
-    the pivot is +1. Every other row is then scaled by the pivot, loses
-    its multiple of the pivot row and is divided by the previous pivot.
-    The division is exact because each entry is then a (k+1)-minor of
-    [b | r] after its row swaps and negations. Negating the pivot row is
-    the same as negating that row of [b | r] before the first step: the
-    entries so far are minors of the rows already pivoted, which do not
-    hold it, and every later minor is one of the negated matrix, which
-    has the same X. While every pivot is +1 the step is x - f*y with
-    nothing to divide, and a row with f = 0 is left as it is. The last
-    step leaves [d*I | d*X], d the last pivot and +-det b; a last entry
-    -1 becomes the pivot +1, so d = 1 exactly when |det b| = 1, and X is
-    read off directly.
-    Returns None when b is not square or det b is not +-1 (singular or
-    of larger absolute value).
+    One ``kernels.eliminate`` of [b | r]. A nonsingular b leaves
+    [d*I | d*X], d = +-det b the last pivot, which is 1 exactly when
+    |det b| = 1 since a pivot -1 is negated; X is then read off. A
+    singular b leaves 0 at (n-1, n-1). Returns None when b is not square
+    or det b is not +-1.
     """
     n = len(b)
     if any(len(row) != n for row in b):
         return None
-    rows = [[*bi, *ri] for bi, ri in zip(b, r)]
-    prev = 1
-    for col in range(n):
-        p = None
-        for i in range(col, n):
-            v = rows[i][col]
-            if v == 1 or v == -1:
-                p = i
-                break
-            if v and p is None:
-                p = i
-        if p is None:
-            return None
-        prow = rows[p]
-        if prow[col] == -1:
-            prow = [-x for x in prow]
-        rows[p] = rows[col]
-        rows[col] = prow
-        piv = prow[col]
-        if piv == prev == 1:
-            for i, row in enumerate(rows):
-                f = row[col]
-                if f and i != col:
-                    rows[i] = [x - f * y for x, y in zip(row, prow)]
-        else:
-            for i, row in enumerate(rows):
-                if i != col:
-                    f = row[col]
-                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = piv
-    if prev != 1:
+    _, _, rows = eliminate([*bi, *ri] for bi, ri in zip(b, r))
+    if n and rows[n - 1][n - 1] != 1:
         return None
     return [row[n:] for row in rows]
 

@@ -1,9 +1,10 @@
 """Matrix rank kernels: exact over the rationals, and modulo one prime.
 
-``bareiss`` is the package's one forward fraction-free elimination on
-Python ints: it returns the rank and the signed last pivot, from which
-``matrix_rank`` (the exact rank over Q) and ``intlin.determinant`` read
-their answers. ``rank_mod_p`` is the rank over the field F_p for the
+``eliminate`` is the package's one fraction-free elimination (rank,
+determinant, unimodular solve) on Python ints: it returns the rank, the
+signed last pivot and the reduced rows, from which ``matrix_rank`` (the
+exact rank over Q), ``intlin.determinant`` and ``intlin.unimodular_solve``
+read their answers. ``rank_mod_p`` is the rank over the field F_p for the
 prime ``PRIME``, by sparse elimination on dicts of Python ints. Both
 take a matrix as a sequence of equal-length integer rows. For an integer
 matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a
@@ -13,6 +14,9 @@ which ``cohomology.span_check`` turns into a proof when it is sharp.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import floordiv, mod
+
 # perfbench/run.py reports this flag on its environment line; numba is no
 # longer used by the package, so it is always False.
 _HAVE_NUMBA = False
@@ -21,15 +25,25 @@ _HAVE_NUMBA = False
 PRIME = 2147483629
 
 
-def bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Forward fraction-free elimination (Bareiss) on Python ints.
+def eliminate(rows) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on Python ints.
 
-    Returns (rank, signed last pivot). Each pivot is, up to the sign of
-    the row swaps made so far, a minor of the input, so for a square
-    matrix of full rank the signed last pivot is its determinant. Exact
-    for any input; an empty matrix gives (0, 1).
+    Returns (rank, signed last pivot, reduced rows). Step k takes the
+    first column nonzero at or below row k, and as pivot the first entry
+    +-1 there, or else the first nonzero one, swapped into row k; a pivot
+    row holding -1 is negated. Every other row is scaled by the pivot,
+    loses its multiple of the pivot row and is divided by the previous
+    pivot, exactly (checked), because each entry is then a (k+1)-minor of
+    the input after its swaps and negations; negating a pivot row is
+    negating that input row up front, as the minors so far do not hold
+    it. While every pivot is +1 a step is x - f*y, and rows with f = 0
+    are left alone. So the signed last pivot of a square matrix of full
+    rank is its determinant; an empty matrix gives (0, 1, []). In the
+    reduced rows the pivot rows come first, each zero left of its pivot,
+    every pivot column is zero off its pivot, every pivot equals the last
+    one, and the rows past the rank are zero.
     """
-    a = [list(map(int, r)) for r in rows]
+    a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     prev = 1
@@ -38,31 +52,45 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     for col in range(n):
         if row >= m:
             break
-        piv_row = next((r for r in range(row, m) if a[r][col] != 0), -1)
-        if piv_row < 0:
+        p = None
+        for i in range(row, m):
+            v = a[i][col]
+            if v == 1 or v == -1:
+                p = i
+                break
+            if v and p is None:
+                p = i
+        if p is None:
             continue
-        if piv_row != row:
-            a[row], a[piv_row] = a[piv_row], a[row]
+        prow = a[p]
+        if p != row:
+            a[p] = a[row]
             sign = -sign
-        piv = a[row][col]
-        # factor == 0 rows are rescaled too; skipping them breaks the
-        # exact-division invariant at later pivots
-        for r in range(row + 1, m):
-            factor = a[r][col]
-            ar, apv = a[r], a[row]
-            for j in range(col + 1, n):
-                num = piv * ar[j] - factor * apv[j]
-                assert num % prev == 0  # Bareiss exact-division invariant
-                ar[j] = num // prev
-            ar[col] = 0
+        if prow[col] == -1:
+            prow = [-x for x in prow]
+            sign = -sign
+        a[row] = prow
+        piv = prow[col]
+        if piv == prev == 1:
+            for i, r in enumerate(a):
+                f = r[col]
+                if f and i != row:
+                    a[i] = [x - f * y for x, y in zip(r, prow)]
+        else:
+            for i, r in enumerate(a):
+                if i != row:
+                    f = r[col]
+                    num = [piv * x - f * y for x, y in zip(r, prow)]
+                    assert not any(map(mod, num, repeat(prev)))  # Bareiss exact division
+                    a[i] = list(map(floordiv, num, repeat(prev)))
         prev = piv
         row += 1
-    return row, sign * prev
+    return row, sign * prev, a
 
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals of an integer matrix given as rows."""
-    return bareiss(rows)[0]
+    return eliminate(rows)[0]
 
 
 def rank_mod_p(rows) -> int:

@@ -73,6 +73,44 @@ matrices = st.integers(1, 4).flatmap(
 )
 
 
+unit_heavy_entries = st.sampled_from((-1, -1, -1, 0, 0, 0, 1, 1, 1, 2, -3, 5))
+
+# Determinant +-1 and no entry +-1: an elimination that reaches one of these
+# blocks after unit pivots takes a non-unit pivot and then a unit one.
+NON_UNIT_SL2 = (((2, 3), (3, 5)), ((3, -2), (4, -3)), ((3, 5), (4, 7)))
+
+
+@st.composite
+def unit_heavy_matrices(draw, square=False):
+    """Matrices up to 7 x 7 with entries mostly -1, 0, 1, a few larger.
+
+    Their eliminations take unit pivots, negate -1 pivot rows and swap
+    rows. Half of them are block diagonal diag(A, H, B), H from
+    NON_UNIT_SL2, so unit, non-unit and unit pivots follow each other.
+    A block's last row is a combination of two of its rows half the time,
+    so many are rank-deficient.
+    """
+    def block(low, high):
+        m = draw(st.integers(low, high))
+        n = m if square else draw(st.integers(low, high))
+        rows = draw(st.lists(st.lists(unit_heavy_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        if m > 1 and draw(st.booleans()):
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[(m - 1) // 2])]
+        return rows, n
+
+    if not draw(st.booleans()):
+        return block(1, 6)[0]
+    h = [list(row) for row in draw(st.sampled_from(NON_UNIT_SL2))]
+    blocks = [block(0, 2), (h, 2), block(0, 3)]
+    width = sum(n for _, n in blocks)
+    out, left = [], 0
+    for rows, n in blocks:
+        out += [[0] * left + row + [0] * (width - left - n) for row in rows]
+        left += n
+    return out
+
+
 def rank_oracle(rows) -> int:
     """Gaussian elimination over Fraction."""
     rows = [[Fraction(x) for x in r] for r in rows]
@@ -146,6 +184,7 @@ class TestRankAndDet:
             min_size=6,
             max_size=6,
         )
+        | unit_heavy_matrices()
     )
     @settings(max_examples=150, deadline=None)
     def test_sparse_rank_matches_oracle(self, rows):
@@ -244,12 +283,12 @@ def square_matrices(draw):
 class TestAgainstSympy:
     """intlin's Bareiss, Smith and Hermite forms against sympy 1.14 (a test oracle only)."""
 
-    @given(square_matrices())
+    @given(square_matrices() | unit_heavy_matrices(square=True))
     @settings(max_examples=150, deadline=None)
     def test_determinant(self, rows):
         assert determinant(imat(rows)) == sympy.Matrix(rows).det()
 
-    @given(matrices)
+    @given(matrices | unit_heavy_matrices())
     @settings(max_examples=150, deadline=None)
     def test_rational_rank(self, rows):
         assert matrix_rank(imat(rows)) == sympy.Matrix(rows).rank()
@@ -548,7 +587,8 @@ class TestUnimodularSolve:
         assert sympy.Matrix(b.tolist()).inv() * sympy.Matrix(r.tolist()) == sympy.Matrix(x)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+        | unit_heavy_matrices(square=True))
     @settings(max_examples=150, deadline=None)
     def test_none_exactly_when_det_is_not_a_unit(self, rows):
         b = imat(rows)

@@ -61,6 +61,21 @@ def test_cech_complex_class_exists():
     assert isinstance(cohomology.GradedCechComplex, type)
 
 
+def test_cox_data_has_grading():
+    # perfbench/workloads.py and tests/test_golden_reports.py read cox_data(fan).grading
+    from toric_deform.fan import CoxData
+
+    assert hasattr(CoxData, "grading")
+
+
+def test_cohomology_ranks_through_the_traced_kernel():
+    # the tracer rebinds kernels.matrix_rank under every name bound to it, so
+    # cohomology's ranks reach kernels.matrix_rank.* only if it is that function
+    from toric_deform import cohomology, kernels
+
+    assert cohomology.matrix_rank is kernels.matrix_rank
+
+
 def test_install_then_uninstall_restores_every_binding():
     import toric_deform.cli  # noqa: F401  (loads every layer, as run.py does)
     from toric_deform import kernels
