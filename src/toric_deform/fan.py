@@ -2,20 +2,21 @@
 
 A fan is given combinatorially: primitive ray generators in Z^n plus the
 maximal cones as sets of ray indices (0-based). Validation certifies
-smoothness (unimodular cones), completeness (facet pairing plus, in low
-dimension, exact angular coverage) and simpliciality, reporting the index
-of an offending cone. The Cox data bundles the ray matrix, the class-group
-grading and the irrelevant-ideal combinatorics.
+smoothness (unimodular cones), completeness (oriented facet pairing plus
+one covering count, exact in every dimension) and simpliciality,
+reporting the index of an offending cone. The Cox data bundles the ray
+matrix, the class-group grading and the irrelevant-ideal combinatorics.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 from . import intlin
-from .kernels import matrix_rank
+from .kernels import eliminate, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,27 @@ class Fan:
         return tuple(zip(*(self.rays[i] for i in cone)))
 
     @functools.cached_property
-    def cone_determinants(self) -> tuple[int | None, ...]:
-        """Determinant of each maximal cone with dim rays; None for the others.
+    def cone_inverses(self) -> tuple[tuple[int, int, list[list[int]] | None] | None, ...]:
+        """(det, d, Y) for each maximal cone with dim rays; None for the others.
 
-        Taken once per Fan object, on first use: validate and cox_data
-        both read their per-cone verdicts from it.
+        One kernels.eliminate of [V | I], V with the rays of the cone as
+        columns, leaves [d*I | Y]: d is the last pivot, det = det V and
+        Y = d * V^-1. A singular cone gives (0, 0, None). When |det| = 1,
+        d = 1 and Y is the integer inverse. Taken once per Fan object, on
+        first use: validate, cox_data and the degree coordinates of
+        triples all read their per-cone answers from it.
         """
-        return tuple(
-            intlin.determinant(self.cone_matrix(c)) if len(c) == self.dim else None
-            for c in self.max_cones
-        )
+        n = self.dim
+        eye = intlin.identity(n)
+        out = []
+        for c in self.max_cones:
+            if len(c) != n:
+                out.append(None)
+                continue
+            _, det, reduced = eliminate([*v, *e] for v, e in zip(self.cone_matrix(c), eye))
+            d = reduced[n - 1][n - 1]
+            out.append((det, d, [r[n:] for r in reduced]) if d else (0, 0, None))
+        return tuple(out)
 
     @functools.cached_property
     def _cox(self) -> CoxData:
@@ -95,77 +107,55 @@ class Fan:
 
 def _cone_is_unimodular(fan: Fan, ci: int) -> bool:
     """Whether maximal cone ci is generated by part of a lattice basis."""
-    det = fan.cone_determinants[ci]
-    if det is not None:
-        return abs(det) == 1
+    inverse = fan.cone_inverses[ci]
+    if inverse is not None:
+        return abs(inverse[0]) == 1
     cone = fan.max_cones[ci]
     snf = intlin.smith_normal_form(fan.cone_matrix(cone))
     d = snf.diagonal
     return len([x for x in d if x != 0]) == len(cone) and all(x in (0, 1) for x in d)
 
 
-def _facets(cone):
-    return [tuple(x for x in cone if x != i) for i in cone]
+def _complete(fan: Fan) -> bool:
+    """Whether the support of the fan is all of N_R (exact in every dimension).
 
+    Two tests. Pairing: every facet of a maximal cone lies in exactly two
+    maximal cones, on opposite sides of it; the cone with sorted rays and
+    determinant det puts the facet that drops its k-th ray on the side of
+    sign(det) * (-1)^(n-1-k). Covering: exactly one cone holds the symbolic
+    point p + sum_k eps^(k+1) e_k, p the sum of the rays of cone 0. A cone
+    holds it when, for every row Y_i of its Y = d * V^-1, the first nonzero
+    entry of (Y_i . p, Y_i0, ..., Y_i(n-1)) has the sign of d.
 
-def _complete_2d(fan: Fan) -> bool:
-    # Exact angular coverage: sort rays counterclockwise and require every
-    # adjacent pair (cyclically) to be a maximal cone spanning < pi.
-    def half_plane_key(v):
-        # 0 for upper half (y > 0 or (y == 0 and x > 0)), 1 for lower
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    idx = list(range(fan.n_rays))
-
-    def cross(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    def cmp(i, j):
-        vi, vj = fan.rays[i], fan.rays[j]
-        hi, hj = half_plane_key(vi), half_plane_key(vj)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        c = cross(vi, vj)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    idx.sort(key=functools.cmp_to_key(cmp))
-    cones = set(fan.max_cones)
-    for a, b in zip(idx, idx[1:] + idx[:1]):
-        if cross(fan.rays[a], fan.rays[b]) <= 0:
-            return False  # angular gap >= pi
-        if tuple(sorted((a, b))) not in cones:
-            return False
-    return True
-
-
-def _complete_facet_pairing(fan: Fan) -> bool:
-    # Every facet of a maximal cone is shared by exactly one other maximal
-    # cone, and the adjacency graph on maximal cones is connected.
-    if not fan.max_cones:
+    Why this is exact: when the pairing holds, the number of cones whose
+    interior holds a point is the same at every point on no cone boundary,
+    since crossing a facet leaves one cone of its pair and enters the
+    other. The fan is complete exactly when that number is 1. No row of Y
+    is zero, so the symbolic point lies on no boundary. A fan with no
+    cones, or a maximal cone with fewer than n rays, is not complete.
+    """
+    n = fan.dim
+    inverses = fan.cone_inverses
+    if not inverses or None in inverses:
         return False
-    facet_count: dict[tuple[int, ...], list[int]] = {}
-    for ci, c in enumerate(fan.max_cones):
-        if len(c) != fan.dim:
-            return False
-        for f in _facets(c):
-            facet_count.setdefault(f, []).append(ci)
-    if any(len(owners) != 2 for owners in facet_count.values()):
+    sides: dict[tuple[int, ...], list[int]] = {}
+    for c, (det, _, _) in zip(fan.max_cones, inverses):
+        side = 1 if det > 0 else -1
+        for k in reversed(range(n)):  # side = sign(det) * (-1)^(n-1-k)
+            sides.setdefault(c[:k] + c[k + 1:], []).append(side)
+            side = -side
+    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
         return False
-    adj: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for owners in facet_count.values():
-        a, b = owners
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(fan.max_cones)
+    p = [sum(row) for row in fan.cone_matrix(fan.max_cones[0])]
+
+    def holds(d, y):
+        for row in y:
+            # the sign of Y_i at the symbolic point: that of its first nonzero term
+            if (sum(map(mul, row, p)) or next(filter(None, row))) * d < 0:
+                return False
+        return True
+
+    return sum(holds(d, y) for _, d, y in inverses) == 1
 
 
 def validate(fan: Fan) -> dict:
@@ -184,7 +174,7 @@ def validate(fan: Fan) -> dict:
             raise ValueError(f"cone {ci} has {len(c)} rays in dimension {fan.dim}")
         if len(c) == fan.dim:
             # det != 0 makes the cone simplicial, and |det| == 1 smooth
-            det = fan.cone_determinants[ci]
+            det = fan.cone_inverses[ci][0]
             if det == 0:
                 raise ValueError(f"cone {ci} is not simplicial")
             smooth = smooth and abs(det) == 1
@@ -192,12 +182,7 @@ def validate(fan: Fan) -> dict:
             if matrix_rank(fan.cone_matrix(c)) != len(c):
                 raise ValueError(f"cone {ci} is not simplicial")
             smooth = smooth and _cone_is_unimodular(fan, ci)
-    complete = _complete_facet_pairing(fan)
-    if complete and fan.dim == 1:
-        complete = set(fan.rays) == {(1,), (-1,)}
-    if complete and fan.dim == 2:
-        complete = _complete_2d(fan)
-    return {"smooth": smooth, "complete": complete, "simplicial": True}
+    return {"smooth": smooth, "complete": _complete(fan), "simplicial": True}
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A monomial on the fiber lifts exactly when its exponent vector has a
 nonnegative preimage under the exponent map nu. Since ker nu has rank
-one, candidate preimages form a line and the search is a bounded sweep.
+one, candidate preimages form a line: one elimination on nu gives a
+point of every line, and intlin.least_on_lines the least nonnegative one.
 Riemann-Roch spaces are enumerated as the lattice points of the fiber of
 the grading map over a divisor class, and the monomial image of the
 nonnegative orthant under nu is its own Hilbert basis, certified by two

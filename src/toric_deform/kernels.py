@@ -1,10 +1,11 @@
 """Matrix rank kernels: exact over the rationals, and modulo one prime.
 
 ``eliminate`` is the package's one fraction-free elimination (rank,
-determinant, unimodular solve) on Python ints: it returns the rank, the
-signed last pivot and the reduced rows, from which ``matrix_rank`` (the
-exact rank over Q), ``intlin.determinant`` and ``intlin.unimodular_solve``
-read their answers. ``rank_mod_p`` is the rank over the field F_p for the
+determinant, unimodular solve, cone inverses) on Python ints: it returns
+the rank, the signed last pivot and the reduced rows, from which
+``matrix_rank`` (the exact rank over Q), ``intlin.determinant``,
+``intlin.unimodular_solve`` and ``fan.Fan.cone_inverses`` read their
+answers. ``rank_mod_p`` is the rank over the field F_p for the
 prime ``PRIME``, by sparse elimination on dicts of Python ints. Both
 take a matrix as a sequence of equal-length integer rows. For an integer
 matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a

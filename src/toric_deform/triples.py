@@ -168,15 +168,16 @@ def _cone_inverse(fan: Fan, sigma) -> list[list[int]]:
 
     Row j of the inverse applied to v_tau is the j-th coordinate of v_tau
     in the basis v_sigma, and column j is the degree m with
-    m(v_sigma_i) = [i == j].
+    m(v_sigma_i) = [i == j]. Read from Fan.cone_inverses, so sigma must
+    be a maximal cone.
 
     Raises:
         ValueError: when sigma is not a unimodular full-dimensional cone.
     """
-    inv = intlin.unimodular_solve(fan.cone_matrix(sigma), intlin.identity(fan.dim))
-    if inv is None:
+    inverse = fan.cone_inverses[fan.max_cones.index(sigma)]
+    if inverse is None or abs(inverse[0]) != 1:
         raise ValueError(f"cone {list(sigma)} is not unimodular")
-    return inv
+    return inverse[2]
 
 
 def degree_box(fan: Fan, bound: int) -> list[tuple[int, ...]]:

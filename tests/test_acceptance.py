@@ -43,15 +43,11 @@ from toric_deform.triples import (
     marker_graph,
 )
 
+from helpers import default_box_bound, obj
+
 
 def hirzebruch_triple(alpha: int) -> AdmissibleTriple:
     return AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
-
-
-def default_box_bound(fan: Fan) -> int:
-    """Half-width of the degree box the Cech oracles sweep: twice (1 + the
-    largest absolute ray coordinate), the former default box."""
-    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
 
 
 def suite_deformations():
@@ -248,12 +244,6 @@ def test_criterion_7_hilbert_basis():
             f"{fan.n_rays} rays"
         )
     print(f"CRITERION 7 PASS: |det| = 1 both deletions on {len(suite)} deformations")
-
-
-def obj(rows) -> np.ndarray:
-    """A package matrix (rows of ints) or vector as a numpy object array,
-    for the products of the oracles."""
-    return np.array(rows, dtype=object)
 
 
 def _zero_matrix(mat) -> bool:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_deform import cli, intlin
+from toric_deform import fan as fan_module
 from toric_deform.cohomology import span_check
 from toric_deform.fan import cox_data, hirzebruch
 from toric_deform.hypersurf import riemann_roch_points
@@ -422,6 +423,41 @@ class TestH1Gate:
         assert "smooth complete fan" in message and why in message
 
 
+class TestOverlappingFanRejected:
+    """P1 x P1 x P1 with ray 4 moved to (1, 1, -1): smooth, every facet in
+    two cones, but its cones overlap, so no command accepts it."""
+
+    FAN = {
+        "dim": 3,
+        "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, -1], [0, 0, -1]],
+        "max_cones": [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5]],
+    }
+    TRIPLE = ["--m", "-1,0,1", "--rho", "0", "--component", "4"]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "overlapping.json"
+        path.write_text(json.dumps(self.FAN))
+        return str(path)
+
+    def test_fan_check_exits_1(self, path):
+        code, payload, _ = run_json(["fan", "check", "--fan", path])
+        assert code == 1
+        assert check_map(payload) == {"smooth": True, "complete": False}
+
+    @pytest.mark.parametrize("argv,what", [
+        (["triples"], "triple enumeration"),
+        (["h1"], "h1"),
+        (["deform", *TRIPLE], "deformation"),
+        (["lift", *TRIPLE, "--class", "0,1,1", "--poly", "S1*S3*S5"], "deformation"),
+    ], ids=["triples", "h1", "deform", "lift"])
+    def test_commands_exit_2(self, path, argv, what):
+        code, out, err = run_cli([argv[0], "--fan", path, *argv[1:]])
+        assert code == 2
+        assert not out.strip()
+        assert json.loads(err)["error"] == f"{what} needs a smooth complete fan; this fan is not complete"
+
+
 def reference_h1(fan, degrees, bound, single):
     """Results and checks of the h1 command with Cech at every degree."""
     entries = []
@@ -647,13 +683,13 @@ class TestLift:
 
     def test_one_determinant_per_cone(self, f2_path, capsys):
         # the gate's validate and lift_polynomial's cox_data share the
-        # determinants of the one Fan object the command parsed
+        # cone eliminations of the one Fan object the command parsed
         argv = [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1", "--poly", "S1^3*S2"]
-        with mock.patch.object(intlin, "determinant", wraps=intlin.determinant) as spy:
+        with mock.patch.object(fan_module, "eliminate", wraps=fan_module.eliminate) as spy:
             assert cli.main(argv) == 0
         assert spy.call_count == len(F2["max_cones"])
         # a second command parses a new Fan and takes them again
-        with mock.patch.object(intlin, "determinant", wraps=intlin.determinant) as spy:
+        with mock.patch.object(fan_module, "eliminate", wraps=fan_module.eliminate) as spy:
             assert cli.main(argv) == 0
         assert spy.call_count == len(F2["max_cones"])
         capsys.readouterr()

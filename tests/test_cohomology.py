@@ -26,7 +26,6 @@ import itertools
 import json
 import random
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,30 +52,8 @@ from toric_deform.triples import (
     triples_at_degree,
 )
 
+from helpers import default_box_bound, rank_oracle
 from test_triples import blown_up_plane  # the tests' own fan builder
-
-
-def default_box_bound(fan: Fan) -> int:
-    """Half-width of the degree box the Cech oracles sweep: twice (1 + the
-    largest absolute ray coordinate), the former default box."""
-    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
-
-
-def rank_oracle(rows) -> int:
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # Hand-built boundary matrices for F_2 at degree (-1,-1).

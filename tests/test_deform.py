@@ -48,11 +48,7 @@ from toric_deform.hypersurf import render_terms
 from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
-
-def obj(rows) -> np.ndarray:
-    """A package matrix (rows of ints) or vector as a numpy object array,
-    for the products of the oracles."""
-    return np.array(rows, dtype=object)
+from helpers import obj
 
 
 def scroll_210_fan() -> Fan:

@@ -2,17 +2,20 @@
 
 Derived oracle for completeness in rank 2: a fan assembled from angularly
 sorted primitive rays with all adjacent cones is complete by construction;
-removing one maximal cone must break it.
+removing one maximal cone must break it. In rank 3 and 4 a brute-force
+oracle refutes completeness from the lattice points of a box.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_deform import fan as fan_module
@@ -28,6 +31,7 @@ from toric_deform.fan import (
     projective_space,
     validate,
 )
+from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import require_smooth_complete
 
 
@@ -149,10 +153,11 @@ class TestValidate:
         assert validate(wide) == {"smooth": False, "complete": False, "simplicial": True}
 
     def test_one_determinant_per_full_cone(self, monkeypatch):
-        calls = {"matrix_rank": 0, "smith_normal_form": 0, "determinant": 0}
+        calls = {"matrix_rank": 0, "smith_normal_form": 0, "eliminate": 0}
         for name in calls:
-            # fan calls matrix_rank by its own name, the others through intlin
-            module = fan_module if name == "matrix_rank" else intlin
+            # fan calls matrix_rank and eliminate by its own names, the Smith
+            # form through intlin
+            module = intlin if name == "smith_normal_form" else fan_module
             original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
@@ -162,7 +167,7 @@ class TestValidate:
             monkeypatch.setattr(module, name, counted)
         f = product(hirzebruch(2), hirzebruch(3))
         assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
-        assert calls == {"matrix_rank": 0, "smith_normal_form": 0, "determinant": 16}
+        assert calls == {"matrix_rank": 0, "smith_normal_form": 0, "eliminate": 16}
 
     def test_p1(self):
         f = Fan(dim=1, rays=((1,), (-1,)), max_cones=((0,), (1,)))
@@ -240,6 +245,121 @@ class TestCompleteness2D:
             return
         g = Fan(dim=2, rays=f.rays, max_cones=f.max_cones[1:])
         assert validate(g)["complete"] is False
+
+
+def moved_ray(f: Fan, index: int, ray) -> Fan:
+    """f with ray index replaced by ray, keeping the maximal cones."""
+    rays = list(f.rays)
+    rays[index] = tuple(ray)
+    return Fan(dim=f.dim, rays=tuple(rays), max_cones=f.max_cones)
+
+
+# P1 x P1 x P1 with ray 4 moved from (0, 0, 1) to (1, 1, -1): every facet
+# still lies in exactly two cones and the cones stay connected, but cones
+# overlap: (2, 2, -1) lies in the interiors of both (0, 2, 4) and (0, 2, 5)
+OVERLAPPING_P1_CUBED = moved_ray(product_of_lines(3), 4, (1, 1, -1))
+
+# 8 rays in the plane z = 0 whose consecutive pairs (each of determinant 1)
+# wind twice around the z-axis, coned over the apexes (0, 0, 1) and
+# (0, 0, -1): smooth, facet paired, oppositely oriented and connected, yet
+# every generic point lies in two cones
+_WINDING = ((1, 0, 0), (-2, 1, 0), (-1, 0, 0), (-1, -1, 0), (-1, -2, 0), (0, -1, 0), (1, 1, 0), (-2, -1, 0))
+DOUBLE_COVER = Fan(
+    dim=3,
+    rays=(*_WINDING, (0, 0, 1), (0, 0, -1)),
+    max_cones=tuple((j, (j + 1) % 8, apex) for apex in (8, 9) for j in range(8)),
+)
+
+BUILDER_FANS = {
+    "P1xP1xP1": product_of_lines(3),
+    "P1^4": product_of_lines(4),
+    "P^3": projective_space(3),
+    "P^4": projective_space(4),
+    "S(2,1,0)": scroll_fan(ScrollSpec((2, 1, 0))),
+    "S(1,0,0)": scroll_fan(ScrollSpec((1, 0, 0))),
+    "S(3,0,0,0)": scroll_fan(ScrollSpec((3, 0, 0, 0))),
+    "F_1xP^1": product(hirzebruch(1), projective_space(1)),
+    "F_2xF_3": product(hirzebruch(2), hirzebruch(3)),
+}
+
+
+def refutes_completeness(f: Fan, box: int = 3) -> bool:
+    """Brute-force oracle: True when the lattice points of [-box, box]^n show
+    that f is not a complete fan.
+
+    It refutes when some nonzero point lies in no closed maximal cone, or
+    some point lies in the interiors of two. A cone's coordinates of x are
+    adj(V) x / det V, with the adjugate and determinant from sympy; the
+    entries of adj(V) x stay far below 2^63 here, so int64 is exact.
+    """
+    points = np.array([p for p in itertools.product(range(-box, box + 1), repeat=f.dim) if any(p)])
+    covered = np.zeros(len(points), dtype=bool)
+    inside = np.zeros(len(points), dtype=int)
+    for c in f.max_cones:
+        v = sympy.Matrix(f.cone_matrix(c))
+        sign = 1 if v.det() > 0 else -1
+        coords = sign * (points @ np.array(v.adjugate().tolist(), dtype=np.int64).T)
+        covered |= (coords >= 0).all(axis=1)
+        inside += (coords > 0).all(axis=1)
+    return not covered.all() or bool((inside > 1).any())
+
+
+class TestCompletenessExact:
+    """One completeness test for every dimension: oriented facet pairing
+    plus a covering count at a symbolic generic point."""
+
+    def test_overlapping_cones_are_not_complete(self):
+        assert refutes_completeness(OVERLAPPING_P1_CUBED)
+        assert validate(OVERLAPPING_P1_CUBED) == {"smooth": True, "complete": False, "simplicial": True}
+        with pytest.raises(ValueError, match=r"^h1 needs a smooth complete fan; this fan is not complete$"):
+            require_smooth_complete(OVERLAPPING_P1_CUBED, "h1")
+
+    def test_double_cover_is_not_complete(self):
+        assert refutes_completeness(DOUBLE_COVER)
+        assert validate(DOUBLE_COVER) == {"smooth": True, "complete": False, "simplicial": True}
+
+    def test_empty_fan_is_not_complete(self):
+        assert validate(Fan(dim=2, rays=(), max_cones=())) == {
+            "smooth": True,
+            "complete": False,
+            "simplicial": True,
+        }
+
+    @pytest.mark.parametrize("key", BUILDER_FANS)
+    def test_builder_fans_are_complete(self, key):
+        f = BUILDER_FANS[key]
+        assert not refutes_completeness(f)
+        assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+
+    @given(st.sampled_from(sorted(BUILDER_FANS)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_moved_ray(self, key, data):
+        # one direction only: a refutation from the box forces complete False,
+        # while a gap the box misses decides nothing
+        f = BUILDER_FANS[key]
+        index = data.draw(st.integers(0, f.n_rays - 1))
+        ray = data.draw(st.tuples(*[st.integers(-2, 2)] * f.dim))
+        assume(any(ray) and math.gcd(*ray) == 1 and ray not in f.rays)
+        g = moved_ray(f, index, ray)
+        assume(all(intlin.determinant(g.cone_matrix(c)) for c in g.max_cones))
+        if refutes_completeness(g):
+            assert validate(g)["complete"] is False
+
+
+class TestConeInverses:
+    def test_read_from_one_elimination(self):
+        # P(1,1,2): cone (0, 2) has determinant -2, a pivot that is not +-1
+        f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -2)), max_cones=((0, 1), (1, 2), (0, 2)))
+        for c, (det, d, y) in zip(f.max_cones, f.cone_inverses):
+            v = f.cone_matrix(c)
+            assert det == intlin.determinant(v)
+            assert intlin.mat_mul(y, v) == [[d, 0], [0, d]]
+        assert f.cone_inverses[2] == (-2, -2, [[-2, 1], [0, 1]])
+        assert f.cone_inverses is f.cone_inverses
+
+    def test_singular_and_lower_dimensional_cones(self):
+        f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 0)), max_cones=((0, 1), (0, 2), (1,)))
+        assert f.cone_inverses == ((1, 1, [[1, 0], [0, 1]]), (0, 0, None), None)
 
 
 class TestCoxData:

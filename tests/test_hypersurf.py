@@ -33,17 +33,13 @@ from toric_deform.hypersurf import (
 from toric_deform.scrolls import ScrollSpec, one_step, scroll_fan
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
+from helpers import obj
+
 
 def hirzebruch_package(n: int, alpha: int):
     fan = hirzebruch(n)
     t = AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
     return fan, build_deformation(fan, t)
-
-
-def obj(rows) -> np.ndarray:
-    """A package matrix (rows of ints) or vector as a numpy object array,
-    for the products of the oracles."""
-    return np.array(rows, dtype=object)
 
 
 def brute_points(fan: Fan, w, box: int):

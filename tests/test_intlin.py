@@ -41,6 +41,8 @@ from toric_deform.intlin import (
 )
 from toric_deform.kernels import matrix_rank
 
+from helpers import rank_oracle
+
 
 def imat(rows, cols=None) -> np.ndarray:
     """The rows as a numpy object matrix, for the products of the oracles.
@@ -109,24 +111,6 @@ def unit_heavy_matrices(draw, square=False):
         out += [[0] * left + row + [0] * (width - left - n) for row in rows]
         left += n
     return out
-
-
-def rank_oracle(rows) -> int:
-    """Gaussian elimination over Fraction."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def is_unimodular(u) -> bool:
@@ -276,7 +260,7 @@ def square_matrices(draw):
     rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[n // 2])]
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
     return rows
 
 

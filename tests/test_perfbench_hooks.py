@@ -1,4 +1,5 @@
-"""The benchmark's hooks name things that exist, and tracing is undone.
+"""The benchmark's hooks name things that exist, tracing is undone, and the
+smooth-complete gate accepts every fan the workloads write.
 
 perfbench/tracer.py wraps the (module, attribute) pairs in its TRACED table
 and subclasses cohomology.GradedCechComplex; perfbench/run.py and
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 # attributes that perfbench/run.py and perfbench/workloads.py read
 READ = (
@@ -32,14 +33,16 @@ READ = (
 )
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACED = load_tracer().TRACED
+TRACED = load_perfbench("tracer").TRACED
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("module,attr,span", TRACED, ids=[f"{m}.{a}" for m, a, _ in TRACED])
@@ -87,7 +90,7 @@ def test_install_then_uninstall_restores_every_binding():
         }
 
     before = bindings()
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         assert hasattr(kernels.matrix_rank, "__wrapped__")
@@ -108,7 +111,7 @@ def test_tracer_sees_the_stalk_path(tmp_path, capsys):
 
     path = tmp_path / "f2.json"
     path.write_text(json.dumps(cli.fan_to_json(hirzebruch(2))))
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     tracer.install()
     try:
         code = tracer.call_main(cli.main, ["h1", "--fan", str(path)])
@@ -119,3 +122,16 @@ def test_tracer_sees_the_stalk_path(tmp_path, capsys):
     calls = {name: n for name, (n, _) in tracer.per_name().items()}
     assert calls["cohomology.span_check"] >= 1
     assert calls["cohomology.cech"] == 0
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_gate_accepts_every_benchmark_fan(workload):
+    # a fan the gate wrongly rejected would show only as a lower ok_ratio
+    # in the benchmark run
+    from toric_deform.fan import validate
+
+    keys = workloads.fan_keys(workload, workloads.load_expected())
+    assert keys
+    for key in keys:
+        rep = validate(workloads.build_fan(key))
+        assert rep["smooth"] and rep["complete"], key

@@ -34,11 +34,7 @@ from toric_deform.scrolls import (
 )
 from toric_deform.triples import degree_box, enumerate_triples
 
-
-def default_box_bound(fan: Fan) -> int:
-    """Half-width of the degree box the Cech oracles sweep: twice (1 + the
-    largest absolute ray coordinate), the former default box."""
-    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
+from helpers import default_box_bound
 
 
 def same_fan_up_to_relabel(f: Fan, g: Fan) -> bool:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_deform import fan as fan_module
 from toric_deform import intlin
 from toric_deform import triples as triples_mod
 from toric_deform.fan import (
@@ -50,6 +51,8 @@ from toric_deform.triples import (
     triples_at_degree,
 )
 
+from helpers import default_box_bound
+
 
 def scroll_110_fan() -> Fan:
     # Three-fold scroll with degrees (1, 1, 0): two base rays, three fibers.
@@ -58,12 +61,6 @@ def scroll_110_fan() -> Fan:
         rays=((1, 0, 0), (-1, 1, 1), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
         max_cones=((0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)),
     )
-
-
-def default_box_bound(fan: Fan) -> int:
-    """Half-width of the degree box the h1 and triples commands once used
-    by default: twice (1 + the largest absolute ray coordinate)."""
-    return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
 
 
 def blown_up_plane(r: int) -> Fan:
@@ -589,17 +586,21 @@ class TestBoxGuard:
                 degree_box(projective_space(1), 2**12 + 1)
 
     def test_first_cone_is_factored_once(self):
-        # the first cone is inverted by one elimination, with no Smith form
+        # the first cone's inverse is the one validate's elimination left
+        # in Fan.cone_inverses: degree_box factors nothing more
         f = product(hirzebruch(2), hirzebruch(3))
+        validate(f)
         with mock.patch.object(
             intlin, "smith_normal_form", wraps=intlin.smith_normal_form
         ) as snf, mock.patch.object(
             intlin, "unimodular_solve", wraps=intlin.unimodular_solve
+        ) as solve, mock.patch.object(
+            fan_module, "eliminate", wraps=fan_module.eliminate
         ) as elim:
             degree_box(f, 1)
-        assert elim.call_count == 1
-        assert elim.call_args.args[0] == f.cone_matrix(f.max_cones[0])
+        assert solve.call_count == 0
         assert snf.call_count == 0
+        assert elim.call_count == 0
 
 
 class TestBoundRegression:
