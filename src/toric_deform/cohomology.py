@@ -232,7 +232,8 @@ class _Stalk:
     cone of star(rho), each other cone j of the star gives a link
     (i0, j, functionals), the annihilator of F(rho), and each functional f
     one row, f in block j and -f in block i0. That is
-    sum over rho of (|star rho| - 1) * codim F(rho) rows.
+    sum over rho of (|star rho| - 1) * codim F(rho) rows. Boundaries are
+    read from sections, never built as stalk vectors.
     """
 
     def __init__(self, fan: Fan, m):
@@ -258,17 +259,7 @@ class _Stalk:
                 if i0:
                     row[(i0 - 1) * n : i0 * n] = [-c for c in f]
                 self.constraints.append(row)
-        zero = (0,) * n
         self.sections = [_sections_basis(fan, cone, values) for cone in fan.max_cones]
-        self.boundaries = []  # the 0-cochain y with y_j = b, else 0: x_k = y_k - y_0
-        for j, basis in enumerate(self.sections):
-            for b in basis:
-                if j:
-                    x = [zero] * s
-                    x[j] = b
-                else:
-                    x = [zero] + [tuple(-c for c in b)] * (s - 1)
-                self.boundaries.append(x)
 
     def violation(self, x) -> tuple[int, int] | None:
         """The first link (i0, j) whose rows do not vanish on x, or None:
@@ -285,6 +276,11 @@ class _Stalk:
 def _checked_cocycles(stalk: _Stalk, triples) -> list[list[tuple[int, ...]]]:
     """Stalk vectors of the triple cocycles, after the exact product.
 
+    At a link (i0, j, functionals), the boundary of b in F(sigma_t) has
+    x_j - x_(i0) = -b when t = i0 (also for t = 0), b when t = j, and 0
+    otherwise; so the boundaries check as f . b = 0 for the link's f and
+    each b in sections[i0] + sections[j].
+
     Raises:
         AssertionError: a boundary violates a constraint; the stalk
             construction is broken.
@@ -298,8 +294,10 @@ def _checked_cocycles(stalk: _Stalk, triples) -> list[list[tuple[int, ...]]]:
             raise ValueError(f"triple degree {t.m} differs from requested degree {stalk.m}")
         touches = [int(bool(set(t.component) & set(c))) for c in fan.max_cones]
         cocycles.append([tuple((touches[0] - tj) * c for c in fan.rays[t.rho]) for tj in touches])
-    if any(stalk.violation(x) for x in stalk.boundaries):
-        raise AssertionError("a boundary violates a constraint; stalk construction is broken")
+    for i0, j, functionals in stalk.links:
+        for b in stalk.sections[i0] + stalk.sections[j]:
+            if any(sum(map(mul, f, b)) for f in functionals):
+                raise AssertionError("a boundary violates a constraint; stalk construction is broken")
     for t, x in zip(triples, cocycles):
         link = stalk.violation(x)
         if link is not None:

@@ -295,13 +295,17 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
     * cone_membership: iota of every ray of every maximal cone is a
       nonnegative integer combination of its sigma-tilde columns, i.e.
       X_sigma >= 0 (a solve per ray when B is not unimodular),
-    * lattice_identification: iota embeds N onto the sublattice cut out by
-      the binomial character u and the last coordinate. u solves
-      P^T @ u = the binomial difference. When P[:, sigma-tilde_0] is
-      unimodular, u comes from one more elimination, on its transpose,
-      and is checked on every row (_binomial_character). The sublattice
-      is one HNF kernel (intlin.kernel_basis), so a valid package takes
-      no Smith form here either,
+    * lattice_identification: iota embeds N onto
+      L = {x : u . x = 0, x_(n+1) = 0}, where the binomial character u
+      solves P^T @ u = the binomial difference: one more elimination, on
+      the transpose of P[:, sigma-tilde_0] when that is unimodular, checked
+      on every row (_binomial_character). Every nonzero n-minor of iota
+      takes one m row and all proj rows, so iota(N) is saturated of rank n
+      exactly when |det [m; proj]| = 1. It lies in L when u^T @ iota = 0,
+      and L has rank n when u is not in Z * e_(n+1); a saturated rank-n
+      sublattice of L is then all of L, and conversely (H. Cohen, GTM 138,
+      2.4). So a valid package takes no HNF and no Smith form: one
+      elimination per sigma-tilde, one for u and one determinant,
     * diagram_commutes: Ptilde composed with psi equals iota (truncated)
       composed with the ray matrix,
     * cox_cone_mapping: psi sends each Cox cone of the base into the
@@ -345,12 +349,12 @@ def verify_central_fiber(fan: Fan, d: DeformationData) -> dict:
             "witness": {"reason": "binomial character does not lift"},
         }
     else:
-        e_last = [0] * (n + 2)
-        e_last[n + 1] = 1
-        n0 = intlin.kernel_basis([uvec, e_last])
-        # n independent rows spanning the lattice of iota's n columns, so
-        # iota is injective too
-        same = len(n0) == n and intlin.lattice_equal(n0, intlin.transpose(iota))
+        # L has rank n, iota(N) lies in L, and iota(N) is saturated of rank n
+        same = (
+            any(uvec[: n + 1])
+            and not any(intlin.mat_vec(intlin.transpose(iota), uvec))
+            and abs(intlin.determinant(iota[1 : n + 1])) == 1
+        )
         checks["lattice_identification"] = {
             "ok": same,
             "witness": None if same else {"u": uvec},

@@ -21,8 +21,8 @@ matrix expected to be unimodular (a smooth cone) needs no Smith form
 either: ``unimodular_solve`` runs one elimination on [b | r], which
 also decides whether det b = +-1, and is the one way to invert.
 ``solve_int`` takes one Smith form per call and is only for matrices
-with no known unimodular minor (``scroll path``, Riemann-Roch and
-broken deformation packages use it);
+with no known unimodular minor (Riemann-Roch and broken deformation
+packages use it);
 ``solve_nonneg_line`` is ``solve_int`` followed by ``least_on_lines``,
 which picks the least nonnegative point on lines of solutions,
 whichever engine found them. ``kernels.eliminate`` is the one
@@ -365,15 +365,6 @@ def solve_nonneg_line(a, e, k) -> list[int] | None:
         return None
     x = least_on_lines(a, [[v] for v in e], k, [[v] for v in x0])[0]
     return None if x is None else list(x)
-
-
-def lattice_equal(rows_a, rows_b) -> bool:
-    """Whether two row lists generate the same integer lattice."""
-    if len(rows_a) and len(rows_b) and len(rows_a[0]) != len(rows_b[0]):
-        return False
-    ha, _ = hermite_normal_form(rows_a)
-    hb, _ = hermite_normal_form(rows_b)
-    return [r for r in ha if any(r)] == [r for r in hb if any(r)]
 
 
 class FourierMotzkin:

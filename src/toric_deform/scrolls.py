@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intlin
 from .fan import Fan
-from .triples import AdmissibleTriple, admissible_components, marker_graph
+from .triples import AdmissibleTriple, admissible_components, marker_graph, pairing
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,9 @@ def one_step(s: ScrollSpec, i: int, j: int, dprime: int) -> ScrollMove:
     values[1] = dprime - gap
     values[fiber_ray(s, i)] = -1
     values[fiber_ray(s, j)] = 1
-    m = intlin.solve_int(fan.rays, values)  # the rays are the rows of the ray matrix^T
-    assert m is not None  # the value vector is orthogonal to the grading
-    m = tuple(m)
+    m = (values[0], *values[2 : s.n + 1])  # rays 0, 2..n are e_1..e_n
+    # the value vector is orthogonal to the grading, so rays 1 and n+1 agree
+    assert [pairing(m, fan.rays[k]) for k in (1, s.n + 1)] == [values[1], values[s.n + 1]]
 
     rho = fiber_ray(s, i)
     g = marker_graph(fan, m, rho)

@@ -259,7 +259,7 @@ class _ChamberSearch:
     def grow(self, negative: frozenset, frontier: list, decided: frozenset) -> None:
         """Decide frontier[0], the next ray next to S + {rho}, both ways."""
         if not frontier:
-            self.leaf(negative)
+            self.leaf(negative, decided)
             return
         adj, rho = self.adj, self.rho
         u, rest = frontier[0], frontier[1:]
@@ -281,31 +281,33 @@ class _ChamberSearch:
                 self.grow(grown, nxt, decided | {u})
             self.fm.undo(mark)
 
-    def leaf(self, negative: frozenset) -> None:
+    def leaf(self, negative: frozenset, decided: frozenset) -> None:
         """List the chamber of S = negative if S has two or more components.
 
-        Rays never decided touch no ray of S + {rho}; they get m >= 0.
+        Rays never decided touch no ray of S + {rho}; they get m >= 0, on
+        self.fm next to the decided rays' rows, until its points are read.
         """
         self.support.chambers += 1
         comps = components(negative, self.adj)
         if len(comps) < 2:
             return
-        others = [t for t in range(self.fan.n_rays) if t != self.rho]
-        rows = [self.row(t, t in negative) for t in others]
-        if self.bound is not None:
-            # -bound <= m(v_t) on S, m(v_t) <= bound elsewhere
-            rows += [
-                (self.a[t], self.c[t] - self.bound) if t in negative
-                else (tuple(-x for x in self.a[t]), -self.c[t] - self.bound)
-                for t in others
-            ]
+        mark = self.fm.mark()
+        for t in range(self.fan.n_rays):
+            if t not in decided:
+                self.fm.push(*self.row(t, False))
+            if self.bound is not None and t != self.rho:
+                # -bound <= m(v_t) on S, m(v_t) <= bound elsewhere
+                sign = 1 if t in negative else -1
+                self.fm.push(tuple(sign * x for x in self.a[t]), sign * self.c[t] - self.bound)
         self.support.fm_systems += 1
         try:
-            points = intlin.polyhedron_lattice_points([q for q, _ in rows], [b for _, b in rows])
+            points = self.fm.lattice_points()
         except ValueError:
             if self.support.unbounded is None:
                 self.support.unbounded = {"rho": self.rho, "negative_rays": sorted(negative)}
             return
+        finally:
+            self.fm.undo(mark)
         n = self.fan.dim
         for y in points:
             vals = [-1] * n
@@ -321,9 +323,9 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
     For each ray rho the search decides rays one at a time, negative (in S)
     or not: first the neighbours of rho, then the rays next to S. Each
     decision adds one row to an incremental Fourier-Motzkin system, and an
-    empty partial chamber ends its branch. With a bound, each ray also gets
-    |m(v_tau)| <= bound when the points of a chamber are listed, so only
-    degrees inside the bound are ever produced.
+    empty partial chamber ends its branch. A chamber's points are read off
+    that same system, where a bound adds |m(v_tau)| <= bound on each ray,
+    so only degrees inside the bound are ever produced.
 
     The triples mean something only on a smooth complete fan; callers gate
     on that first.

@@ -278,10 +278,10 @@ class TestTriples:
         assert "counters" not in payload["results"]
 
     def test_unbounded_chamber_fails_support_complete(self, f2_path, monkeypatch, capsys):
-        def unbounded(a, b):
+        def unbounded(fm):
             raise ValueError("polyhedron is unbounded")
 
-        monkeypatch.setattr(intlin, "polyhedron_lattice_points", unbounded)
+        monkeypatch.setattr(intlin.FourierMotzkin, "lattice_points", unbounded)
         witness = {"rho": 1, "negative_rays": [0, 2]}
         for command in ("triples", "h1"):
             code = cli.main([command, "--fan", f2_path])
@@ -1083,7 +1083,17 @@ SPY_FANS = {
 
 
 class TestSmithFree:
-    """deform and lift take no Smith form on a valid package."""
+    """deform and lift take no Smith form on a valid package, nor scroll path."""
+
+    @pytest.mark.parametrize("twists", ["9,0,0", "5,3,1,0,0"])
+    def test_scroll_path(self, twists, capsys):
+        # the degree of each move is read off the rays e_1..e_n of the scroll fan
+        with mock.patch.object(
+            intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+        ) as snf:
+            assert cli.main(["scroll", "path", twists]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["moves"]
+        assert snf.call_count == 0
 
     @pytest.mark.parametrize("key", list(SPY_FANS))
     def test_deform_and_lift(self, key, tmp_path, capsys):

@@ -48,7 +48,6 @@ from toric_deform.triples import (
     degree_box,
     enumerate_triples,
     h1_closed_form,
-    marker_graph,
     triples_at_degree,
 )
 
@@ -274,8 +273,24 @@ class TestSpanCheck:
         f, m = hirzebruch(2), (-1, -1)
         stalk = cohomology._Stalk(f, m)
         assert stalk.constraints
-        assert any(any(block) for x in stalk.boundaries for block in x)
+        assert any(stalk.sections[1:])  # a nonzero boundary on sigma_1..
         monkeypatch.setattr(cohomology, "_annihilator", lambda basis, n: [(1, 0), (0, 1)])
+        with pytest.raises(AssertionError, match="construction is broken"):
+            span_check(f, m, [])
+
+    def test_broken_first_cone_of_a_star_is_caught(self, monkeypatch):
+        # cone 0 = (0, 1) of F_2 at (-1, -1) has two negative rays, so F = 0;
+        # claiming all of N there gives boundaries that leave F(rho) at the
+        # links (0, j) of rays 0 and 1, where cone 0 is always the first cone
+        f, m = hirzebruch(2), (-1, -1)
+        sections = cohomology._sections_basis
+        first = f.max_cones[0]
+        assert sections(f, first, [-1, -1, -1, 1]) == ()
+
+        def broken(fan, cone, values):
+            return ((1, 0), (0, 1)) if tuple(cone) == first else sections(fan, cone, values)
+
+        monkeypatch.setattr(cohomology, "_sections_basis", broken)
         with pytest.raises(AssertionError, match="construction is broken"):
             span_check(f, m, [])
 
@@ -481,6 +496,21 @@ def flat_rows(vectors) -> list[list[int]]:
     return [[c for block in x[1:] for c in block] for x in vectors]
 
 
+def boundary_rows(stalk) -> list[list[int]]:
+    """The boundaries of the cohomology module docstring as full rows, read
+    from stalk.sections: b in F(sigma_j) gives x_j = b when j >= 1, and
+    x_k = -b for every k >= 1 when j = 0."""
+    s, n = len(stalk.sections), stalk.fan.dim
+    vectors = []
+    for j, basis in enumerate(stalk.sections):
+        for b in basis:
+            if j:
+                vectors.append([(0,) * n] * j + [b] + [(0,) * n] * (s - 1 - j))
+            else:
+                vectors.append([(0,) * n] + [tuple(-c for c in b)] * (s - 1))
+    return flat_rows(vectors)
+
+
 def in_span(vec, basis) -> bool:
     return matrix_rank([*basis, vec]) == matrix_rank(list(basis)) if basis else not any(vec)
 
@@ -506,7 +536,7 @@ class TestPerRayStalk:
         for m, triples in by_degree.items():
             stalk = cohomology._Stalk(fan, m)
             cocycles = cohomology._checked_cocycles(stalk, triples)
-            boundaries = flat_rows(stalk.boundaries)
+            boundaries = boundary_rows(stalk)
             full = (matrix_rank(boundaries), matrix_rank(boundaries + flat_rows(cocycles)))
             assert cohomology._span_ranks(stalk, cocycles) == full, m
 

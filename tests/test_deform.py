@@ -451,25 +451,120 @@ class TestCentralFiber:
         with mock.patch.object(
             intlin, "smith_normal_form", wraps=intlin.smith_normal_form
         ) as snf, mock.patch.object(
+            intlin, "hermite_normal_form", wraps=intlin.hermite_normal_form
+        ) as hnf, mock.patch.object(
             intlin, "unimodular_solve", wraps=intlin.unimodular_solve
         ) as elim:
             report = verify_central_fiber(fan, d)
         assert report["passes"]
         # one elimination per P[:, sigma-tilde], and one more on the
-        # transpose of the first for lattice_identification's u; its kernel
-        # is an HNF, so no Smith form is taken at all, and a valid package
-        # decides the round trip without Fourier-Motzkin
+        # transpose of the first for lattice_identification's u; the
+        # lattice itself is settled by one determinant, so no HNF and no
+        # Smith form is taken at all, and a valid package decides the
+        # round trip without Fourier-Motzkin
         cones = len(fan.max_cones)
         assert elim.call_count == cones + 1
         assert all(obj(c.args[0]).shape == (fan.dim + 2,) * 2 for c in elim.call_args_list)
         first = obj(d.P)[:, list(d.ambient_cones[0])]
         assert np.array_equal(obj(elim.call_args_list[-1].args[0]), first.T)
-        assert snf.call_count == 0
+        assert (snf.call_count, hnf.call_count) == (0, 0)
         assert report["work"] == {"cone_factorisations": cones, "fm_systems": 0}
 
     def test_product_of_lines_has_no_triples(self):
         fan = product_of_lines(3)
         assert enumerate_triples(fan) == []
+
+
+def nonzero_hnf_rows(rows) -> list[list[int]]:
+    h, _ = intlin.hermite_normal_form(rows)
+    return [r for r in h if any(r)]
+
+
+def lattice_identification_oracle(fan, d) -> dict:
+    """lattice_identification the HNF way: the kernel of [u; e_(n+1)] and
+    the columns of iota have the same nonzero HNF rows."""
+    n = fan.dim
+    u = _binomial_character(d)
+    if u is None:
+        return {"ok": False, "witness": {"reason": "binomial character does not lift"}}
+    e_last = [0] * (n + 2)
+    e_last[n + 1] = 1
+    n0 = intlin.kernel_basis([u, e_last])
+    iota_t = intlin.transpose(_iota_matrix(fan, d))
+    same = len(n0) == n and nonzero_hnf_rows(n0) == nonzero_hnf_rows(iota_t)
+    return {"ok": same, "witness": None if same else {"u": u}}
+
+
+def lattice_corruptions(d):
+    """(kind, package) for each corruption of a valid package.
+
+    A proj entry moved by +-1 or +-2, a proj row doubled, a P entry moved
+    by +-1, and the sigma-tilde rotated. Two more corrupt the binomial
+    difference b, which moves u: b = 0 gives u = 0, so L has rank n + 1,
+    and b plus a proj row of P adds that row's unit vector to u, so
+    iota(N) leaves L while det [m; proj] stays +-1.
+    """
+    proj = [list(r) for r in d.splitting.proj]
+
+    def with_proj(rows):
+        split = dataclasses.replace(d.splitting, proj=tuple(map(tuple, rows)))
+        return dataclasses.replace(d, splitting=split)
+
+    for i, j in itertools.product(range(len(proj)), range(len(proj[0]))):
+        for delta in (-2, -1, 1, 2):
+            rows = [list(r) for r in proj]
+            rows[i][j] += delta
+            yield "proj_entry", with_proj(rows)
+    for i in range(len(proj)):
+        rows = [list(r) for r in proj]
+        rows[i] = [2 * x for x in rows[i]]
+        yield "proj_row_doubled", with_proj(rows)
+    for i, j in itertools.product(range(len(d.P)), range(len(d.P[0]))):
+        for delta in (-1, 1):
+            p = [list(r) for r in d.P]
+            p[i][j] += delta
+            yield "P_entry", dataclasses.replace(d, P=tuple(map(tuple, p)))
+    yield "rotated", dataclasses.replace(d, ambient_cones=d.ambient_cones[1:] + d.ambient_cones[:1])
+    (c1, t1), (c2, t2), (c3, t3) = d.trinomial.terms
+
+    def with_term2(t):
+        trinomial = dataclasses.replace(d.trinomial, terms=((c1, t1), (c2, t), (c3, t3)))
+        return dataclasses.replace(d, trinomial=trinomial)
+
+    yield "binomial_zero", with_term2(t3)
+    for row in d.P[2:-1]:
+        yield "binomial_plus_proj_row", with_term2(tuple(x + y for x, y in zip(t2, row)))
+
+
+class TestLatticeIdentification:
+    """One determinant against the HNF comparison it replaced."""
+
+    def test_valid_packages_take_no_normal_form(self):
+        for fan, d in all_packages():
+            with mock.patch.object(
+                intlin, "smith_normal_form", wraps=intlin.smith_normal_form
+            ) as snf, mock.patch.object(
+                intlin, "hermite_normal_form", wraps=intlin.hermite_normal_form
+            ) as hnf, mock.patch.object(
+                intlin, "unimodular_solve", wraps=intlin.unimodular_solve
+            ) as elim:
+                report = verify_central_fiber(fan, d)
+            assert report["passes"], d.triple
+            assert (snf.call_count, hnf.call_count) == (0, 0), d.triple
+            assert elim.call_count == len(fan.max_cones) + 1, d.triple
+
+    def test_verdict_and_witness_match_the_hnf_oracle(self):
+        failing: dict[str, int] = {}
+        for fan, d in all_packages():
+            check = verify_central_fiber(fan, d)["checks"]["lattice_identification"]
+            assert check == lattice_identification_oracle(fan, d) == {"ok": True, "witness": None}
+            for kind, bad in lattice_corruptions(d):
+                check = verify_central_fiber(fan, bad)["checks"]["lattice_identification"]
+                assert check == lattice_identification_oracle(fan, bad), (kind, d.triple)
+                failing[kind] = failing.get(kind, 0) + (not check["ok"])
+        # rotating the sigma-tilde leaves P, and so u, alone
+        assert failing.pop("rotated") == 0
+        assert all(failing.values()) and len(failing) == 5, failing
 
 
 def escapes_by_fm(pull, dual_row) -> bool:

@@ -31,7 +31,6 @@ from toric_deform.intlin import (
     hermite_normal_form,
     identity,
     kernel_basis,
-    lattice_equal,
     polyhedron_lattice_points,
     rational_polyhedron_nonempty,
     smith_normal_form,
@@ -694,24 +693,6 @@ class TestSolveNonnegLine:
         a = identity(2)
         assert list(solve_nonneg_line(a, ivec([3, 4]), ivec([0, 0]))) == [3, 4]
         assert solve_nonneg_line(a, ivec([-1, 0]), ivec([0, 0])) is None
-
-
-class TestLatticeEqual:
-    def test_reordering_and_combinations(self):
-        b1 = imat([[1, 0], [0, 2]])
-        b2 = imat([[1, 2], [1, 0], [2, 2]])
-        assert lattice_equal(b1, b2)
-        assert not lattice_equal(b1, imat([[1, 0], [0, 1]]))
-
-    @given(matrices)
-    @settings(max_examples=60, deadline=None)
-    def test_invariant_under_unimodular_row_mix(self, rows):
-        a = imat(rows)
-        if a.shape[0] < 2:
-            return
-        mixed = imat([list(r) for r in a], cols=a.shape[1])
-        mixed[0] = mixed[0] + 2 * mixed[1]
-        assert lattice_equal(a, mixed)
 
 
 def test_identity_entries_are_python_ints():

@@ -1,5 +1,6 @@
-"""The benchmark's hooks name things that exist, tracing is undone, and the
-smooth-complete gate accepts every fan the workloads write.
+"""The benchmark's hooks name things that exist, tracing is undone, the
+smooth-complete gate accepts every fan the workloads write, and one pass
+of each workload matches its pinned outputs.
 
 perfbench/tracer.py wraps the (module, attribute) pairs in its TRACED table
 and subclasses cohomology.GradedCechComplex; perfbench/run.py and
@@ -12,6 +13,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -135,3 +137,17 @@ def test_gate_accepts_every_benchmark_fan(workload):
     for key in keys:
         rep = validate(workloads.build_fan(key))
         assert rep["smooth"] and rep["complete"], key
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_one_benchmark_pass_matches_the_pins(workload, tmp_path, monkeypatch):
+    # a pinned output the package no longer produces would show only as a
+    # lower ok_ratio in the benchmark run
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds perfbench/
+    run = load_perfbench("run")
+    expected = workloads.load_expected()
+    fans = workloads.write_fans(workloads.fan_keys(workload, expected), str(tmp_path))
+    runner = run.Runner(workloads.MAKE_OPS[workload](fans, expected, random.Random(3)))
+    runner.run_pass()
+    assert runner.attempted > 0
+    assert runner.failures == []

@@ -80,7 +80,9 @@ class TestScrollFan:
             [1, 1] + [-x for x in a],
             [0, 0] + [1] * n,
         ]
-        assert intlin.lattice_equal(cox_data(fan).grading_rows, expected)
+        got, _ = intlin.hermite_normal_form(cox_data(fan).grading_rows)
+        want, _ = intlin.hermite_normal_form(expected)
+        assert [r for r in got if any(r)] == [r for r in want if any(r)]
 
     @pytest.mark.parametrize("a", [(2, 0), (3, 1, 0), (2, 2, 1, 0)])
     def test_irrelevant_structure(self, a):

@@ -266,6 +266,8 @@ class TestEnumerateTriples:
         (lambda: hirzebruch(3), 4),
         (lambda: projective_space(2), 3),
         (scroll_110_fan, 2),
+        # rays outside S can pass the bound inside a chamber the S rays bound
+        (lambda: blown_up_plane(9), 1),
     ])
     def test_matches_brute_force(self, fan_builder, bound):
         f = fan_builder()
@@ -466,18 +468,22 @@ class TestChamberSupport:
         # F_4: rho = ray 1 with S = {0, 2} carries the degrees (-a, -1),
         # a = 1, 2, 3; that chamber is the only one listed
         f = hirzebruch(4)
+        fm = intlin.FourierMotzkin
         with mock.patch.object(
+            fm, "lattice_points", autospec=True, side_effect=fm.lattice_points
+        ) as spy, mock.patch.object(
             intlin, "polyhedron_lattice_points", wraps=intlin.polyhedron_lattice_points
-        ) as spy:
+        ) as one_shot:
             support = chamber_support(f)
         assert spy.call_count == 1
+        assert one_shot.call_count == 0  # read off the search's own system
         assert {t.m for t in support.triples} == {(-1, -1), (-2, -1), (-3, -1)}
 
     def test_unbounded_chamber_is_reported(self):
-        def unbounded(a, b):
+        def unbounded(fm):
             raise ValueError("polyhedron is unbounded")
 
-        with mock.patch.object(intlin, "polyhedron_lattice_points", unbounded):
+        with mock.patch.object(intlin.FourierMotzkin, "lattice_points", unbounded):
             support = chamber_support(hirzebruch(2))
             assert support.unbounded == {"rho": 1, "negative_rays": [0, 2]}
             assert support.triples == []
