@@ -297,7 +297,6 @@ def cmd_triples(args) -> tuple[dict, list[dict], dict]:
     support_complete check.
     """
     fan = parse_fan(args.fan)
-    require_smooth_complete(fan, "triple enumeration")
     support = chamber_support(fan, args.bound)
     results = {
         "bound": args.bound,
@@ -309,16 +308,18 @@ def cmd_triples(args) -> tuple[dict, list[dict], dict]:
 
 
 def cmd_h1(args) -> tuple[dict, list[dict], dict]:
-    """H^1 per degree: the closed form everywhere, Cech where triples live.
+    """H^1 per degree: the closed form everywhere, the stalk where triples live.
 
     The closed form (triples.h1_closed_form) is zero at every degree
-    without admissible triples, so those degrees get no Cech work. The
-    sweep finds the others with triples.chamber_support: all of them, or
-    with --bound B those with |m(v)| <= B on every ray. At each, span_check
-    gives h1_dim and span_rank, and its h1_dim must agree with the closed
-    form. Without a bound the report also carries support_complete. The
-    rank_fallbacks counter reports the degrees where span_check's
-    rank mod p was not sharp and the exact rank of its constraints ran.
+    without admissible triples, so those degrees build no stalk system.
+    The sweep finds the others with triples.chamber_support: all of them,
+    or with --bound B those with |m(v)| <= B on every ray. At each,
+    span_check gives h1_dim and span_rank from the generic stalk, and its
+    h1_dim must agree with the closed form. Without a bound the report
+    also carries support_complete. The rank_fallbacks counter reports the
+    degrees where span_check's rank mod p was not sharp and the exact rank
+    of its constraints ran; stalk_rows and stalk_nonzeros sum the
+    constraint rows and their nonzero entries over those degrees.
     """
     fan = parse_fan(args.fan)
     require_smooth_complete(fan, "h1")
@@ -337,10 +338,11 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     witness = None
     cech_degrees = 0
     rank_fallbacks = 0
+    work = {"stalk_rows": 0, "stalk_nonzeros": 0}
     for m, triples in by_degree:
         if triples:
             closed = h1_closed_form(triples)
-            rep = span_check(fan, m, triples)
+            rep = span_check(fan, m, triples, work)
             cech_degrees += 1
             rank_fallbacks += not rep["certified"]
             total += closed
@@ -370,7 +372,7 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     if support is not None and args.bound is None:
         checks.append(_support_check(support))
     counters = _support_counters(support)
-    counters.update(cech_degrees=cech_degrees, rank_fallbacks=rank_fallbacks)
+    counters.update(cech_degrees=cech_degrees, rank_fallbacks=rank_fallbacks, **work)
     return results, checks, counters
 
 

@@ -38,12 +38,14 @@ same solution set, so their rows span the same space over Q, and the
 constraints are the annihilator rows of F(rho) applied to x_j - x_(i0):
 n - 1 for a line, n for zero, and sum over rho of
 (|star rho| - 1) * codim F(rho) in all. The three cases, and so this
-equivalence, hold on smooth cones only: span_check relies on a smooth
-complete fan without checking it, and its callers gate on that first
-(triples.require_smooth_complete).
+equivalence, hold on smooth cones only, so span_check first checks that
+the fan is smooth and complete (triples.require_smooth_complete, whose
+verdict is cached per Fan object).
 
-span_check proves its answer with one rank modulo a prime p, falling back
-to the exact rank of the constraints only when that is not sharp:
+Each constraint row touches at most the two n-blocks of its link, and is
+held as its nonzero entries. span_check proves its answer with one rank
+modulo a prime p of those sparse rows, falling back to the exact rank of
+the constraints, made dense for it, only when that is not sharp:
 
 * constraints . [boundaries; cocycles]^T = 0 is checked exactly, so the
   span lies in Z^1 and rank_span <= width - rank_Q(constraints), where
@@ -74,7 +76,7 @@ from operator import mul, sub
 
 from .fan import Fan
 from .kernels import matrix_rank, rank_mod_p
-from .triples import AdmissibleTriple, pairing
+from .triples import AdmissibleTriple, pairing, require_smooth_complete
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,10 @@ class _Stalk:
     cone of star(rho), each other cone j of the star gives a link
     (i0, j, functionals), the annihilator of F(rho), and each functional f
     one row, f in block j and -f in block i0. That is
-    sum over rho of (|star rho| - 1) * codim F(rho) rows. Boundaries are
-    read from sections, never built as stalk vectors.
+    sum over rho of (|star rho| - 1) * codim F(rho) rows, each held as
+    its nonzero entries {column: entry}, in at most two n-blocks; no
+    (s - 1) * n-wide row is built. Boundaries are read from sections,
+    never built as stalk vectors.
     """
 
     def __init__(self, fan: Fan, m):
@@ -254,10 +258,9 @@ class _Stalk:
         self.constraints = []
         for i0, j, functionals in self.links:
             for f in functionals:
-                row = [0] * self.width
-                row[(j - 1) * n : j * n] = f
+                row = {(j - 1) * n + q: c for q, c in enumerate(f) if c}
                 if i0:
-                    row[(i0 - 1) * n : i0 * n] = [-c for c in f]
+                    row.update({(i0 - 1) * n + q: -c for q, c in enumerate(f) if c})
                 self.constraints.append(row)
         self.sections = [_sections_basis(fan, cone, values) for cone in fan.max_cones]
 
@@ -343,22 +346,32 @@ def _span_ranks(stalk: _Stalk, cocycles) -> tuple[int, int]:
     return rank_b, kept + matrix_rank(rows + [image(x) for x in cocycles])
 
 
-def span_check(fan: Fan, m, triples) -> dict:
+def span_check(fan: Fan, m, triples, work: dict | None = None) -> dict:
     """Whether the triple cocycles of degree m span H^1 in that degree.
 
-    Hypothesis: the fan is smooth and complete (module docstring); callers
-    gate on that first.
+    The fan must be smooth and complete (module docstring). ``work``, if
+    given, has its stalk_rows and stalk_nonzeros counts raised by this
+    degree's constraint rows and their nonzero entries.
 
     Returns:
         {"h1_dim": int, "span_rank": int, "spans": bool, "certified": bool};
         certified is False when the rank mod p was not sharp and the exact
         rank of the constraints ran instead.
+
+    Raises:
+        ValueError: a fan that is not smooth and complete, or a triple
+            that is not an admissible triple of degree m.
     """
+    require_smooth_complete(fan, "span_check")
     stalk = _Stalk(fan, tuple(int(x) for x in m))
+    rows, width = stalk.constraints, stalk.width
+    if work is not None:
+        work["stalk_rows"] += len(rows)
+        work["stalk_nonzeros"] += sum(map(len, rows))
     rank_b, rank_span = _span_ranks(stalk, _checked_cocycles(stalk, triples))
     span_rank = rank_span - rank_b
     # the span lies in Z^1, so this equality is a proof (module docstring)
-    if rank_span == stalk.width - rank_mod_p(stalk.constraints):
+    if rank_span == width - rank_mod_p(rows, width):
         return {"h1_dim": span_rank, "span_rank": span_rank, "spans": True, "certified": True}
-    h1 = stalk.width - matrix_rank(stalk.constraints) - rank_b
+    h1 = width - matrix_rank([[row.get(c, 0) for c in range(width)] for row in rows]) - rank_b
     return {"h1_dim": h1, "span_rank": span_rank, "spans": span_rank == h1, "certified": False}

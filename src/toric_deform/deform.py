@@ -459,15 +459,13 @@ def _roundtrip_check(coords, work: dict, nonneg=None) -> dict:
 
 
 def _pullback_leaves_orthant(x, i: int, work: dict) -> bool:
-    """Whether some rational w with x @ w >= 0 has w_i < 0.
+    """Whether some rational w with x @ w >= 0 has w_i < 0, by one
+    Fourier-Motzkin system.
 
-    ``x`` is a list of integer rows; see _roundtrip_check for the lemma
-    that decides the nonnegative case without Fourier-Motzkin.
+    ``x`` is a list of integer rows. _roundtrip_check calls this only on
+    an X_sigma with a negative entry; it decides the nonnegative case by
+    its lemma, without Fourier-Motzkin.
     """
-    if all(v >= 0 for row in x for v in row):
-        return not any(
-            row[i] > 0 and not any(row[:i]) and not any(row[i + 1:]) for row in x
-        )
     n = len(x[0])
     work["fm_systems"] += 1
     rows = x + [[-1 if k == i else 0 for k in range(n)]]

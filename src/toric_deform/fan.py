@@ -99,6 +99,13 @@ class Fan:
         return tuple(out)
 
     @functools.cached_property
+    def _verdict(self) -> dict:
+        """validate's verdict, taken once per Fan object; read it through
+        validate. A fan that makes validate raise caches nothing and
+        raises again on every call."""
+        return _validate(self)
+
+    @functools.cached_property
     def _cox(self) -> CoxData:
         """The Cox data of the fan, taken once per Fan object; read it
         through cox_data."""
@@ -161,6 +168,10 @@ def _complete(fan: Fan) -> bool:
 def validate(fan: Fan) -> dict:
     """Check smoothness, completeness and simpliciality.
 
+    The verdict is taken once per Fan object (Fan._verdict), so the
+    library gates (triples.require_smooth_complete) cost a dict copy after
+    the first call; each call returns a fresh dict.
+
     Returns:
         {"smooth": bool, "complete": bool, "simplicial": bool}.
 
@@ -168,6 +179,11 @@ def validate(fan: Fan) -> dict:
         ValueError: naming the first offending cone index, when a maximal
             cone is not simplicial or not pointed.
     """
+    return dict(fan._verdict)
+
+
+def _validate(fan: Fan) -> dict:
+    """validate's verdict, computed afresh."""
     smooth = True
     for ci, c in enumerate(fan.max_cones):
         if len(c) > fan.dim:

@@ -4,10 +4,10 @@ A monomial on the fiber lifts exactly when its exponent vector has a
 nonnegative preimage under the exponent map nu. Since ker nu has rank
 one, candidate preimages form a line: one elimination on nu gives a
 point of every line, and intlin.least_on_lines the least nonnegative one.
-Riemann-Roch spaces are enumerated as the lattice points of the fiber of
-the grading map over a divisor class, and the monomial image of the
-nonnegative orthant under nu is its own Hilbert basis, certified by two
-determinant-one column deletions.
+Riemann-Roch spaces are enumerated as the lattice points of the polytope
+P_w of a divisor class, in the chart of the first maximal cone, and the
+monomial image of the nonnegative orthant under nu is its own Hilbert
+basis, certified by two determinant-one column deletions.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import intlin
 from .deform import DeformationData, kernel_binomial
 from .fan import Fan, cox_data
+from .triples import require_smooth_complete
 
 
 @dataclass(frozen=True)
@@ -66,37 +67,35 @@ class LiftResult:
 
 
 def riemann_roch_points(fan: Fan, w) -> list[tuple[int, ...]]:
-    """All nonnegative integer exponent vectors of the given class.
+    """All nonnegative integer exponent vectors of the given class, sorted.
 
     These index a monomial basis of the global sections of any divisor
-    in the class.
+    in the class: the lattice points of the polytope P_w in the chart of
+    sigma = max_cones[0] (Cox-Little-Schenck, Toric Varieties, Prop.
+    4.3.3). On a smooth complete fan the grading Q restricted to the rays
+    off sigma is unimodular, so one intlin.unimodular_solve gives the
+    exponents there as an affine function of y = e_sigma, and P_w is
+    {y >= 0, e_off(y) >= 0}, bounded as the fan is complete.
 
     Raises:
-        ValueError: wrong class length, or infinitely many points (the
-            recession cone of the fiber is nontrivial).
+        ValueError: a fan that is not smooth and complete, or a class of
+            the wrong length.
     """
+    require_smooth_complete(fan, "Riemann-Roch enumeration")
     q = cox_data(fan).grading_rows
     w = [int(x) for x in w]
     if len(w) != len(q):
         raise ValueError(f"class has length {len(w)}, expected {len(q)}")
-    r = fan.n_rays
-    # with no class group every exponent vector has class 0
-    kernel_rows = intlin.kernel_basis(q) if q else intlin.identity(r)
-    if kernel_rows:
-        bt = intlin.transpose(kernel_rows)  # e = x0 + bt @ c
-        # a nonzero direction c of the recession cone: bt @ c >= 0, sum >= 1
-        total = [sum(col) for col in zip(*bt)]
-        if intlin.rational_polyhedron_nonempty(bt + [total], [0] * r + [1]):
-            raise ValueError(f"class {tuple(w)} has an infinite fiber")
-    x0 = intlin.solve_int(q, w)
-    if x0 is None:
-        return []
-    if not kernel_rows:
-        return [tuple(x0)] if min(x0) >= 0 else []
-    points = intlin.polyhedron_lattice_points(bt, [-x for x in x0])
-    out = [tuple(x + y for x, y in zip(x0, intlin.mat_vec(bt, c))) for c in points]
-    out.sort()
-    return out
+    sigma = fan.max_cones[0]
+    off = [j for j in range(fan.n_rays) if j not in sigma]
+    # Q_off @ e_off = w - Q_sigma @ y, so e_off = x[:, 0] + x[:, 1:] @ y
+    rhs = [[wi, *(-row[j] for j in sigma)] for wi, row in zip(w, q)]
+    x = intlin.unimodular_solve([[row[j] for j in off] for row in q], rhs)
+    assert x is not None  # Q_off is unimodular on a smooth complete fan
+    a = intlin.identity(len(sigma)) + [row[1:] for row in x]
+    points = intlin.polyhedron_lattice_points(a, [0] * len(sigma) + [-row[0] for row in x])
+    by_ray = [dict(zip([*sigma, *off], [*y, *intlin.mat_vec(x, [1, *y])])) for y in points]
+    return sorted(tuple(e[j] for j in range(fan.n_rays)) for e in by_ray)
 
 
 def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:

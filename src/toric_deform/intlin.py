@@ -21,8 +21,9 @@ matrix expected to be unimodular (a smooth cone) needs no Smith form
 either: ``unimodular_solve`` runs one elimination on [b | r], which
 also decides whether det b = +-1, and is the one way to invert.
 ``solve_int`` takes one Smith form per call and is only for matrices
-with no known unimodular minor (Riemann-Roch and broken deformation
-packages use it);
+with no known unimodular minor: a broken deformation package, and the
+kernel-lattice Riemann-Roch route the tests keep as their oracle
+(Riemann-Roch itself solves on the unimodular part of the grading);
 ``solve_nonneg_line`` is ``solve_int`` followed by ``least_on_lines``,
 which picks the least nonnegative point on lines of solutions,
 whichever engine found them. ``kernels.eliminate`` is the one

@@ -5,12 +5,13 @@ determinant, unimodular solve, cone inverses) on Python ints: it returns
 the rank, the signed last pivot and the reduced rows, from which
 ``matrix_rank`` (the exact rank over Q), ``intlin.determinant``,
 ``intlin.unimodular_solve`` and ``fan.Fan.cone_inverses`` read their
-answers. ``rank_mod_p`` is the rank over the field F_p for the
-prime ``PRIME``, by sparse elimination on dicts of Python ints. Both
-take a matrix as a sequence of equal-length integer rows. For an integer
-matrix A, rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a
-nonzero minor over Z. So rank mod p is a lower bound on the exact rank,
-which ``cohomology.span_check`` turns into a proof when it is sharp.
+answers; it takes a matrix as a sequence of equal-length integer rows.
+``rank_mod_p`` is the rank over the field F_p for the prime ``PRIME``,
+by elimination on sparse rows {column: entry} of a known width, the form
+``cohomology`` builds its stalk constraints in. For an integer matrix A,
+rank_p(A) <= rank_Q(A) always: a nonzero minor mod p is a nonzero minor
+over Z. So rank mod p is a lower bound on the exact rank, which
+``cohomology.span_check`` turns into a proof when it is sharp.
 """
 
 from __future__ import annotations
@@ -94,24 +95,24 @@ def matrix_rank(rows) -> int:
     return eliminate(rows)[0]
 
 
-def rank_mod_p(rows) -> int:
-    """Rank over F_p, p = ``PRIME``, of an integer matrix given as rows.
+def rank_mod_p(rows, width: int) -> int:
+    """Rank over F_p, p = ``PRIME``, of an integer matrix of the given
+    width, given as sparse rows {column: entry}.
 
-    Each row is reduced mod p to a sparse dict {column: entry} of Python
-    ints, so any integer input is exact. Rows are eliminated one at a
-    time against the pivot rows kept so far, each normalised to 1 at its
-    leading column: a row loses its leading entry to the pivot row of that
-    column, which leaves only columns to its right, until it is zero or
-    leads at a new column. Only nonzero entries are ever touched, and the
-    scan stops once every column has a pivot. The result is a lower bound
-    on the rank r over Q, and equals r unless p divides every r x r minor.
+    Each row is reduced mod p, so any integer input is exact. Rows are
+    eliminated one at a time against the pivot rows kept so far, each
+    normalised to 1 at its leading column: a row loses its leading entry
+    to the pivot row of that column, which leaves only columns to its
+    right, until it is zero or leads at a new column. Only nonzero
+    entries are ever touched, and the scan stops once every column has a
+    pivot. The result is a lower bound on the rank r over Q, and equals r
+    unless p divides every r x r minor.
     """
     pivots: dict[int, dict[int, int]] = {}
-    width = len(rows[0]) if len(rows) else 0
     for row in rows:
         if len(pivots) == width:
             break
-        vec = {c: x % PRIME for c, x in enumerate(row) if x % PRIME}
+        vec = {c: x % PRIME for c, x in row.items() if x % PRIME}
         while vec:
             col = min(vec)
             pivot = pivots.get(col)

@@ -327,13 +327,14 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
     that same system, where a bound adds |m(v_tau)| <= bound on each ray,
     so only degrees inside the bound are ever produced.
 
-    The triples mean something only on a smooth complete fan; callers gate
-    on that first.
+    The triples mean something only on a smooth complete fan, so that is
+    checked first.
 
     Raises:
-        ValueError: for bound < 1, or a ray whose first maximal cone is not
-            unimodular.
+        ValueError: for a fan that is not smooth and complete, or
+            bound < 1.
     """
+    require_smooth_complete(fan, "triple enumeration")
     if bound is not None and bound < 1:
         raise ValueError("bound must be >= 1")
     adj = ray_adjacency(fan)
@@ -373,7 +374,6 @@ def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTrip
         ValueError: for a bound < 1, a fan that is not smooth and
             complete, or (without a bound) an unbounded chamber.
     """
-    require_smooth_complete(fan, "triple enumeration")
     support = chamber_support(fan, bound)
     if support.unbounded is not None:
         raise ValueError(f"the support of H^1 is not finite: unbounded chamber {support.unbounded}")

@@ -38,3 +38,14 @@ def rank_oracle(rows) -> int:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def sparse_rows(rows) -> list[dict[int, int]]:
+    """Dense integer rows as the sparse rows {column: entry} that
+    kernels.rank_mod_p reads and cohomology's stalk constraints are."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, width: int) -> list[list[int]]:
+    """Sparse rows {column: entry} as dense rows of the given width."""
+    return [[row.get(c, 0) for c in range(width)] for row in rows]

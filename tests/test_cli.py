@@ -364,20 +364,29 @@ class TestH1:
 
     def test_counters_in_timing(self, f2_path):
         _, payload, _ = run_json(["h1", "--fan", f2_path])
+        # the one degree (-1, -1) has rays 0, 1, 2 at -1, each in two cones:
+        # three rows, one per link; the annihilators of the lines of (1, 0)
+        # and (0, 1) have one nonzero entry, that of (-1, 2) has two, and
+        # ray 2's link (1, 2) puts it in two blocks
         assert payload["timing"]["counters"] == {
             "chambers": 1,
             "cech_degrees": 1,
             "fm_systems": 10,
             "rank_fallbacks": 0,
+            "stalk_rows": 3,
+            "stalk_nonzeros": 6,
         }
         assert "counters" not in payload["results"]
-        # a single degree searches no chambers
+        # a single degree searches no chambers, and one without triples
+        # builds no stalk system
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
         assert payload["timing"]["counters"] == {
             "chambers": 0,
             "cech_degrees": 0,
             "fm_systems": 0,
             "rank_fallbacks": 0,
+            "stalk_rows": 0,
+            "stalk_nonzeros": 0,
         }
         _, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "-1,-1"])
         assert payload["timing"]["counters"]["cech_degrees"] == 1

@@ -51,7 +51,7 @@ from toric_deform.triples import (
     triples_at_degree,
 )
 
-from helpers import default_box_bound, rank_oracle
+from helpers import default_box_bound, dense_rows, rank_oracle, sparse_rows
 from test_triples import blown_up_plane  # the tests' own fan builder
 
 
@@ -375,7 +375,7 @@ class TestSpanCertificate:
             for m, triples in triples_by_degree(fan, box_bound).items()
         ]
         certified = [span_check(*case) for case in cases]
-        monkeypatch.setattr(cohomology, "rank_mod_p", lambda mat: rank_mod_p(mat) - 1)
+        monkeypatch.setattr(cohomology, "rank_mod_p", lambda rows, width: rank_mod_p(rows, width) - 1)
         for case, rep in zip(cases, certified):
             assert rep["certified"]
             assert span_check(*case) == {**rep, "certified": False}, case[1]
@@ -386,12 +386,12 @@ class TestSpanCertificate:
         # every minor of a 6 x 6 matrix with entries in [-9, 9] is below
         # (9 * 6^(1/2))^6 < p in absolute value, so no minor vanishes mod p
         # unless it vanishes
-        assert rank_mod_p(rows) == matrix_rank(rows)
-        assert rank_mod_p([list(col) for col in zip(*rows)]) == matrix_rank(rows)
+        assert rank_mod_p(sparse_rows(rows), len(rows[0])) == matrix_rank(rows)
+        assert rank_mod_p(sparse_rows(zip(*rows)), len(rows)) == matrix_rank(rows)
 
     def test_rank_mod_p_reduces_big_entries_exactly(self):
-        assert rank_mod_p([[10**30, 1], [10**30, 1], [0, 7]]) == 2
-        assert rank_mod_p([[-(2**70), 3 * PRIME + 1]]) == 1
+        assert rank_mod_p(sparse_rows([[10**30, 1], [10**30, 1], [0, 7]]), 2) == 2
+        assert rank_mod_p(sparse_rows([[-(2**70), 3 * PRIME + 1]]), 2) == 1
 
     @given(small_int_matrices, st.data())
     @settings(max_examples=100, deadline=None)
@@ -401,8 +401,9 @@ class TestSpanCertificate:
         big = st.integers(2**64 // PRIME + 1, 2**90).flatmap(lambda k: st.sampled_from([k, -k]))
         shifted = [[x + data.draw(big) * PRIME for x in row] for row in rows]
         assert any(abs(x) > 2**64 for row in shifted for x in row)
-        assert rank_mod_p(shifted) == matrix_rank(rows)
-        assert rank_mod_p(np.array(shifted, dtype=object)) == matrix_rank(rows)
+        width = len(rows[0])
+        assert rank_mod_p(sparse_rows(shifted), width) == matrix_rank(rows)
+        assert rank_mod_p(sparse_rows(np.array(shifted, dtype=object)), width) == matrix_rank(rows)
 
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_rank_mod_p_on_tall_sparse_input(self, deficient):
@@ -416,16 +417,16 @@ class TestSpanCertificate:
         rows = [list(r) for r in zip(*cols)]
         rank = matrix_rank(rows)
         assert rank == 40 if not deficient else rank < 40
-        assert rank_mod_p(rows) == rank
-        assert rank_mod_p([list(c) for c in cols]) == rank
+        assert rank_mod_p(sparse_rows(rows), 40) == rank
+        assert rank_mod_p(sparse_rows(cols), 300) == rank
 
     def test_rank_mod_p_can_fall_short(self):
         # det = p: invertible over Q, singular mod p; this is the case the
         # exact fallback of span_check is there for
         mat = [[1, 1], [1, 1 + PRIME]]
         assert matrix_rank(mat) == 2
-        assert rank_mod_p(mat) == 1
-        assert rank_mod_p([[PRIME, 0], [0, 1]]) == 1
+        assert rank_mod_p(sparse_rows(mat), 2) == 1
+        assert rank_mod_p(sparse_rows([[PRIME, 0], [0, 1]]), 2) == 1
 
     def test_exact_rank_never_sees_d1_on_f2xf3(self, tmp_path, monkeypatch, capsys):
         complexes = []
@@ -437,9 +438,9 @@ class TestSpanCertificate:
                 super().__init__(fan, m)
                 complexes.append(self)
 
-        def spy_p(mat):
-            constrained.append(mat)
-            return rank_mod_p(mat)
+        def spy_p(rows, width):
+            constrained.append(rows)
+            return rank_mod_p(rows, width)
 
         def spy(mat):
             ranked.append(mat)
@@ -523,7 +524,8 @@ class TestPerRayStalk:
     def test_same_row_space_as_cone_pairs(self, key):
         fan = CERTIFICATE_FANS[key][0]
         for m in triples_by_degree(fan, 1):
-            per_ray = cohomology._Stalk(fan, m).constraints
+            stalk = cohomology._Stalk(fan, m)
+            per_ray = dense_rows(stalk.constraints, stalk.width)
             pairwise = pairwise_rows(fan, m)
             rank = matrix_rank(pairwise)
             assert matrix_rank(per_ray) == rank, m
@@ -562,6 +564,29 @@ class TestPerRayStalk:
                 star = sum(1 for c in fan.max_cones if rho in c)
                 expected += (star - 1) * codim
             assert len(cohomology._Stalk(fan, m).constraints) == expected <= 527, m
+
+    def test_rank_mod_p_reads_two_block_sparse_rows(self, monkeypatch):
+        # the certified path builds no (s - 1) * n-wide row: every row
+        # handed to rank_mod_p holds only nonzero entries, in at most the
+        # two n-blocks of its link
+        fan = product(product(hirzebruch(2), hirzebruch(3)), hirzebruch(4))
+        n, s = fan.dim, len(fan.max_cones)
+        handed = []
+
+        def spy(rows, width):
+            handed.append((rows, width))
+            return rank_mod_p(rows, width)
+
+        monkeypatch.setattr(cohomology, "rank_mod_p", spy)
+        for m, triples in triples_by_degree(fan).items():
+            assert span_check(fan, m, triples)["certified"], m
+        assert len(handed) == 6
+        for rows, width in handed:
+            assert width == (s - 1) * n and rows
+            for row in rows:
+                assert type(row) is dict and row and all(row.values())
+                assert all(0 <= c < width for c in row)
+                assert len({c // n for c in row}) <= 2
 
     def test_named_pair_is_a_real_witness(self):
         named = 0

@@ -623,16 +623,22 @@ class TestRoundTripLemma:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_unit_row_criterion_on_nonnegative_x(self, data):
+        # _roundtrip_check decides a nonnegative X by the unit-row scan,
+        # with no Fourier-Motzkin system; its witness is the first i by FM
         x = self.draw_x(data, 0)
         n = len(x[0])
         d = unimodular(data, n)
         pull = (sympy.Matrix(x) * d).tolist()
+        escapes = []
         for i in range(n):
-            work = {"fm_systems": 0}
-            got = _pullback_leaves_orthant(x, i, work)
-            assert work["fm_systems"] == 0
-            assert got == escapes_by_fm(x, [int(k == i) for k in range(n)])
+            got = escapes_by_fm(x, [int(k == i) for k in range(n)])
             assert got == escapes_by_fm(pull, d.row(i))
+            escapes.append(got)
+        work = {"fm_systems": 0}
+        bad = next((i for i, e in enumerate(escapes) if e), None)
+        witness = None if bad is None else {"cone": 0, "functional": bad}
+        assert _roundtrip_check([x], work) == {"ok": bad is None, "witness": witness}
+        assert work["fm_systems"] == 0
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -649,12 +655,16 @@ class TestRoundTripLemma:
 
 
 def roundtrip_reference(coords, work):
-    """_roundtrip_check decided one (cone, functional) at a time."""
+    """_roundtrip_check decided one (cone, functional) at a time by
+    Fourier-Motzkin, counting in ``work`` the systems of the X with a
+    negative entry, the only ones _roundtrip_check hands to FM."""
     for ci, x in enumerate(coords):
         if x is None:
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}
-        for i in range(len(x[0])):
-            if _pullback_leaves_orthant(x, i, work):
+        n = len(x[0])
+        for i in range(n):
+            work["fm_systems"] += min(map(min, x)) < 0
+            if escapes_by_fm(x, [int(k == i) for k in range(n)]):
                 return {"ok": False, "witness": {"cone": ci, "functional": i}}
     return {"ok": True, "witness": None}
 

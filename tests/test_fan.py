@@ -9,6 +9,7 @@ oracle refutes completeness from the lattice points of a box.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -18,8 +19,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toric_deform import cli, intlin
 from toric_deform import fan as fan_module
-from toric_deform import intlin
+from toric_deform.cohomology import span_check
 from toric_deform.fan import (
     CoxData,
     Fan,
@@ -31,8 +33,9 @@ from toric_deform.fan import (
     projective_space,
     validate,
 )
+from toric_deform.hypersurf import riemann_roch_points
 from toric_deform.scrolls import ScrollSpec, scroll_fan
-from toric_deform.triples import require_smooth_complete
+from toric_deform.triples import chamber_support, require_smooth_complete
 
 
 def p2_fan() -> Fan:
@@ -197,6 +200,50 @@ class TestValidate:
         assert set(product(projective_space(1), projective_space(1)).max_cones) == set(
             product_of_lines(2).max_cones
         )
+
+
+INCOMPLETE_F2 = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 2)), max_cones=((0, 1), (1, 2)))
+P112 = Fan(dim=2, rays=((1, 0), (0, 1), (-1, -2)), max_cones=((0, 1), (1, 2), (2, 0)))
+
+
+class TestLibraryGates:
+    """validate's verdict is cached per Fan object, and every library entry
+    that needs a smooth complete fan checks for one."""
+
+    def test_verdict_is_a_fresh_dict(self):
+        f = hirzebruch(2)
+        rep = validate(f)
+        rep["complete"] = False
+        assert validate(f) == {"smooth": True, "complete": True, "simplicial": True}
+
+    @pytest.mark.parametrize("fan, lacks", [(INCOMPLETE_F2, "complete"), (P112, "smooth")])
+    def test_entries_raise_the_gate(self, fan, lacks):
+        calls = [
+            ("span_check", lambda: span_check(fan, (-1, -1), [])),
+            ("triple enumeration", lambda: chamber_support(fan)),
+            ("Riemann-Roch enumeration", lambda: riemann_roch_points(fan, (1,))),
+        ]
+        for what, call in calls:
+            with pytest.raises(ValueError, match=rf"^{what} needs a smooth complete fan; this fan is not {lacks}$"):
+                call()
+
+    def test_completeness_runs_once_per_h1(self, tmp_path, monkeypatch, capsys):
+        # the h1 command gates once and span_check once per degree, all on
+        # one Fan object
+        runs = []
+        complete = fan_module._complete
+
+        def spy(fan):
+            runs.append(fan)
+            return complete(fan)
+
+        monkeypatch.setattr(fan_module, "_complete", spy)
+        path = tmp_path / "f2xf3.json"
+        path.write_text(json.dumps(cli.fan_to_json(product(hirzebruch(2), hirzebruch(3)))))
+        assert cli.main(["h1", "--fan", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["timing"]["counters"]["cech_degrees"] == 3
+        assert len(runs) == 1
 
 
 def primitive_rays_2d():

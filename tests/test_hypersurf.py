@@ -1,15 +1,17 @@
 """Riemann-Roch enumeration, monomial lifting, and the Hilbert basis check.
 
 Oracles: Riemann-Roch point sets are re-enumerated by a raw box sweep
-against the grading; the closed-form count sum_{j<=b} (a - nj + 1) pins
-the Hirzebruch trapezoid; liftability is cross-checked against a
-vectorized brute-force search over all preimages with entries <= 15;
-the two Hilbert-basis determinants are hand-expanded for the golden
-deformation.
+against the grading, and by the kernel-lattice route through a Smith-form
+solve (riemann_roch_oracle); the closed-form count
+sum_{j<=b} (a - nj + 1) pins the Hirzebruch trapezoid; liftability is
+cross-checked against a vectorized brute-force search over all
+preimages with entries <= 15; the two Hilbert-basis determinants are
+hand-expanded for the golden deformation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from unittest import mock
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from toric_deform import intlin
 from toric_deform.deform import build_deformation, eta_map
-from toric_deform.fan import Fan, cox_data, hirzebruch
+from toric_deform.fan import Fan, cox_data, hirzebruch, product, product_of_lines, projective_space
 from toric_deform.hypersurf import (
     LiftProblem,
     hilbert_basis_check,
@@ -96,21 +98,38 @@ class TestRiemannRoch:
         assert riemann_roch_points(hirzebruch(2), (0, 0)) == [(0, 0, 0, 0)]
 
     def test_infinite_fiber_detected(self):
+        # the fiber of (1,) over the half plane is infinite; the fan is
+        # not complete, and the gate says so
         half_plane = Fan(
             dim=2,
             rays=((1, 0), (-1, 0), (0, 1)),
             max_cones=((0, 2), (1, 2)),
         )
-        with pytest.raises(ValueError, match="infinite fiber"):
+        with pytest.raises(
+            ValueError,
+            match=r"^Riemann-Roch enumeration needs a smooth complete fan; this fan is not complete$",
+        ):
             riemann_roch_points(half_plane, (1,))
 
-    def test_one_finiteness_system_per_call(self):
-        # the recession cone is decided by one Fourier-Motzkin system
-        fm = intlin.rational_polyhedron_nonempty
+    def test_one_unimodular_solve_per_call(self):
+        # the chart of sigma_0 needs no kernel lattice (HNF), no particular
+        # solution (Smith form) and no recession system: one unimodular
+        # solve, then the lattice points of one bounded system
+        spied = ("rational_polyhedron_nonempty", "hermite_normal_form", "smith_normal_form", "unimodular_solve")
         for fan, w in ((hirzebruch(2), (3, 1)), (scroll_fan(ScrollSpec((2, 1, 0))), (1, 1))):
-            with mock.patch.object(intlin, "rational_polyhedron_nonempty", wraps=fm) as spy:
+            cox_data(fan)  # the fan's cached Cox data, whose HNF is not this call's
+            with contextlib.ExitStack() as stack:
+                spies = {
+                    name: stack.enter_context(mock.patch.object(intlin, name, wraps=getattr(intlin, name)))
+                    for name in spied
+                }
                 assert riemann_roch_points(fan, w)
-            assert spy.call_count == 1
+            assert {name: spy.call_count for name, spy in spies.items()} == {
+                "rational_polyhedron_nonempty": 0,
+                "hermite_normal_form": 0,
+                "smith_normal_form": 0,
+                "unimodular_solve": 1,
+            }
 
     def test_wrong_class_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -122,6 +141,57 @@ class TestRiemannRoch:
         for p in riemann_roch_points(fan, (7, 2)):
             assert tuple(int(x) for x in q @ obj(p)) == (7, 2)
             assert all(x >= 0 for x in p)
+
+
+def riemann_roch_oracle(fan: Fan, w) -> list[tuple[int, ...]]:
+    """riemann_roch_points by the kernel-lattice route, with no chart.
+
+    e = x0 + B c, with B a basis of the kernel lattice of the grading Q
+    (two HNFs) and x0 one integer solution of Q e = w (one Smith form).
+    The fiber is finite when the recession cone {B c >= 0} is 0, which
+    one Fourier-Motzkin system decides, and its points are those of
+    {B c >= -x0}.
+    """
+    q = cox_data(fan).grading_rows
+    bt = intlin.transpose(intlin.kernel_basis(q))
+    total = [sum(col) for col in zip(*bt)]
+    if intlin.rational_polyhedron_nonempty(bt + [total], [0] * fan.n_rays + [1]):
+        raise ValueError(f"class {tuple(w)} has an infinite fiber")
+    x0 = intlin.solve_int(q, list(w))
+    if x0 is None:
+        return []
+    points = intlin.polyhedron_lattice_points(bt, [-x for x in x0])
+    return sorted(tuple(x + y for x, y in zip(x0, intlin.mat_vec(bt, c))) for c in points)
+
+
+RR_FANS = {
+    **{f"F_{n}": hirzebruch(n) for n in range(6)},
+    **{f"P^{n}": projective_space(n) for n in (1, 2, 3)},
+    "P1xP1xP1": product_of_lines(3),
+    **{
+        f"S({','.join(map(str, a))})": scroll_fan(ScrollSpec(a))
+        for a in ((2, 1, 0), (3, 1, 0), (2, 0, 0, 0), (5, 3, 1, 0, 0), (9, 0, 0))
+    },
+    "F_2xF_3": product(hirzebruch(2), hirzebruch(3)),
+}
+
+
+class TestRiemannRochOracle:
+    """The chart of sigma_0 against the kernel-lattice route."""
+
+    @pytest.mark.parametrize("key", list(RR_FANS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_kernel_lattice_oracle(self, key, data):
+        fan = RR_FANS[key]
+        q = cox_data(fan).grading_rows
+        if data.draw(st.booleans()):
+            # an effective class: that of a small exponent vector
+            e = data.draw(st.lists(st.integers(0, 2), min_size=fan.n_rays, max_size=fan.n_rays))
+            w = intlin.mat_vec(q, e)
+        else:
+            w = data.draw(st.lists(st.integers(-3, 4), min_size=len(q), max_size=len(q)))
+        assert riemann_roch_points(fan, w) == riemann_roch_oracle(fan, w)
 
 
 GOLDEN_PARAMS = [(2, 1), (3, 1), (3, 2), (5, 2)]
