@@ -99,6 +99,19 @@ class Fan:
         return tuple(out)
 
     @functools.cached_property
+    def ray_adjacency(self) -> tuple[frozenset[int], ...]:
+        """adj[i]: the rays other than i that share a maximal cone with ray i.
+
+        Taken once per Fan object; marker graphs and the chamber search
+        of triples read it.
+        """
+        adj: list[set[int]] = [set() for _ in self.rays]
+        for cone in self.max_cones:
+            for i in cone:
+                adj[i].update(cone)
+        return tuple(frozenset(a - {i}) for i, a in enumerate(adj))
+
+    @functools.cached_property
     def _verdict(self) -> dict:
         """validate's verdict, taken once per Fan object; read it through
         validate. A fan that makes validate raise caches nothing and

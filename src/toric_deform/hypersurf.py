@@ -105,8 +105,11 @@ def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
     indexed by the ambient variables other than T1.
 
     Raises:
-        ValueError: negative entries in e.
+        ValueError: e of a length other than the number of rays, or
+            negative entries in e.
     """
+    if len(e) != len(d.nu):
+        raise ValueError(f"exponent vector has {len(e)} entries, expected {len(d.nu)}")
     if any(x < 0 for x in e):
         raise ValueError("exponent vectors must be nonnegative")
     return _preimages(d, [[int(x)] for x in e])[0]

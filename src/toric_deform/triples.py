@@ -19,9 +19,12 @@ a nonzero m has H^0 = H^1 = 0 for O_X in degree m, so the subcomplex of
 the fan on the rays where m < 0 is acyclic: S + {rho} is connected, and
 rho is a cut vertex of it. The search therefore grows connected ray sets
 from rho, deciding the neighbours of rho first, and drops a branch as soon
-as rho cannot end up a cut vertex or the partial chamber is empty. Each
-feasible chamber with two or more components is bounded, because H^1(T_X)
-is finite-dimensional; one that is not fails the support_complete check.
+as rho cannot end up a cut vertex or the partial chamber is empty. It
+holds its ray sets as bitmasks (bit tau for ray tau) and counts the
+components of S by a search over bits; tuples of rays are built only for
+a chamber whose triples it lists. Each feasible chamber with two or more
+components is bounded, because H^1(T_X) is finite-dimensional; one that
+is not fails the support_complete check.
 """
 
 from __future__ import annotations
@@ -69,17 +72,6 @@ class AdmissibleTriple:
     component: tuple[int, ...]
 
 
-def ray_adjacency(fan: Fan) -> list[set[int]]:
-    """adj[i]: the rays other than i that share a maximal cone with ray i."""
-    adj: list[set[int]] = [set() for _ in range(fan.n_rays)]
-    for cone in fan.max_cones:
-        for i in cone:
-            adj[i].update(cone)
-    for i, a in enumerate(adj):
-        a.discard(i)
-    return adj
-
-
 def components(vertices, adj) -> tuple[tuple[int, ...], ...]:
     """Connected components of the graph adj induces on vertices.
 
@@ -114,7 +106,7 @@ def marker_graph(fan: Fan, m, rho: int) -> MarkerGraph:
     vertices = tuple(
         i for i in range(fan.n_rays) if i != rho and pairing(m, fan.rays[i]) < 0
     )
-    adj = ray_adjacency(fan)
+    adj = fan.ray_adjacency
     edges = tuple((i, j) for i, j in itertools.combinations(vertices, 2) if j in adj[i])
     return MarkerGraph(
         rho=rho, vertices=vertices, edges=edges, components=components(vertices, adj)
@@ -232,82 +224,131 @@ class Support:
     unbounded: dict | None
 
 
+def _bits(mask: int) -> list[int]:
+    """The ray indices set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _component_count(mask: int, adj: list[int]) -> int:
+    """Number of connected components of the graph adj induces on mask.
+
+    adj[i] is the bitmask of the rays next to ray i. Each component is
+    searched from the lowest ray of mask not yet reached, one bit at a
+    time, and its rays are cleared from mask as they are reached.
+    """
+    count = 0
+    while mask:
+        todo = mask & -mask
+        mask ^= todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            near = adj[low.bit_length() - 1] & mask
+            mask ^= near
+            todo |= near
+        count += 1
+    return count
+
+
 class _ChamberSearch:
     """The search of chamber_support for one ray rho.
 
     Degrees are written in the coordinates y_j = m(v_j) for the rays j of a
     unimodular maximal cone sigma containing rho. m(v_rho) = -1 fixes one of
     them, and the n - 1 others are the variables of every chamber system:
-    m(v_tau) = a[tau] @ y - c[tau].
+    m(v_tau) = a_tau @ y - c_tau, where c_tau is v_tau's coordinate at rho
+    and a_tau holds the others. rows[tau] holds the two rows a decision on
+    tau pushes, m(v_tau) >= 0 and m(v_tau) <= -1, as coeffs @ y >= rhs;
+    they are built once per search.
+
+    Ray sets are bitmasks, bit tau for ray tau: S (negative), the decided
+    rays, the frontier's members and N(S), the rays next to a ray of S.
+    adj[tau] is the mask of the rays next to tau.
     """
 
     def __init__(self, fan: Fan, adj, rho: int, sigma, inv, coords, bound, support):
         self.fan, self.adj, self.rho, self.bound, self.support = fan, adj, rho, bound, support
         self.inv = inv
-        self.k = sigma.index(rho)
-        self.free = [j for j in range(fan.dim) if j != self.k]
-        self.a = [tuple(v[j] for j in self.free) for v in coords]
-        self.c = [v[self.k] for v in coords]
+        k = sigma.index(rho)
+        self.free = [j for j in range(fan.dim) if j != k]
+        self.rows = []
+        for v in coords:
+            a, c = v[:k] + v[k + 1:], v[k]
+            self.rows.append(((a, c), (tuple([-x for x in a]), 1 - c)))
         self.fm = intlin.FourierMotzkin(fan.dim - 1)
 
-    def row(self, tau: int, negative: bool):
-        """m(v_tau) <= -1 or m(v_tau) >= 0, as coeffs @ y >= rhs."""
-        if negative:
-            return tuple(-x for x in self.a[tau]), 1 - self.c[tau]
-        return self.a[tau], self.c[tau]
+    def grow(self, negative: int, frontier: list, members: int, decided: int, near: int) -> None:
+        """Decide frontier[0], the next ray next to S + {rho}, both ways.
 
-    def grow(self, negative: frozenset, frontier: list, decided: frozenset) -> None:
-        """Decide frontier[0], the next ray next to S + {rho}, both ways."""
+        negative is S, decided holds rho and the rays decided so far,
+        members is the mask of frontier, and near is N(S).
+        """
         if not frontier:
             self.leaf(negative, decided)
             return
-        adj, rho = self.adj, self.rho
+        adj = self.adj
         u, rest = frontier[0], frontier[1:]
+        bit = 1 << u
+        rest_members = members ^ bit
         for into in (True, False):
-            grown, nxt = negative, rest
             if into:
-                grown = negative | {u}
-                nxt = rest + [w for w in sorted(adj[u]) if w not in decided and w not in frontier]
+                new = adj[u] & ~(decided | members)
+                grown, nxt, nxt_members = negative | bit, rest + _bits(new), rest_members | new
+                grown_near = near | adj[u]
+            else:
+                grown, nxt, nxt_members, grown_near = negative, rest, rest_members, near
             # rho must end up a cut vertex. Components of S only merge as S
             # grows, and only a neighbour of rho touching no ray of S yet
             # can start a new one.
-            fresh = sum(1 for w in nxt if w in adj[rho] and not adj[w] & grown)
-            if fresh < 2 and len(components(grown, adj)) + fresh < 2:
+            fresh = (nxt_members & adj[self.rho] & ~grown_near).bit_count()
+            if fresh < 2 and _component_count(grown, adj) + fresh < 2:
                 continue
             mark = self.fm.mark()
-            self.fm.push(*self.row(u, into))
+            self.fm.push(*self.rows[u][into])
             self.support.fm_systems += 1
             if self.fm.feasible():
-                self.grow(grown, nxt, decided | {u})
+                self.grow(grown, nxt, nxt_members, decided | bit, grown_near)
             self.fm.undo(mark)
 
-    def leaf(self, negative: frozenset, decided: frozenset) -> None:
+    def leaf(self, negative: int, decided: int) -> None:
         """List the chamber of S = negative if S has two or more components.
 
         Rays never decided touch no ray of S + {rho}; they get m >= 0, on
         self.fm next to the decided rays' rows, until its points are read.
         """
         self.support.chambers += 1
-        comps = components(negative, self.adj)
-        if len(comps) < 2:
+        if _component_count(negative, self.adj) < 2:
             return
         mark = self.fm.mark()
         for t in range(self.fan.n_rays):
-            if t not in decided:
-                self.fm.push(*self.row(t, False))
+            if not decided >> t & 1:
+                self.fm.push(*self.rows[t][False])
             if self.bound is not None and t != self.rho:
-                # -bound <= m(v_t) on S, m(v_t) <= bound elsewhere
-                sign = 1 if t in negative else -1
-                self.fm.push(tuple(sign * x for x in self.a[t]), sign * self.c[t] - self.bound)
+                # -bound <= m(v_t) on S, m(v_t) <= bound elsewhere: the rows
+                # of m(v_t) >= 0 and m(v_t) <= -1 with their rhs moved
+                if negative >> t & 1:
+                    coeffs, rhs = self.rows[t][False]
+                    self.fm.push(coeffs, rhs - self.bound)
+                else:
+                    coeffs, rhs = self.rows[t][True]
+                    self.fm.push(coeffs, rhs - 1 - self.bound)
         self.support.fm_systems += 1
         try:
             points = self.fm.lattice_points()
         except ValueError:
             if self.support.unbounded is None:
-                self.support.unbounded = {"rho": self.rho, "negative_rays": sorted(negative)}
+                self.support.unbounded = {"rho": self.rho, "negative_rays": _bits(negative)}
             return
         finally:
             self.fm.undo(mark)
+        if not points:
+            return
+        comps = components(_bits(negative), self.fan.ray_adjacency)
         n = self.fan.dim
         for y in points:
             vals = [-1] * n
@@ -325,7 +366,9 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
     decision adds one row to an incremental Fourier-Motzkin system, and an
     empty partial chamber ends its branch. A chamber's points are read off
     that same system, where a bound adds |m(v_tau)| <= bound on each ray,
-    so only degrees inside the bound are ever produced.
+    so only degrees inside the bound are ever produced. The search keeps
+    its ray sets as bitmasks over Fan.ray_adjacency; the components of S
+    are built as tuples only at a chamber with points to list.
 
     The triples mean something only on a smooth complete fan, so that is
     checked first.
@@ -337,19 +380,19 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
     require_smooth_complete(fan, "triple enumeration")
     if bound is not None and bound < 1:
         raise ValueError("bound must be >= 1")
-    adj = ray_adjacency(fan)
+    adj = [sum(1 << w for w in a) for a in fan.ray_adjacency]
     support = Support(triples=[], chambers=0, fm_systems=0, unbounded=None)
     # sigma -> (its inverse, coords[tau][j]: the j-th coordinate of v_tau
     # in the basis v_sigma), shared by the rays whose search uses sigma
-    tables: dict[tuple[int, ...], tuple[list[list[int]], list[list[int]]]] = {}
+    tables: dict[tuple[int, ...], tuple[list[list[int]], list[tuple[int, ...]]]] = {}
     for rho in range(fan.n_rays):
         sigma = next(c for c in fan.max_cones if rho in c)
         if sigma not in tables:
             inv = _cone_inverse(fan, sigma)
-            coords = [[sum(map(mul, row, v)) for row in inv] for v in fan.rays]
+            coords = [tuple([sum(map(mul, row, v)) for row in inv]) for v in fan.rays]
             tables[sigma] = inv, coords
         search = _ChamberSearch(fan, adj, rho, sigma, *tables[sigma], bound, support)
-        search.grow(frozenset(), sorted(adj[rho]), frozenset({rho}))
+        search.grow(0, _bits(adj[rho]), adj[rho], 1 << rho, 0)
     support.triples.sort(key=lambda t: (t.m, t.rho, t.component))
     return support
 

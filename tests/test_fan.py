@@ -35,7 +35,7 @@ from toric_deform.fan import (
 )
 from toric_deform.hypersurf import riemann_roch_points
 from toric_deform.scrolls import ScrollSpec, scroll_fan
-from toric_deform.triples import chamber_support, require_smooth_complete
+from toric_deform.triples import chamber_support, marker_graph, require_smooth_complete
 
 
 def p2_fan() -> Fan:
@@ -407,6 +407,23 @@ class TestConeInverses:
     def test_singular_and_lower_dimensional_cones(self):
         f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 0)), max_cones=((0, 1), (0, 2), (1,)))
         assert f.cone_inverses == ((1, 1, [[1, 0], [0, 1]]), (0, 0, None), None)
+
+
+class TestRayAdjacency:
+    def test_rays_sharing_a_cone(self):
+        assert hirzebruch(2).ray_adjacency == (
+            frozenset({1, 3}), frozenset({0, 2}), frozenset({1, 3}), frozenset({0, 2}),
+        )
+
+    def test_built_once_per_fan(self):
+        # marker graphs and the chamber search read the one cached tuple
+        f = hirzebruch(2)
+        prop = vars(Fan)["ray_adjacency"]
+        with mock.patch.object(prop, "func", wraps=prop.func) as spy:
+            for _ in range(3):
+                marker_graph(f, (-1, -1), 1)
+            chamber_support(f)
+        assert spy.call_count == 1
 
 
 class TestCoxData:

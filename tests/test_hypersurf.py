@@ -231,6 +231,13 @@ class TestIsLiftable:
         with pytest.raises(ValueError, match="nonnegative"):
             is_liftable(d, (0, -1, 0, 0))
 
+    @pytest.mark.parametrize("e", [(0, 0, 0), (0, 0, 0, 0, 0), ()], ids=["r-1", "r+1", "0"])
+    def test_wrong_length_rejected(self, e):
+        # F_2 has 4 rays; both lengths are named before any solve
+        _, d = hirzebruch_package(2, 1)
+        with pytest.raises(ValueError, match=rf"has {len(e)} entries, expected 4"):
+            is_liftable(d, e)
+
     @pytest.mark.parametrize("n,alpha", [(2, 1), (3, 2)])
     def test_matches_brute_force(self, n, alpha):
         _, d = hirzebruch_package(n, alpha)

@@ -151,3 +151,29 @@ def test_one_benchmark_pass_matches_the_pins(workload, tmp_path, monkeypatch):
     runner.run_pass()
     assert runner.attempted > 0
     assert runner.failures == []
+
+
+def test_one_traced_pipeline_pass(tmp_path, monkeypatch):
+    # perfbench/test_smoke.py runs traced passes too, but lives outside this
+    # suite; a wrapper that broke an operation or stayed bound would show
+    # only as wrong per-layer metrics
+    from toric_deform import kernels
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds perfbench/
+    run = load_perfbench("run")
+    expected = workloads.load_expected()
+    fans = workloads.write_fans(workloads.fan_keys("triple-pipeline", expected), str(tmp_path))
+    runner = run.Runner(workloads.MAKE_OPS["triple-pipeline"](fans, expected, random.Random(3)))
+    tracer = run.Tracer()
+    tracer.install()
+    runner.tracer = tracer
+    try:
+        runner.run_pass()
+    finally:
+        tracer.uninstall()
+        runner.tracer = None
+    assert runner.failures == []
+    assert not hasattr(kernels.matrix_rank, "__wrapped__")
+    assert tracer.per_name()["cli.main"][0] == 207
+    assert tracer.counters["hypersurf.lift_polynomial.monomials"] == 2746
+    assert tracer.counters["hypersurf.lift_polynomial.liftable"] == 2684

@@ -47,7 +47,6 @@ from toric_deform.triples import (
     h1_closed_form,
     marker_graph,
     pairing,
-    ray_adjacency,
     triples_at_degree,
 )
 
@@ -492,11 +491,51 @@ class TestChamberSupport:
 
     @pytest.mark.parametrize("key", sorted(SUPPORT_FANS))
     def test_components_helper_matches_union_find(self, key):
+        # components for marker graphs, the bitmask count for the search
         f = SUPPORT_FANS[key]
-        adj = ray_adjacency(f)
+        adj = f.ray_adjacency
+        masks = [sum(1 << w for w in a) for a in adj]
         for k in range(f.n_rays + 1):
             for vertices in itertools.combinations(range(f.n_rays), k):
-                assert list(components(vertices, adj)) == sorted(union_find_components(f, vertices))
+                want = sorted(union_find_components(f, vertices))
+                assert list(components(vertices, adj)) == want
+                mask = sum(1 << v for v in vertices)
+                assert triples_mod._component_count(mask, masks) == len(want)
+                assert triples_mod._bits(mask) == list(vertices)
+
+
+# (chambers, fm_systems) of the chamber search, recorded from the set-based
+# search it replaced. The counts follow the order in which rays are decided,
+# so a search that decides in another order fails here even when it lists
+# the same triples.
+SCAN_FAN_PINS = {(2, 0, 0, 0): (1, 30), (3, 0, 0, 0): (1, 30), (4, 0, 0, 0): (1, 30)}
+UNBOUNDED_PINS = {
+    "F_2": (1, 10), "F_3": (1, 10), "F_4": (1, 10), "F_5": (1, 10),
+    "S(2,1,0)": (1, 19), "S(3,1,0)": (1, 19), "P1xP1xP1": (0, 36),
+    "F_2xF_3xF_4xF_5": (4, 448),
+}
+
+
+def pinned_fan(key: str) -> Fan:
+    if key.startswith("S("):
+        return scroll_fan(ScrollSpec(tuple(int(x) for x in key[2:-1].split(","))))
+    if key == "P1xP1xP1":
+        return product_of_lines(3)
+    return functools.reduce(product, (hirzebruch(int(part[2:])) for part in key.split("x")))
+
+
+class TestSearchOrderPins:
+    @pytest.mark.parametrize("bound", range(1, 7))
+    @pytest.mark.parametrize("twists", sorted(SCAN_FAN_PINS))
+    def test_triples_scan_fans(self, twists, bound):
+        support = chamber_support(scroll_fan(ScrollSpec(twists)), bound)
+        assert (support.chambers, support.fm_systems) == SCAN_FAN_PINS[twists]
+
+    @pytest.mark.parametrize("key", sorted(UNBOUNDED_PINS))
+    def test_unbounded(self, key):
+        support = chamber_support(pinned_fan(key))
+        assert support.unbounded is None
+        assert (support.chambers, support.fm_systems) == UNBOUNDED_PINS[key]
 
 
 class TestScanBox:
