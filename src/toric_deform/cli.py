@@ -6,11 +6,11 @@ witnesses, and timing kept outside the results block so that results are
 byte-identical across runs. Exit codes: 0 success, 1 failed check,
 2 input error.
 
-Reports, on stdout and in ``scroll fan -o`` files, are written by
-``dumps``: the bytes of json.dumps(report, indent=2, sort_keys=True),
-made about twice as fast. json.dumps with ``indent`` runs its pure-Python
-encoder, which was the largest single cost of a short deform or lift.
-Error reports on stderr keep json.dumps(..., indent=2).
+Reports, on stdout and in ``scroll fan -o`` files, and error reports on
+stderr are written by ``dumps``: the bytes of json.dumps(report,
+indent=2, sort_keys=True), made about twice as fast. json.dumps with
+``indent`` runs its pure-Python encoder, which was the largest single
+cost of a short deform or lift.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .deform import (
     kernel_binomial,
     verify_central_fiber,
 )
-from .fan import Fan, cox_data, validate
+from .fan import Fan, cox_data, require_smooth_complete, validate
 from .hypersurf import LiftProblem, lift_polynomial, parse_polynomial, render_terms
 from .scrolls import (
     ScrollSpec,
@@ -47,7 +47,6 @@ from .triples import (
     Support,
     chamber_support,
     h1_closed_form,
-    require_smooth_complete,
     triples_at_degree,
 )
 
@@ -272,8 +271,15 @@ def cmd_fan_check(args) -> tuple[dict, list[dict]]:
     fan = parse_fan(args.fan)
     report = validate(fan)
     results: dict = {"validate": dict(report), "n_rays": fan.n_rays, "dim": fan.dim}
+    cox = None
     if report["smooth"]:
-        cox = cox_data(fan)
+        try:
+            cox = cox_data(fan)
+        except ValueError:
+            # Cl(X) has torsion, so there is no grading to print: the rays
+            # span a sublattice of index > 1, and the fan is not complete
+            pass
+    if cox is not None:
         results["cox"] = {
             "cl_rank": cox.cl_rank,
             "grading": _matrix(
@@ -313,7 +319,9 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
     The closed form (triples.h1_closed_form) is zero at every degree
     without admissible triples, so those degrees build no stalk system.
     The sweep finds the others with triples.chamber_support: all of them,
-    or with --bound B those with |m(v)| <= B on every ray. At each,
+    or with --bound B those with |m(v)| <= B on every ray; --degree m
+    reports that one degree, and build_parser rejects it together with
+    --bound. At each,
     span_check gives h1_dim and span_rank from the generic stalk, and its
     h1_dim must agree with the closed form. Without a bound the report
     also carries support_complete. The rank_fallbacks counter reports the
@@ -367,7 +375,7 @@ def cmd_h1(args) -> tuple[dict, list[dict], dict]:
                 "triples": [_triple_json(t) for t in triples],
             }
         )
-    results = {"bound": None if support is None else args.bound, "degrees": entries, "total_h1": total}
+    results = {"bound": args.bound, "degrees": entries, "total_h1": total}
     checks = [{"name": "cocycles_span", "ok": witness is None, "witness": witness}]
     if support is not None and args.bound is None:
         checks.append(_support_check(support))
@@ -515,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     h1_p = sub.add_parser("h1", help="graded tangent cohomology")
     h1_p.add_argument("--fan", required=True)
-    h1_p.add_argument("--degree", default=None, help="single degree m1,m2,...")
-    h1_p.add_argument("--bound", type=int, default=None)
+    h1_where = h1_p.add_mutually_exclusive_group()
+    h1_where.add_argument("--degree", default=None, help="single degree m1,m2,...")
+    h1_where.add_argument("--bound", type=int, default=None)
     h1_p.set_defaults(handler=cmd_h1)
 
     deform_p = sub.add_parser("deform", help="build a deformation package")
@@ -596,7 +605,7 @@ def main(argv=None) -> int:
         # handlers return (results, checks), plus work counters where kept
         results, checks, *counters = args.handler(args)
     except (InputError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"command": command, "error": str(exc)}, indent=2) + "\n")
+        sys.stderr.write(dumps({"command": command, "error": str(exc)}) + "\n")
         return 2
     elapsed = time.perf_counter() - started
 

@@ -39,7 +39,7 @@ constraints are the annihilator rows of F(rho) applied to x_j - x_(i0):
 n - 1 for a line, n for zero, and sum over rho of
 (|star rho| - 1) * codim F(rho) in all. The three cases, and so this
 equivalence, hold on smooth cones only, so span_check first checks that
-the fan is smooth and complete (triples.require_smooth_complete, whose
+the fan is smooth and complete (fan.require_smooth_complete, whose
 verdict is cached per Fan object).
 
 Each constraint row touches at most the two n-blocks of its link, and is
@@ -71,28 +71,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import mul, sub
 
-from .fan import Fan
+from .fan import Fan, require_smooth_complete
 from .kernels import matrix_rank, rank_mod_p
-from .triples import AdmissibleTriple, pairing, require_smooth_complete
-
-
-@dataclass(frozen=True)
-class LocalSections:
-    """Degree-m tangent sections on the chart of one cone.
-
-    basis vectors live in N; the space is their Q-span.
-    """
-
-    cone: tuple[int, ...]
-    m: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+from .triples import AdmissibleTriple, pairing
 
 
 @functools.cache
@@ -111,27 +94,19 @@ def _sections_basis(fan: Fan, cone, values) -> tuple[tuple[int, ...], ...]:
     return ()
 
 
-def local_sections(fan: Fan, cone, m) -> LocalSections:
-    """Three-case section space of a face (possibly the zero cone)."""
-    cone = tuple(sorted(int(i) for i in cone))
-    m = tuple(int(x) for x in m)
-    values = {i: pairing(m, fan.rays[i]) for i in cone}
-    return LocalSections(cone=cone, m=m, basis=_sections_basis(fan, cone, values))
-
-
-def _coords_in(vec, target: LocalSections) -> list[int]:
+def _coords_in(vec, basis) -> list[int]:
     """Coordinates of an N-vector in a section-space basis.
 
     Valid because section spaces only grow under passing to smaller faces,
     and a line space is always spanned by the one relevant primitive ray.
     """
-    if target.basis == _standard_basis(len(vec)):
+    if basis == _standard_basis(len(vec)):
         return [int(x) for x in vec]
-    if target.dim == 0:
+    if not basis:
         if any(x != 0 for x in vec):
             raise ValueError("vector outside zero section space")
         return []
-    (b,) = target.basis
+    (b,) = basis
     k = next(i for i, x in enumerate(b) if x != 0)
     c, rem = divmod(int(vec[k]), int(b[k]))
     if rem != 0 or any(int(v) != c * int(x) for v, x in zip(vec, b)):
@@ -144,20 +119,22 @@ class GradedCechComplex:
 
     C^p runs over the (p+1)-sets of maximal cones, each meeting in the face
     of its common rays; sets[p], sections[p] and offsets[p] describe its
-    blocks.
+    blocks, sections[p] as the section-space basis of each face.
     """
 
     def __init__(self, fan: Fan, m):
         self.fan = fan
         self.m = tuple(int(x) for x in m)
+        values = [pairing(self.m, ray) for ray in fan.rays]
         cones = [set(c) for c in fan.max_cones]
         self.sets = [list(itertools.combinations(range(len(cones)), p + 1)) for p in range(3)]
         self.sections = [
-            [local_sections(fan, set.intersection(*(cones[i] for i in idx)), m) for idx in level]
+            [_sections_basis(fan, set.intersection(*(cones[i] for i in idx)), values)
+             for idx in level]
             for level in self.sets
         ]
         self.offsets = [
-            list(itertools.accumulate((s.dim for s in level), initial=0)) for level in self.sections
+            list(itertools.accumulate(map(len, level), initial=0)) for level in self.sections
         ]
         self.dim0, self.dim1, self.dim2 = (off[-1] for off in self.offsets)
         self.d0 = self._coboundary(0)
@@ -191,7 +168,7 @@ class GradedCechComplex:
             for q in range(p + 2):
                 k = source[idx[:q] + idx[q + 1 :]]
                 col0 = self.offsets[p][k]
-                for b, vec in enumerate(self.sections[p][k].basis):
+                for b, vec in enumerate(self.sections[p][k]):
                     for r, c in enumerate(_coords_in(vec, target)):
                         d[row0 + r][col0 + b] += (-1) ** q * c
         return d

@@ -18,14 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlin
-from .fan import Fan
-from .triples import (
-    AdmissibleTriple,
-    admissible_components,
-    marker_graph,
-    pairing,
-    require_smooth_complete,
-)
+from .fan import Fan, require_smooth_complete
+from .triples import AdmissibleTriple, admissible_components, marker_graph, pairing
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,6 @@ class Splitting:
         m: the degree (row functional on N).
         rho: ray index with m(v_rho) = -1.
         k_basis: rows form a basis of ker m (saturated, HNF-canonical).
-        gamma: the vector gamma(-1) = v_rho; gamma(t) = -t * v_rho.
         proj: (n-1) x n matrix, as rows, of v -> v - gamma(m(v)) in
             k_basis coordinates.
     """
@@ -44,7 +37,6 @@ class Splitting:
     m: tuple[int, ...]
     rho: int
     k_basis: tuple[tuple[int, ...], ...]
-    gamma: tuple[int, ...]
     proj: tuple[tuple[int, ...], ...]
 
 
@@ -71,7 +63,6 @@ def build_splitting(fan: Fan, m, rho: int) -> Splitting:
         m=m,
         rho=rho,
         k_basis=tuple(map(tuple, h[: n - 1])),
-        gamma=v_rho,
         proj=tuple(tuple(row[i] for row in u_inv) for i in range(n - 1)),
     )
 
@@ -470,39 +461,3 @@ def _pullback_leaves_orthant(x, i: int, work: dict) -> bool:
     work["fm_systems"] += 1
     rows = x + [[-1 if k == i else 0 for k in range(n)]]
     return intlin.rational_polyhedron_nonempty(rows, [0] * len(x) + [1])
-
-
-def ambient_irrelevant_primes(d: DeformationData) -> tuple[tuple[int, ...], ...]:
-    """Minimal prime components of the ambient irrelevant ideal.
-
-    These are the minimal transversals (hitting sets) of the family of
-    sigma-tilde complements, as sorted tuples of P column indices.
-    """
-    width = len(d.P[0])
-    complements = [
-        frozenset(range(width)) - frozenset(st) for st in d.ambient_cones
-    ]
-    return _minimal_hitting_sets(complements, width)
-
-
-def _minimal_hitting_sets(sets, ground: int) -> tuple[tuple[int, ...], ...]:
-    sets = [set(s) for s in sets]
-    results: list[set] = []
-
-    def rec(chosen: set, remaining: list[set]):
-        if any(chosen >= r for r in results):
-            return
-        uncovered = [s for s in remaining if not (s & chosen)]
-        if not uncovered:
-            results.append(set(chosen))
-            return
-        pivot = min(uncovered, key=len)
-        for x in sorted(pivot):
-            rec(chosen | {x}, uncovered)
-
-    rec(set(), sets)
-    minimal = [
-        s for s in results if not any(other < s for other in results)
-    ]
-    dedup = {tuple(sorted(s)) for s in minimal}
-    return tuple(sorted(dedup))

@@ -182,8 +182,8 @@ def validate(fan: Fan) -> dict:
     """Check smoothness, completeness and simpliciality.
 
     The verdict is taken once per Fan object (Fan._verdict), so the
-    library gates (triples.require_smooth_complete) cost a dict copy after
-    the first call; each call returns a fresh dict.
+    library gate (require_smooth_complete) costs a dict copy after the
+    first call; each call returns a fresh dict.
 
     Returns:
         {"smooth": bool, "complete": bool, "simplicial": bool}.
@@ -193,6 +193,17 @@ def validate(fan: Fan) -> dict:
             cone is not simplicial or not pointed.
     """
     return dict(fan._verdict)
+
+
+def require_smooth_complete(fan: Fan, what: str) -> None:
+    """Raise ValueError, naming what the fan lacks, unless it is smooth and complete."""
+    rep = validate(fan)
+    failing = [prop for prop in ("smooth", "complete") if not rep[prop]]
+    if failing:
+        raise ValueError(
+            f"{what} needs a smooth complete fan; this fan is not "
+            + " and not ".join(failing)
+        )
 
 
 def _validate(fan: Fan) -> dict:
@@ -253,7 +264,7 @@ def cox_data(fan: Fan) -> CoxData:
     """Cox presentation of a smooth fan, computed once per Fan object.
 
     See _cox_data; raises its ValueError on every call for a fan that is
-    not smooth.
+    not smooth or whose class group has torsion.
     """
     return fan._cox
 
@@ -269,7 +280,7 @@ def _cox_data(fan: Fan) -> CoxData:
 
     Raises:
         ValueError: a cone that is not unimodular, or a class group with
-            torsion.
+            torsion, named by its invariant factors.
     """
     for ci in range(len(fan.max_cones)):
         if not _cone_is_unimodular(fan, ci):
@@ -278,7 +289,8 @@ def _cox_data(fan: Fan) -> CoxData:
     try:
         grading = intlin.free_cokernel(fan.rays)  # the rays are the rows of p^T
     except ValueError:
-        raise ValueError("class group has torsion; fan is not smooth") from None
+        _, invariants = intlin.cokernel_map(fan.rays)
+        raise ValueError(f"class group has torsion {invariants}") from None
     comps = tuple(
         tuple(i for i in range(fan.n_rays) if i not in set(c)) for c in fan.max_cones
     )
@@ -288,18 +300,6 @@ def _cox_data(fan: Fan) -> CoxData:
         cl_rank=len(grading),
         irrelevant_components=comps,
     )
-
-
-def cone_containing(fan: Fan, rays) -> tuple[int, ...] | None:
-    """First maximal cone whose ray set contains the given ray indices.
-
-    Returns None when no maximal cone contains them all.
-    """
-    want = set(int(i) for i in rays)
-    for c in fan.max_cones:
-        if want <= set(c):
-            return c
-    return None
 
 
 # Named example builders used across tests and docs.

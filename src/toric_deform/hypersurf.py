@@ -4,10 +4,9 @@ A monomial on the fiber lifts exactly when its exponent vector has a
 nonnegative preimage under the exponent map nu. Since ker nu has rank
 one, candidate preimages form a line: one elimination on nu gives a
 point of every line, and intlin.least_on_lines the least nonnegative one.
+lift_polynomial does this for all monomials of a polynomial at once.
 Riemann-Roch spaces are enumerated as the lattice points of the polytope
-P_w of a divisor class, in the chart of the first maximal cone, and the
-monomial image of the nonnegative orthant under nu is its own Hilbert
-basis, certified by two determinant-one column deletions.
+P_w of a divisor class, in the chart of the first maximal cone.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 
 from . import intlin
 from .deform import DeformationData, kernel_binomial
-from .fan import Fan, cox_data
-from .triples import require_smooth_complete
+from .fan import Fan, cox_data, require_smooth_complete
 
 
 @dataclass(frozen=True)
@@ -98,25 +96,10 @@ def riemann_roch_points(fan: Fan, w) -> list[tuple[int, ...]]:
     return sorted(tuple(e[j] for j in range(fan.n_rays)) for e in by_ray)
 
 
-def is_liftable(d: DeformationData, e) -> tuple[int, ...] | None:
-    """Nonnegative preimage of an exponent vector under nu, if any.
-
-    Returns the preimage with minimal position along the kernel line,
-    indexed by the ambient variables other than T1.
-
-    Raises:
-        ValueError: e of a length other than the number of rays, or
-            negative entries in e.
-    """
-    if len(e) != len(d.nu):
-        raise ValueError(f"exponent vector has {len(e)} entries, expected {len(d.nu)}")
-    if any(x < 0 for x in e):
-        raise ValueError("exponent vectors must be nonnegative")
-    return _preimages(d, [[int(x)] for x in e])[0]
-
-
 def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
-    """is_liftable for each column of e at once: one batch through nu.
+    """The least nonnegative preimage under nu of each column of e, or
+    None where there is none, indexed by the ambient variables other than
+    T1: one batch through nu.
 
     nu without its (3, rho) column is unitriangular up to the order of
     its columns: they hold e_j for every ray j != rho, and column (2, rho)
@@ -171,24 +154,6 @@ def lift_polynomial(p: LiftProblem) -> LiftResult:
     if first_failure is None:
         lifted = tuple((m.coefficient, m.preimage) for m in lifts)
     return LiftResult(monomials=lifts, lifted=lifted, first_failure=first_failure)
-
-
-def hilbert_basis_check(d: DeformationData) -> bool:
-    """Whether the nu-images of the variables form a Hilbert basis.
-
-    Deleting the block-2 (resp. block-3) column of the marked ray from
-    nu must leave a square matrix of determinant +-1; the image cone is
-    then a union of two smooth cones whose generators are the images.
-    """
-    pairs = d.u.all_pairs
-    for block in (2, 3):
-        idx = pairs.index((block, d.triple.rho))
-        sub = [row[:idx] + row[idx + 1:] for row in d.nu]
-        if len(sub) != len(sub[0]):
-            return False
-        if abs(intlin.determinant(sub)) != 1:
-            return False
-    return True
 
 
 _VARIABLE = re.compile(r"S(\d+)(?:\^(\d+))?\Z")

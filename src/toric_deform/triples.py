@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import intlin
-from .fan import Fan, validate
+from .fan import Fan, require_smooth_complete
 
 # Most degrees degree_box may list, so that a large bound fails at once.
 _MAX_BOX_POINTS = 2**25
@@ -51,15 +51,14 @@ class MarkerGraph:
 
     Attributes:
         rho: the excluded ray index.
-        vertices: sorted ray indices tau != rho with m(tau) < 0.
-        edges: sorted pairs of vertices spanning a common cone.
+        vertices: sorted ray indices tau != rho with m(tau) < 0; two of
+            them are joined when they span a common cone.
         components: connected components, each sorted, ordered by smallest
             vertex.
     """
 
     rho: int
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
 
 
@@ -106,10 +105,8 @@ def marker_graph(fan: Fan, m, rho: int) -> MarkerGraph:
     vertices = tuple(
         i for i in range(fan.n_rays) if i != rho and pairing(m, fan.rays[i]) < 0
     )
-    adj = fan.ray_adjacency
-    edges = tuple((i, j) for i, j in itertools.combinations(vertices, 2) if j in adj[i])
     return MarkerGraph(
-        rho=rho, vertices=vertices, edges=edges, components=components(vertices, adj)
+        rho=rho, vertices=vertices, components=components(vertices, fan.ray_adjacency)
     )
 
 
@@ -395,17 +392,6 @@ def chamber_support(fan: Fan, bound: int | None = None) -> Support:
         search.grow(0, _bits(adj[rho]), adj[rho], 1 << rho, 0)
     support.triples.sort(key=lambda t: (t.m, t.rho, t.component))
     return support
-
-
-def require_smooth_complete(fan: Fan, what: str) -> None:
-    """Raise ValueError, naming what the fan lacks, unless it is smooth and complete."""
-    rep = validate(fan)
-    failing = [prop for prop in ("smooth", "complete") if not rep[prop]]
-    if failing:
-        raise ValueError(
-            f"{what} needs a smooth complete fan; this fan is not "
-            + " and not ".join(failing)
-        )
 
 
 def enumerate_triples(fan: Fan, bound: int | None = None) -> list[AdmissibleTriple]:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from toric_deform.fan import Fan
+from toric_deform import intlin
+from toric_deform.fan import Fan, cox_data
+from toric_deform.hypersurf import LiftProblem, lift_polynomial
 
 
 def default_box_bound(fan: Fan) -> int:
@@ -49,3 +52,38 @@ def sparse_rows(rows) -> list[dict[int, int]]:
 def dense_rows(rows, width: int) -> list[list[int]]:
     """Sparse rows {column: entry} as dense rows of the given width."""
     return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def lift_monomial(fan: Fan, d, e) -> tuple[int, ...] | None:
+    """The preimage lift_polynomial gives the one monomial x^e of class
+    w = Q @ e, or None when x^e does not lift."""
+    w = tuple(intlin.mat_vec(cox_data(fan).grading_rows, e))
+    problem = LiftProblem(fan=fan, deformation=d, w=w, monomials=((1, tuple(e)),))
+    return lift_polynomial(problem).monomials[0].preimage
+
+
+def nu_deletion_determinants(d) -> list[int]:
+    """det of nu without its (2, rho) column, then without its (3, rho)
+    column: both are +-1 exactly when the nu-images of the ambient
+    variables form a Hilbert basis of the cone they span, a union of two
+    smooth cones."""
+    pairs = d.u.all_pairs
+    dets = []
+    for block in (2, 3):
+        j = pairs.index((block, d.triple.rho))
+        dets.append(intlin.determinant([row[:j] + row[j + 1:] for row in d.nu]))
+    return dets
+
+
+def brute_minimal_hitting_sets(sets, width: int) -> tuple[tuple[int, ...], ...]:
+    """The minimal subsets of range(width) that meet every set, sorted:
+    the minimal primes of the squarefree monomial ideal generated by the
+    products over each set."""
+    hits = []
+    for size in range(width + 1):
+        for cand in itertools.combinations(range(width), size):
+            s = set(cand)
+            if all(s & c for c in sets):
+                hits.append(s)
+    minimal = [s for s in hits if not any(o < s for o in hits)]
+    return tuple(sorted(tuple(sorted(s)) for s in minimal))

@@ -56,15 +56,24 @@ F2_INCOMPLETE = {
 }
 
 
+# the package sources: pytest's pythonpath setting reaches only its own
+# process, so the subprocesses get them on PYTHONPATH
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env(env_extra=None) -> dict:
+    """os.environ plus env_extra, with SRC first on PYTHONPATH."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "toric_deform.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(env_extra),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -141,6 +150,17 @@ class TestFanCheck:
         code, payload, _ = run_json(["fan", "check", "--fan", p112_path])
         assert code == 1
         assert check_map(payload) == {"smooth": False, "complete": True}
+        assert "cox" not in payload["results"]
+
+    def test_smooth_fan_with_torsion_fails_check(self, tmp_path, capsys):
+        # rays (1, 0) and (1, 2), each its own cone: every cone is
+        # unimodular, but the rays span an index-2 sublattice, so Cl(X)
+        # has torsion Z/2 and there is no grading to print
+        path = tmp_path / "torsion.json"
+        path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [1, 2]], "max_cones": [[0], [1]]}))
+        assert cli.main(["fan", "check", "--fan", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert check_map(payload) == {"smooth": True, "complete": False}
         assert "cox" not in payload["results"]
 
     def test_console_script(self, f2_path):
@@ -331,6 +351,15 @@ class TestH1:
         assert len(entry["triples"]) == 2
         assert payload["results"]["total_h1"] == 1
         assert check_map(payload) == {"cocycles_span": True}
+
+    def test_degree_and_bound_exclude_each_other(self, f2_path, capsys):
+        # a --bound next to --degree would be echoed in inputs yet ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["h1", "--fan", f2_path, "--degree", "5,5", "--bound", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --degree" in captured.err
 
     def test_zero_degree(self, f2_path):
         code, payload, _ = run_json(["h1", "--fan", f2_path, "--degree", "0,0"])
@@ -943,7 +972,7 @@ class TestNoNumpy:
         argv = [paths.get(a, a) for a in args]
         proc = subprocess.run(
             [sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
-            capture_output=True, text=True, env=dict(os.environ),
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stderr.splitlines()[-1])

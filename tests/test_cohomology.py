@@ -36,7 +36,6 @@ from toric_deform import cli, cohomology
 from toric_deform.cohomology import (
     GradedCechComplex,
     h1_dimension,
-    local_sections,
     span_check,
     triple_cocycle,
 )
@@ -48,6 +47,7 @@ from toric_deform.triples import (
     degree_box,
     enumerate_triples,
     h1_closed_form,
+    pairing,
     triples_at_degree,
 )
 
@@ -83,30 +83,35 @@ F2_D1 = [
 ]
 
 
+def section_basis(fan, cone, m) -> tuple[tuple[int, ...], ...]:
+    """The section-space basis of a face at degree m, as the Cech complex
+    and the stalk take it."""
+    return cohomology._sections_basis(fan, cone, [pairing(m, ray) for ray in fan.rays])
+
+
 class TestLocalSections:
     def test_zero_cone_is_full_for_any_degree(self):
         f = hirzebruch(2)
         for m in [(0, 0), (-3, 5), (2, -1), (-5, -5)]:
-            assert local_sections(f, (), m).dim == 2
+            assert len(section_basis(f, (), m)) == 2
 
     def test_single_ray_chart(self):
         f = hirzebruch(2)
         # value >= 0 on the one ray -> full; -1 -> line; <= -2 -> zero
-        assert local_sections(f, (0,), (1, 7)).dim == 2
-        assert local_sections(f, (0,), (-1, 7)).basis == ((1, 0),)
+        assert len(section_basis(f, (0,), (1, 7))) == 2
+        assert section_basis(f, (0,), (-1, 7)) == ((1, 0),)
 
     def test_f2_line_case(self):
         # cone {2,3} at degree (-1,-1): values -1 on ray 2, +1 on ray 3
-        ls = local_sections(hirzebruch(2), (2, 3), (-1, -1))
-        assert ls.basis == ((-1, 2),)
+        assert section_basis(hirzebruch(2), (2, 3), (-1, -1)) == ((-1, 2),)
 
     def test_f2_zero_case(self):
         # cone {0,1}: two rays with value -1
-        assert local_sections(hirzebruch(2), (0, 1), (-1, -1)).dim == 0
+        assert len(section_basis(hirzebruch(2), (0, 1), (-1, -1))) == 0
 
     def test_deep_negative_kills_sections(self):
         # single ray with value -2
-        assert local_sections(hirzebruch(2), (0,), (-2, 0)).dim == 0
+        assert len(section_basis(hirzebruch(2), (0,), (-2, 0))) == 0
 
 
 class TestCechComplexAgainstHandOracle:
@@ -483,7 +488,7 @@ def pairwise_rows(fan, m) -> list[list[int]]:
     rows = []
     for i, j in itertools.combinations(range(s), 2):
         face = set(fan.max_cones[i]) & set(fan.max_cones[j])
-        for f in annihilator_oracle(local_sections(fan, face, m).basis, n):
+        for f in annihilator_oracle(section_basis(fan, face, m), n):
             row = [0] * ((s - 1) * n)
             row[(j - 1) * n : j * n] = f
             if i:
@@ -610,7 +615,7 @@ class TestPerRayStalk:
                         touches = [int(c in cone) for cone in fan.max_cones]
                         diff = [(touches[i] - touches[j]) * x for x in ray]
                         face = set(fan.max_cones[i]) & set(fan.max_cones[j])
-                        assert not in_span(diff, local_sections(fan, face, m).basis), (key, t, i, j)
+                        assert not in_span(diff, section_basis(fan, face, m)), (key, t, i, j)
                         named += 1
         assert named > 20
 

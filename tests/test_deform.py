@@ -35,7 +35,6 @@ from toric_deform.deform import (
     _pullback_leaves_orthant,
     _roundtrip_check,
     ambient_fan,
-    ambient_irrelevant_primes,
     build_deformation,
     build_splitting,
     build_u_index,
@@ -755,28 +754,3 @@ class TestAmbientFan:
     def test_ambient_fans_are_smooth(self):
         for _, d in all_packages():
             assert validate(ambient_fan(d))["smooth"]
-
-
-class TestIrrelevantPrimes:
-    def brute_minimal_hitting_sets(self, complements, width):
-        hits = []
-        for size in range(width + 1):
-            for cand in itertools.combinations(range(width), size):
-                s = set(cand)
-                if all(s & c for c in complements):
-                    hits.append(s)
-        minimal = [s for s in hits if not any(o < s for o in hits)]
-        return tuple(sorted(tuple(sorted(s)) for s in minimal))
-
-    def test_matches_brute_force(self):
-        for _, d in all_packages():
-            width = len(d.P[0])
-            complements = [set(range(width)) - set(st) for st in d.ambient_cones]
-            expected = self.brute_minimal_hitting_sets(complements, width)
-            assert ambient_irrelevant_primes(d) == expected
-
-    def test_primes_avoid_the_base_column(self):
-        # every ambient cone contains column 0, so no prime needs it
-        for _, d in all_packages():
-            for prime in ambient_irrelevant_primes(d):
-                assert 0 not in prime

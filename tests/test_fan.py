@@ -25,17 +25,17 @@ from toric_deform.cohomology import span_check
 from toric_deform.fan import (
     CoxData,
     Fan,
-    cone_containing,
     cox_data,
     hirzebruch,
     product,
     product_of_lines,
     projective_space,
+    require_smooth_complete,
     validate,
 )
 from toric_deform.hypersurf import riemann_roch_points
 from toric_deform.scrolls import ScrollSpec, scroll_fan
-from toric_deform.triples import chamber_support, marker_graph, require_smooth_complete
+from toric_deform.triples import chamber_support, marker_graph
 
 
 def p2_fan() -> Fan:
@@ -539,27 +539,5 @@ class TestCoxDataAgainstSmith:
         # rays (1, 0) and (1, 2) in separate cones: each cone is unimodular,
         # but they span an index-2 sublattice, so Cl has torsion Z/2
         f = Fan(dim=2, rays=((1, 0), (1, 2)), max_cones=((0,), (1,)))
-        with pytest.raises(ValueError, match="class group has torsion"):
+        with pytest.raises(ValueError, match=r"\Aclass group has torsion \[2\]\Z"):
             cox_data(f)
-
-
-class TestConeContaining:
-    def test_f2_adjacent_pair(self):
-        assert cone_containing(hirzebruch(2), {1, 2}) == (1, 2)
-
-    def test_f2_opposite_pair(self):
-        assert cone_containing(hirzebruch(2), {1, 3}) is None
-
-    def test_p2_every_pair(self):
-        f = p2_fan()
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert cone_containing(f, {i, j}) is not None
-
-    def test_monotone(self):
-        f = hirzebruch(3)
-        for c in f.max_cones:
-            got = cone_containing(f, set(c))
-            assert got is not None
-            for i in c:
-                assert cone_containing(f, {i}) is not None

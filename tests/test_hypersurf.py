@@ -1,12 +1,13 @@
-"""Riemann-Roch enumeration, monomial lifting, and the Hilbert basis check.
+"""Riemann-Roch enumeration, monomial lifting, and the Hilbert basis of nu.
 
 Oracles: Riemann-Roch point sets are re-enumerated by a raw box sweep
 against the grading, and by the kernel-lattice route through a Smith-form
 solve (riemann_roch_oracle); the closed-form count
-sum_{j<=b} (a - nj + 1) pins the Hirzebruch trapezoid; liftability is
-cross-checked against a vectorized brute-force search over all
-preimages with entries <= 15; the two Hilbert-basis determinants are
-hand-expanded for the golden deformation.
+sum_{j<=b} (a - nj + 1) pins the Hirzebruch trapezoid; the liftability
+lift_polynomial reports for one monomial is cross-checked against a
+vectorized brute-force search over all preimages with entries <= 15; the
+two Hilbert-basis determinants are hand-expanded for the golden
+deformation.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from toric_deform.deform import build_deformation, eta_map
 from toric_deform.fan import Fan, cox_data, hirzebruch, product, product_of_lines, projective_space
 from toric_deform.hypersurf import (
     LiftProblem,
-    hilbert_basis_check,
-    is_liftable,
     lift_polynomial,
     parse_polynomial,
     render_terms,
@@ -35,7 +34,7 @@ from toric_deform.hypersurf import (
 from toric_deform.scrolls import ScrollSpec, one_step, scroll_fan
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
-from helpers import obj
+from helpers import lift_monomial, nu_deletion_determinants, obj
 
 
 def hirzebruch_package(n: int, alpha: int):
@@ -198,18 +197,20 @@ GOLDEN_PARAMS = [(2, 1), (3, 1), (3, 2), (5, 2)]
 
 
 class TestIsLiftable:
+    """lift_polynomial on one monomial x^e of class w = Q @ e."""
+
     def test_zero_lifts_to_zero(self):
-        _, d = hirzebruch_package(2, 1)
-        assert is_liftable(d, (0, 0, 0, 0)) == (0, 0, 0, 0, 0)
+        fan, d = hirzebruch_package(2, 1)
+        assert lift_monomial(fan, d, (0, 0, 0, 0)) == (0, 0, 0, 0, 0)
 
     def test_product_of_first_two_variables(self):
-        _, d = hirzebruch_package(2, 1)
-        assert is_liftable(d, (1, 1, 0, 0)) == (0, 0, 0, 1, 0)
+        fan, d = hirzebruch_package(2, 1)
+        assert lift_monomial(fan, d, (1, 1, 0, 0)) == (0, 0, 0, 1, 0)
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_trapezoid_vertex_preimages(self, n, alpha):
         a, b = 3 * n, 2
-        _, d = hirzebruch_package(n, alpha)
+        fan, d = hirzebruch_package(n, alpha)
         cases = {
             (a, b, 0, 0): (0, a - b * alpha, 0, b, 0),
             (0, b, a, 0): (0, 0, b, 0, a - b * n + b * alpha),
@@ -217,30 +218,30 @@ class TestIsLiftable:
             (a - b * n, 0, 0, b): (b, a - n * b, 0, 0, 0),
         }
         for e, want in cases.items():
-            got = is_liftable(d, e)
+            got = lift_monomial(fan, d, e)
             assert got == want, (e, got, want)
             assert all(int(x) == y for x, y in zip(obj(d.nu) @ obj(got), e))
 
     def test_second_variable_alone_is_stuck(self):
         # its only preimage line leaves the nonnegative orthant
-        _, d = hirzebruch_package(2, 1)
-        assert is_liftable(d, (0, 1, 0, 0)) is None
+        fan, d = hirzebruch_package(2, 1)
+        assert lift_monomial(fan, d, (0, 1, 0, 0)) is None
 
     def test_negative_exponent_rejected(self):
-        _, d = hirzebruch_package(2, 1)
+        fan, d = hirzebruch_package(2, 1)
         with pytest.raises(ValueError, match="nonnegative"):
-            is_liftable(d, (0, -1, 0, 0))
+            lift_monomial(fan, d, (0, -1, 0, 0))
 
     @pytest.mark.parametrize("e", [(0, 0, 0), (0, 0, 0, 0, 0), ()], ids=["r-1", "r+1", "0"])
     def test_wrong_length_rejected(self, e):
         # F_2 has 4 rays; both lengths are named before any solve
-        _, d = hirzebruch_package(2, 1)
-        with pytest.raises(ValueError, match=rf"has {len(e)} entries, expected 4"):
-            is_liftable(d, e)
+        fan, d = hirzebruch_package(2, 1)
+        with pytest.raises(ValueError, match=rf"has {len(e)} exponents, expected 4"):
+            lift_monomial(fan, d, e)
 
     @pytest.mark.parametrize("n,alpha", [(2, 1), (3, 2)])
     def test_matches_brute_force(self, n, alpha):
-        _, d = hirzebruch_package(n, alpha)
+        fan, d = hirzebruch_package(n, alpha)
         nu = np.array(d.nu, dtype=np.int64)
         width = nu.shape[1]
         grids = np.meshgrid(*([np.arange(16)] * width), indexing="ij")
@@ -252,7 +253,7 @@ class TestIsLiftable:
         for e in samples:
             target = np.array(e, dtype=np.int64)[:, None]
             found = bool((images == target).all(axis=0).any())
-            got = is_liftable(d, e)
+            got = lift_monomial(fan, d, e)
             assert (got is not None) == found, (e, got)
             if got is not None:
                 assert all(int(x) == y for x, y in zip(obj(d.nu) @ obj(got), e))
@@ -412,18 +413,20 @@ class TestHilbertBasis:
             [1, 0, 0, 0],
         ]
         assert intlin.determinant(sub3) == -1
-        assert hilbert_basis_check(d)
+        assert nu_deletion_determinants(d) == [-1, -1]
 
     def test_holds_for_every_package(self):
         fans = [hirzebruch(2), hirzebruch(3), hirzebruch(4), scroll_fan(ScrollSpec((2, 1, 0)))]
         seen = 0
         for fan in fans:
             for t in enumerate_triples(fan):
-                assert hilbert_basis_check(build_deformation(fan, t))
+                dets = nu_deletion_determinants(build_deformation(fan, t))
+                assert [abs(x) for x in dets] == [1, 1], (t, dets)
                 seen += 1
         s = ScrollSpec((4, 1, 0))
         mv = one_step(s, 1, 2, 2)
-        assert hilbert_basis_check(build_deformation(scroll_fan(s), mv.triple))
+        dets = nu_deletion_determinants(build_deformation(scroll_fan(s), mv.triple))
+        assert [abs(x) for x in dets] == [1, 1]
         assert seen >= 8
 
 

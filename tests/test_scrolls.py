@@ -16,11 +16,7 @@ import pytest
 
 from toric_deform import intlin
 from toric_deform.cohomology import h1_dimension
-from toric_deform.deform import (
-    ambient_irrelevant_primes,
-    build_deformation,
-    verify_central_fiber,
-)
+from toric_deform.deform import build_deformation, verify_central_fiber
 from toric_deform.fan import Fan, cox_data, hirzebruch, product_of_lines, validate
 from toric_deform.scrolls import (
     ScrollSpec,
@@ -34,7 +30,7 @@ from toric_deform.scrolls import (
 )
 from toric_deform.triples import degree_box, enumerate_triples
 
-from helpers import default_box_bound
+from helpers import brute_minimal_hitting_sets, default_box_bound
 
 
 def same_fan_up_to_relabel(f: Fan, g: Fan) -> bool:
@@ -95,15 +91,8 @@ class TestScrollFan:
         assert set(cox.irrelevant_components) == expected
         # the minimal primes are the base pair and the full fiber set
         complements = [set(c) for c in cox.irrelevant_components]
-        hits = []
-        for size in range(n + 3):
-            for cand in itertools.combinations(range(n + 2), size):
-                if all(set(cand) & c for c in complements):
-                    hits.append(set(cand))
-        minimal = {
-            tuple(sorted(h)) for h in hits if not any(o < h for o in hits)
-        }
-        assert minimal == {(0, 1), tuple(range(2, n + 2))}
+        minimal = brute_minimal_hitting_sets(complements, n + 2)
+        assert minimal == ((0, 1), tuple(range(2, n + 2)))
 
     def test_number_of_cones(self):
         for a in [(0, 0), (3, 1, 0), (1, 1, 1, 1)]:
@@ -222,7 +211,11 @@ class TestOneStep:
         expected = tuple(
             sorted(tuple(sorted(d.column_of(p) for p in prime)) for prime in cols.values())
         )
-        assert ambient_irrelevant_primes(d) == expected
+        # the minimal primes of the ambient irrelevant ideal: the minimal
+        # column sets that meet the complement of every ambient cone
+        width = len(d.P[0])
+        complements = [set(range(width)) - set(cone) for cone in d.ambient_cones]
+        assert brute_minimal_hitting_sets(complements, width) == expected
 
 
 class TestPathToRigid:

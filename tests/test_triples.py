@@ -28,7 +28,6 @@ from toric_deform import intlin
 from toric_deform import triples as triples_mod
 from toric_deform.fan import (
     Fan,
-    cone_containing,
     hirzebruch,
     product,
     product_of_lines,
@@ -88,7 +87,7 @@ def union_find_components(fan: Fan, vertices) -> list[tuple[int, ...]]:
         return x
 
     for i, j in itertools.combinations(vertices, 2):
-        if cone_containing(fan, {i, j}) is not None:
+        if any({i, j} <= set(c) for c in fan.max_cones):
             parent[find(i)] = find(j)
     comps = {}
     for v in vertices:
@@ -166,7 +165,6 @@ class TestMarkerGraph:
         # values -alpha, -1, alpha - n, 1; rays 0 and 2 never share a cone.
         g = marker_graph(hirzebruch(n), (-alpha, -1), 1)
         assert g.vertices == (0, 2)
-        assert g.edges == ()
         assert g.components == ((0,), (2,))
 
     def test_p2_direct_evaluation(self):
@@ -182,20 +180,12 @@ class TestMarkerGraph:
         # values 0, -1, 1 with rho = ray 1.
         g = marker_graph(projective_space(2), (0, -1), 1)
         assert g.vertices == ()
-        assert g.edges == ()
         assert g.components == ()
 
     def test_rejects_wrong_value_on_rho(self):
         # m = (-1,-1) evaluates to +1 on ray 3 = -e2
         with pytest.raises(ValueError, match="expected -1"):
             marker_graph(hirzebruch(2), (-1, -1), 3)
-
-    def test_edges_match_cone_queries(self):
-        f = scroll_110_fan()
-        g = marker_graph(f, (-1, -1, 0), 0)
-        for i, j in itertools.combinations(g.vertices, 2):
-            has_edge = (i, j) in g.edges
-            assert has_edge == (cone_containing(f, {i, j}) is not None)
 
 
 class TestAdmissibleComponents:
@@ -208,7 +198,7 @@ class TestAdmissibleComponents:
         assert admissible_components(g) == []
 
     def test_empty_graph_yields_none(self):
-        g = MarkerGraph(rho=0, vertices=(), edges=(), components=())
+        g = MarkerGraph(rho=0, vertices=(), components=())
         assert admissible_components(g) == []
 
 
