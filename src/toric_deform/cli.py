@@ -33,7 +33,7 @@ from .deform import (
     verify_central_fiber,
 )
 from .fan import Fan, cox_data, require_smooth_complete, validate
-from .hypersurf import LiftProblem, lift_polynomial, parse_polynomial, render_terms
+from .hypersurf import lift_polynomial, parse_polynomial, render_terms
 from .scrolls import (
     ScrollSpec,
     is_rigid,
@@ -50,7 +50,6 @@ from .triples import (
     triples_at_degree,
 )
 
-_VECTOR_FLAGS = {"--m", "--degree", "--class", "--component"}
 _VECTOR_RE = re.compile(r"-?\d+(,-?\d+)*\Z")
 
 
@@ -246,9 +245,9 @@ def _deformation_json(fan: Fan, d: DeformationData) -> dict:
         "trinomial": {
             "labels": labels,
             "terms": [
-                {"coefficient": c, "exponents": list(e)} for c, e in d.trinomial.terms
+                {"coefficient": c, "exponents": list(e)} for c, e in d.terms
             ],
-            "rendered": render_terms(d.trinomial.terms, d.trinomial.labels),
+            "rendered": render_terms(d.terms, d.column_labels),
         },
         "kernel_binomial": _ints(kernel_binomial(d)),
         "eta": eta_map(d),
@@ -406,7 +405,7 @@ def cmd_lift(args) -> tuple[dict, list[dict]]:
     if len(w) != rank:
         raise InputError(f"--class has length {len(w)}, class group rank is {rank}")
     monomials = parse_polynomial(args.poly, fan.n_rays)
-    res = lift_polynomial(LiftProblem(fan=fan, deformation=d, w=w, monomials=monomials))
+    res = lift_polynomial(fan, d, w, monomials)
     pair_labels = list(d.column_labels[1:])
     results = {
         "class": list(w),
@@ -560,36 +559,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _looks_like_flag(tok: str) -> bool:
-    return tok.startswith("--") or (
-        tok.startswith("-") and len(tok) > 1 and not tok[1].isdigit()
-    )
+def _is_flag(tok: str) -> bool:
+    """The one rule for tokens: a flag is '--' or starts with it, or is a
+    dash and one letter (-h, -o); every other token is a value."""
+    return tok.startswith("--") or (len(tok) == 2 and tok[0] == "-" and tok[1].isalpha())
 
 
-def _merge_vector_flags(argv: list[str]) -> list[str]:
-    """Join '--m -1,-1' into '--m=-1,-1' so argparse accepts negatives."""
-    out = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
+def _protect_values(argv: list[str]) -> list[str]:
+    """argv rewritten so that argparse reads every value as a value.
+
+    argparse takes a value that starts with '-' ('-1,0', '-S1^3*S2') for
+    an unknown option. So such a value after a flag that takes one is
+    joined to it ('--m -1,0' becomes '--m=-1,0'), and such a value after
+    no flag is positional: it moves behind a '--' at the end, together
+    with whatever follows a '--' of argv's own.
+    """
+    out: list[str] = []
+    positional: list[str] = []
+    k = 0
+    while k < len(argv):
+        tok = argv[k]
+        k += 1
+        if tok == "--":
+            positional += argv[k:]
+            break
+        if not _is_flag(tok):
+            (positional if tok.startswith("-") else out).append(tok)
             continue
-        if (
-            tok in _VECTOR_FLAGS
-            and k + 1 < len(argv)
-            and not _looks_like_flag(argv[k + 1])
-        ):
-            out.append(f"{tok}={argv[k + 1]}")
-            skip = True
-        else:
-            out.append(tok)
-    return out
+        takes_value = "=" not in tok and tok not in ("-h", "--help")
+        if takes_value and k < len(argv) and argv[k].startswith("-") and not _is_flag(argv[k]):
+            tok = f"{tok}={argv[k]}"
+            k += 1
+        out.append(tok)
+    return [*out, "--", *positional] if positional else out
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_merge_vector_flags(argv))
+    args = parser.parse_args(_protect_values(argv))
 
     command = args.command
     if getattr(args, "subcommand", None):

@@ -7,7 +7,9 @@ the sign of a_i = m(v_i) and membership in C, the block matrix P whose
 columns span the ambient fan, the trinomial Cox equation of the total
 space, the exponent maps psi / nu between Cox rings, the eta substitution
 onto the central fiber, and the verification that the fiber over 0 is the
-variety we started from.
+variety we started from. The package is one flat record, DeformationData,
+that holds each quantity once; the binomial exponents are read through
+kernel_binomial.
 
 Index conventions: ray indices are 0-based everywhere; printed labels
 (T1, T(2,1), S1, ...) are 1-based to match the usual matrix notation.
@@ -21,27 +23,15 @@ from . import intlin
 from .fan import Fan, require_smooth_complete
 from .triples import AdmissibleTriple, admissible_components, marker_graph, pairing
 
-
-@dataclass(frozen=True)
-class Splitting:
-    """Splitting of 0 -> K -> N -m-> Z -> 0 by the section with gamma(-1) = v_rho.
-
-    Attributes:
-        m: the degree (row functional on N).
-        rho: ray index with m(v_rho) = -1.
-        k_basis: rows form a basis of ker m (saturated, HNF-canonical).
-        proj: (n-1) x n matrix, as rows, of v -> v - gamma(m(v)) in
-            k_basis coordinates.
-    """
-
-    m: tuple[int, ...]
-    rho: int
-    k_basis: tuple[tuple[int, ...], ...]
-    proj: tuple[tuple[int, ...], ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
-def build_splitting(fan: Fan, m, rho: int) -> Splitting:
-    """The splitting of N by m with gamma(-1) = v_rho, from one HNF.
+def build_splitting(fan: Fan, m, rho: int) -> tuple[Rows, Rows]:
+    """(k_basis, proj): the splitting of N by m with gamma(-1) = v_rho, from one HNF.
+
+    The rows of k_basis are a basis of ker m (saturated, HNF-canonical),
+    and proj is the (n-1) x n matrix, as rows, of v -> v - gamma(m(v)) in
+    k_basis coordinates.
 
     The vectors g_j = e_j + m_j * v_rho lie in ker m and generate it over
     Z: k = sum_j k_j * g_j - m(k) * v_rho for every k in N. So the HNF
@@ -59,79 +49,67 @@ def build_splitting(fan: Fan, m, rho: int) -> Splitting:
     h, u = intlin.hermite_normal_form(g)
     assert not any(h[n - 1])  # ker m has rank n - 1
     u_inv = intlin.unimodular_solve(u, intlin.identity(n))
-    return Splitting(
-        m=m,
-        rho=rho,
-        k_basis=tuple(map(tuple, h[: n - 1])),
-        proj=tuple(tuple(row[i] for row in u_inv) for i in range(n - 1)),
+    proj = tuple(tuple(row[i] for row in u_inv) for i in range(n - 1))
+    return tuple(map(tuple, h[: n - 1])), proj
+
+
+def build_u_index(a, rho: int, component) -> tuple[tuple[int, int], ...]:
+    """The P column order after T1: the (block, ray) pairs of U1..U4.
+
+    U1 holds the rays with a_i > 0, U2 those with a_i < 0 in C and rho,
+    U3 those with a_i < 0 outside C, rho among them, and U4 those with
+    a_i = 0; so rho appears in both U2 and U3.
+    """
+    comp = set(component)
+    return (
+        *((1, i) for i, ai in enumerate(a) if ai > 0),
+        *((2, i) for i, ai in enumerate(a) if ai < 0 and (i in comp or i == rho)),
+        *((3, i) for i, ai in enumerate(a) if ai < 0 and i not in comp),
+        *((4, i) for i, ai in enumerate(a) if ai == 0),
     )
 
 
 @dataclass(frozen=True)
-class UIndex:
-    """Blocks of (block, ray) pairs splitting the rays by sign of a_i.
-
-    rho appears in both u2 and u3 (it has a_rho = -1 and is not in C).
-    """
-
-    u1: tuple[tuple[int, int], ...]
-    u2: tuple[tuple[int, int], ...]
-    u3: tuple[tuple[int, int], ...]
-    u4: tuple[tuple[int, int], ...]
-
-    @property
-    def all_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.u1 + self.u2 + self.u3 + self.u4
-
-
-def build_u_index(a, rho: int, component) -> UIndex:
-    comp = set(component)
-    u1 = tuple((1, i) for i, ai in enumerate(a) if ai > 0)
-    u2 = tuple((2, i) for i, ai in enumerate(a) if ai < 0 and (i in comp or i == rho))
-    u3 = tuple((3, i) for i, ai in enumerate(a) if ai < 0 and i not in comp)
-    u4 = tuple((4, i) for i, ai in enumerate(a) if ai == 0)
-    return UIndex(u1=u1, u2=u2, u3=u3, u4=u4)
-
-
-@dataclass(frozen=True)
-class Trinomial:
-    """T1 * prod(U1) - prod(U2) + prod(U3) as signed exponent vectors.
-
-    Each term is (coefficient, exponent tuple over the full column order
-    of P, T1 first).
-    """
-
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
-    labels: tuple[str, ...]
-
-    def binomial_difference(self) -> list[int]:
-        """Exponents of term 2 minus term 3 over every column (T1's entry is 0)."""
-        return [x - y for x, y in zip(self.terms[1][1], self.terms[2][1])]
-
-
-Rows = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class DeformationData:
-    """Everything attached to one admissible triple; matrices are rows."""
+    """Everything attached to one admissible triple; matrices are rows.
+
+    Attributes:
+        triple: the admissible triple (m, rho, C), C sorted.
+        pairs: the P column order after T1, the (block, ray) pairs of
+            U1..U4 block by block (build_u_index).
+        P: the (n+2) x (1 + len(pairs)) matrix whose columns are the rays
+            of the ambient fan; Ptilde is its first n + 1 rows without the
+            T1 column.
+        ambient_cones: the sigma-tilde, as P column indices, one per
+            maximal cone of the fan in max_cones order.
+        terms: T1 * prod(U1) - prod(U2) + prod(U3) as signed exponent
+            vectors: each term is (coefficient, exponent tuple over the
+            full column order of P, T1 first).
+        psi, nu: the exponent maps between the Cox rings; nu is psi
+            transposed.
+        Qtilde: the grading of the ambient class group.
+        proj: v -> v - gamma(m(v)) in the coordinates of ker m
+            (build_splitting).
+        a: a_i = m(v_i) for every ray.
+        column_labels: T1 and then T(k,i) for each pair, 1-based.
+    """
 
     triple: AdmissibleTriple
-    u: UIndex
+    pairs: tuple[tuple[int, int], ...]
     P: Rows
     Ptilde: Rows
     ambient_cones: tuple[tuple[int, ...], ...]
-    trinomial: Trinomial
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
     psi: Rows
     nu: Rows
     Qtilde: Rows
-    splitting: Splitting
+    proj: Rows
     a: tuple[int, ...]
     column_labels: tuple[str, ...]
 
     def column_of(self, pair) -> int:
         """Index of a (block, ray) pair in the full P column order."""
-        return 1 + self.u.all_pairs.index(tuple(pair))
+        return 1 + self.pairs.index(tuple(pair))
 
 
 def _column_label(pair) -> str:
@@ -157,10 +135,8 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     t = AdmissibleTriple(m=tuple(int(x) for x in t.m), rho=int(t.rho), component=comp)
     n, r = fan.dim, fan.n_rays
     a = tuple(pairing(t.m, fan.rays[i]) for i in range(r))
-    split = build_splitting(fan, t.m, t.rho)
-    u = build_u_index(a, t.rho, comp)
-    pairs = u.all_pairs
-    labels = ("T1",) + tuple(_column_label(p) for p in pairs)
+    _, proj = build_splitting(fan, t.m, t.rho)
+    pairs = build_u_index(a, t.rho, comp)
 
     # One walk over the pairs: the P column of (k, i) is
     # [a_i if k in (1, 2), a_i if k in (1, 3), proj(v_i), 0], its exponent
@@ -174,8 +150,8 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
     psi = []
     for k, i in pairs:
         ai = a[i]
-        proj = intlin.mat_vec(split.proj, fan.rays[i])
-        p_cols.append((ai if k in (1, 2) else 0, ai if k in (1, 3) else 0, *proj, 0))
+        p_cols.append((ai if k in (1, 2) else 0, ai if k in (1, 3) else 0,
+                       *intlin.mat_vec(proj, fan.rays[i]), 0))
         for b, term in enumerate(terms, start=1):
             term.append(abs(ai) if k == b else 0)
         row = [0] * r
@@ -186,19 +162,11 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
         psi.append(row)
     p = intlin.transpose(p_cols)
     ptilde = [row[1:] for row in p[: n + 1]]
-    trinomial = Trinomial(
-        terms=tuple(zip((1, -1, 1), map(tuple, terms))),
-        labels=labels,
-    )
-    nu = intlin.transpose(psi)
 
     # Row n+1 of P is e_T1 and every sigma-tilde holds column 0, so a
     # unimodular sigma-tilde gives P-tilde an (n+1)-minor +-1: its columns
     # span Z^(n+1), and free_cokernel's HNF proves the class group free.
     qtilde = intlin.free_cokernel(intlin.transpose(ptilde))
-
-    # the binomial difference kills nu
-    assert not any(intlin.mat_vec(nu, trinomial.binomial_difference()[1:]))
 
     # sigma-tilde: T1, the pairs of the rays of sigma, and (2, rho) when
     # sigma misses C, else (3, rho)
@@ -209,25 +177,28 @@ def build_deformation(fan: Fan, t: AdmissibleTriple) -> DeformationData:
             c for c, pair in enumerate(pairs, start=1) if pair[1] in sigma or pair == extra
         )))
 
-    return DeformationData(
+    d = DeformationData(
         triple=t,
-        u=u,
+        pairs=pairs,
         P=tuple(map(tuple, p)),
         Ptilde=tuple(map(tuple, ptilde)),
         ambient_cones=tuple(cones),
-        trinomial=trinomial,
+        terms=tuple(zip((1, -1, 1), map(tuple, terms))),
         psi=tuple(map(tuple, psi)),
-        nu=tuple(map(tuple, nu)),
+        nu=tuple(map(tuple, intlin.transpose(psi))),
         Qtilde=tuple(map(tuple, qtilde)),
-        splitting=split,
+        proj=proj,
         a=a,
-        column_labels=labels,
+        column_labels=("T1", *map(_column_label, pairs)),
     )
+    assert not any(intlin.mat_vec(d.nu, kernel_binomial(d)))  # the binomial kills nu
+    return d
 
 
 def kernel_binomial(d: DeformationData) -> list[int]:
-    """Exponent difference of the two binomial terms, over P-tilde columns."""
-    return d.trinomial.binomial_difference()[1:]
+    """Exponents of the second trinomial term minus the third, over the
+    P-tilde columns (T1's entry, 0, dropped)."""
+    return [x - y for x, y in zip(d.terms[1][1][1:], d.terms[2][1][1:])]
 
 
 def eta_map(d: DeformationData) -> dict:
@@ -237,7 +208,7 @@ def eta_map(d: DeformationData) -> dict:
     whose exponent vector is the matching column of nu.
     """
     table: dict[str, dict[str, int] | None] = {"T1": None}
-    for c, pair in enumerate(d.u.all_pairs):
+    for c, pair in enumerate(d.pairs):
         table[_column_label(pair)] = {
             f"S{i + 1}": row[c] for i, row in enumerate(d.nu) if row[c] != 0
         }
@@ -256,7 +227,7 @@ def ambient_fan(d: DeformationData) -> Fan:
 
 def _iota_matrix(fan: Fan, d: DeformationData) -> list[tuple[int, ...]]:
     """(n+2) x n matrix, as rows, of v -> [m(v), m(v), proj(v), 0]."""
-    return [d.triple.m, d.triple.m, *d.splitting.proj, (0,) * fan.dim]
+    return [d.triple.m, d.triple.m, *d.proj, (0,) * fan.dim]
 
 
 def _columns(mat, cols) -> list[list[int]]:
@@ -385,7 +356,7 @@ def _binomial_character(d: DeformationData) -> list[int] | None:
     full row rank, so u is the only solution. Otherwise (only a broken
     package) intlin.solve_int decides.
     """
-    b = d.trinomial.binomial_difference()
+    b = [0, *kernel_binomial(d)]
     pt = intlin.transpose(d.P)
     st = d.ambient_cones[0]
     u = intlin.unimodular_solve([pt[c] for c in st], [[b[c]] for c in st])
@@ -400,7 +371,7 @@ def _nonnegative(coords) -> list[bool]:
     return [x is not None and min(map(min, x)) >= 0 for x in coords]
 
 
-def _roundtrip_check(coords, work: dict, nonneg=None) -> dict:
+def _roundtrip_check(coords, work: dict, nonneg: list[bool]) -> dict:
     """Pull each sigma-tilde back through iota; the result must be sigma.
 
     ``coords`` holds X_sigma = B^-1 @ iota @ V_sigma for each maximal cone,
@@ -426,11 +397,8 @@ def _roundtrip_check(coords, work: dict, nonneg=None) -> dict:
     (cone_membership has failed) falls back to _pullback_leaves_orthant,
     exact Fourier-Motzkin on {X_sigma w >= 0, -w_i >= 1}, one system per
     i up to the first that is feasible, counted in ``work["fm_systems"]``.
-    ``nonneg`` is _nonnegative(coords), computed here unless the caller
-    has it already.
+    ``nonneg`` is _nonnegative(coords), which the caller has already.
     """
-    if nonneg is None:
-        nonneg = _nonnegative(coords)
     for ci, x in enumerate(coords):
         if x is None:
             return {"ok": False, "witness": {"cone": ci, "reason": "non-unimodular"}}

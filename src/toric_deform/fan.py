@@ -87,12 +87,14 @@ class Fan:
         triples all read their per-cone answers from it.
         """
         n = self.dim
-        eye = intlin.identity(n)
+        eye = None  # n x n, so taken only once a cone with n rays needs it
         out = []
         for c in self.max_cones:
             if len(c) != n:
                 out.append(None)
                 continue
+            if eye is None:
+                eye = intlin.identity(n)
             _, det, reduced = eliminate([*v, *e] for v, e in zip(self.cone_matrix(c), eye))
             d = reduced[n - 1][n - 1]
             out.append((det, d, [r[n:] for r in reduced]) if d else (0, 0, None))
@@ -230,7 +232,7 @@ class CoxData:
     """Cox presentation 0 -> M -> Z^r -> Cl(X) -> 0 of a smooth fan.
 
     Attributes:
-        ray_map: n x r matrix, as rows, with the rays as columns.
+        n_rays: r, the number of rays (the width of the grading).
         grading_rows: cl_rank x r matrix, as rows, projecting exponent
             vectors to Cl(X).
         cl_rank: rank of the (free) class group.
@@ -239,7 +241,7 @@ class CoxData:
             squarefree monomials.
     """
 
-    ray_map: tuple[tuple[int, ...], ...]
+    n_rays: int
     grading_rows: tuple[tuple[int, ...], ...]
     cl_rank: int
     irrelevant_components: tuple[tuple[int, ...], ...]
@@ -254,7 +256,7 @@ class CoxData:
         """
         import numpy as np
 
-        out = np.empty((self.cl_rank, len(self.ray_map[0])), dtype=object)
+        out = np.empty((self.cl_rank, self.n_rays), dtype=object)
         if self.cl_rank:
             out[:] = self.grading_rows
         return out
@@ -272,10 +274,10 @@ def cox_data(fan: Fan) -> CoxData:
 def _cox_data(fan: Fan) -> CoxData:
     """Cox presentation of a smooth fan.
 
-    The grading of Cl(X) = coker(ray_map^T) is intlin.free_cokernel's:
-    the HNF basis of the relations among the rays, ker(ray_map), proven
-    free by the same HNF whenever the rays span N, as they do on a
-    complete fan. Otherwise a Smith form decides whether Cl(X) has
+    The grading of Cl(X) = coker(V^T), V = fan.ray_matrix(), is
+    intlin.free_cokernel's: the HNF basis of the relations among the rays,
+    ker(V), proven free by the same HNF whenever the rays span N, as they
+    do on a complete fan. Otherwise a Smith form decides whether Cl(X) has
     torsion.
 
     Raises:
@@ -285,9 +287,8 @@ def _cox_data(fan: Fan) -> CoxData:
     for ci in range(len(fan.max_cones)):
         if not _cone_is_unimodular(fan, ci):
             raise ValueError(f"cone {ci} is not unimodular; fan is not smooth")
-    p = fan.ray_matrix()
     try:
-        grading = intlin.free_cokernel(fan.rays)  # the rays are the rows of p^T
+        grading = intlin.free_cokernel(fan.rays)  # the rays are the rows of V^T
     except ValueError:
         _, invariants = intlin.cokernel_map(fan.rays)
         raise ValueError(f"class group has torsion {invariants}") from None
@@ -295,7 +296,7 @@ def _cox_data(fan: Fan) -> CoxData:
         tuple(i for i in range(fan.n_rays) if i not in set(c)) for c in fan.max_cones
     )
     return CoxData(
-        ray_map=p,
+        n_rays=fan.n_rays,
         grading_rows=tuple(map(tuple, grading)),
         cl_rank=len(grading),
         irrelevant_components=comps,

@@ -4,7 +4,8 @@ A monomial on the fiber lifts exactly when its exponent vector has a
 nonnegative preimage under the exponent map nu. Since ker nu has rank
 one, candidate preimages form a line: one elimination on nu gives a
 point of every line, and intlin.least_on_lines the least nonnegative one.
-lift_polynomial does this for all monomials of a polynomial at once.
+lift_polynomial(fan, d, w, monomials) does this for all monomials of a
+polynomial of class w at once, on the package d of a triple on the fan.
 Riemann-Roch spaces are enumerated as the lattice points of the polytope
 P_w of a divisor class, in the chart of the first maximal cone.
 """
@@ -30,20 +31,6 @@ class MonomialLift:
     @property
     def liftable(self) -> bool:
         return self.preimage is not None
-
-
-@dataclass(frozen=True)
-class LiftProblem:
-    """A homogeneous polynomial on the fiber, to be lifted monomial-wise.
-
-    Monomials are (coefficient, exponent) pairs over the fiber variables;
-    all of them must have class w under the grading of the fan.
-    """
-
-    fan: Fan
-    deformation: DeformationData
-    w: tuple[int, ...]
-    monomials: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -109,31 +96,34 @@ def _preimages(d: DeformationData, e) -> list[tuple[int, ...] | None]:
     intlin.least_on_lines then moves each preimage along ker nu, which
     the binomial generates, to the least nonnegative one.
     """
-    j = d.u.all_pairs.index((3, d.triple.rho))
+    j = d.pairs.index((3, d.triple.rho))
     y = intlin.unimodular_solve([row[:j] + row[j + 1:] for row in d.nu], e)
     assert y is not None  # determinant +-1, by the shape above
     x0 = y[:j] + [[0] * len(e[0])] + y[j:]
     return intlin.least_on_lines(d.nu, e, kernel_binomial(d), x0)
 
 
-def lift_polynomial(p: LiftProblem) -> LiftResult:
+def lift_polynomial(fan: Fan, d: DeformationData, w, monomials) -> LiftResult:
     """Lift each monomial through nu; assemble the result when all lift.
 
-    The monomials are checked in input order (exponent count, class,
-    signs), and the first offending one is reported. Their preimages come
-    from one elimination on nu (see _preimages).
+    ``d`` is the deformation package of a triple on ``fan``, and
+    ``monomials`` are (coefficient, exponent) pairs over the fiber
+    variables, all of class w under the grading of the fan. They are
+    checked in input order (exponent count, class, signs), and the first
+    offending one is reported. Their preimages come from one elimination
+    on nu (see _preimages).
 
     Raises:
         ValueError: a class whose length is not the class group rank, or
             a monomial of the wrong length, with negative entries, or
             whose class differs from w.
     """
-    q = cox_data(p.fan).grading_rows
-    w = tuple(int(x) for x in p.w)
+    q = cox_data(fan).grading_rows
+    w = tuple(int(x) for x in w)
     if len(w) != len(q):
         raise ValueError(f"class has length {len(w)}, class group rank is {len(q)}")
-    r = p.fan.n_rays
-    exps = [tuple(map(int, e)) for _, e in p.monomials]
+    r = fan.n_rays
+    exps = [tuple(map(int, e)) for _, e in monomials]
     # monomials before the first wrong length take part in the batch checks
     n_ok = next((i for i, e in enumerate(exps) if len(e) != r), len(exps))
     for idx, exp in enumerate(exps[:n_ok]):
@@ -147,7 +137,7 @@ def lift_polynomial(p: LiftProblem) -> LiftResult:
     e = [[x[i] for x in exps] for i in range(r)]  # column j: monomial j
     lifts = tuple(
         MonomialLift(coefficient=int(coeff), exponent=exp, preimage=pre)
-        for (coeff, _), exp, pre in zip(p.monomials, exps, _preimages(p.deformation, e))
+        for (coeff, _), exp, pre in zip(monomials, exps, _preimages(d, e))
     )
     first_failure = next((i for i, m in enumerate(lifts) if not m.liftable), None)
     lifted = None

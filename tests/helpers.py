@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 
 from toric_deform import intlin
-from toric_deform.fan import Fan, cox_data
-from toric_deform.hypersurf import LiftProblem, lift_polynomial
+from toric_deform.deform import DeformationData, build_deformation
+from toric_deform.fan import Fan, cox_data, hirzebruch
+from toric_deform.hypersurf import lift_polynomial
+from toric_deform.triples import AdmissibleTriple
 
 
 def default_box_bound(fan: Fan) -> int:
@@ -17,6 +19,14 @@ def default_box_bound(fan: Fan) -> int:
     h1 and triples commands once used by default: twice (1 + the largest
     absolute ray coordinate)."""
     return 2 * (1 + max(abs(x) for r in fan.rays for x in r))
+
+
+def hirzebruch_package(n: int, alpha: int) -> tuple[Fan, DeformationData]:
+    """F_n and the package of its triple m = (-alpha, -1), rho = 1, C = {0},
+    the golden Hirzebruch family of the deform and hypersurf tests."""
+    fan = hirzebruch(n)
+    t = AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
+    return fan, build_deformation(fan, t)
 
 
 def obj(rows) -> np.ndarray:
@@ -58,8 +68,7 @@ def lift_monomial(fan: Fan, d, e) -> tuple[int, ...] | None:
     """The preimage lift_polynomial gives the one monomial x^e of class
     w = Q @ e, or None when x^e does not lift."""
     w = tuple(intlin.mat_vec(cox_data(fan).grading_rows, e))
-    problem = LiftProblem(fan=fan, deformation=d, w=w, monomials=((1, tuple(e)),))
-    return lift_polynomial(problem).monomials[0].preimage
+    return lift_polynomial(fan, d, w, ((1, tuple(e)),)).monomials[0].preimage
 
 
 def nu_deletion_determinants(d) -> list[int]:
@@ -67,7 +76,7 @@ def nu_deletion_determinants(d) -> list[int]:
     column: both are +-1 exactly when the nu-images of the ambient
     variables form a Hilbert basis of the cone they span, a union of two
     smooth cones."""
-    pairs = d.u.all_pairs
+    pairs = d.pairs
     dets = []
     for block in (2, 3):
         j = pairs.index((block, d.triple.rho))

@@ -188,8 +188,8 @@ def test_criterion_5_central_fiber_identity():
             assert rep["passes"]
             for name in named:
                 assert rep["checks"][name]["ok"], f"{name} failed for {t}"
-            term2 = d.trinomial.terms[1][1]
-            term3 = d.trinomial.terms[2][1]
+            term2 = d.terms[1][1]
+            term3 = d.terms[2][1]
             assert _eta_image(d, term2) == _eta_image(d, term3), (
                 f"binomial not in the kernel of eta for {t}"
             )

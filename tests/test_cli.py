@@ -745,6 +745,20 @@ class TestLift:
         assert res["lifted"]["rendered"] == "T(2,1)^2*T(3,2) + 2*T(1,4)*T(2,1)"
         assert res["first_failure"] is None
 
+    def test_polynomial_with_a_leading_minus(self, f2_path, capsys):
+        # '--poly -S1^3*S2' reads the polynomial as '--poly=-S1^3*S2' does
+        head = [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "3,1"]
+        reports = []
+        for tail in (["--poly", "-S1^3*S2"], ["--poly=-S1^3*S2"]):
+            assert cli.main([*head, *tail]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("timing")
+            reports.append(payload)
+        assert reports[0] == reports[1]
+        res = reports[0]["results"]
+        assert res["polynomial"] == "- S1^3*S2"
+        assert res["lifted"]["rendered"] == "- T(2,1)^2*T(3,2)"
+
     def test_unliftable_polynomial(self, f2_path):
         code, payload, _ = run_json(
             [*self.BASE, f2_path, *GOLDEN_DEFORM_ARGS, "--class", "0,1",
@@ -894,6 +908,22 @@ class TestScroll:
         code3, payload3, _ = run_json(["triples", "--fan", str(out)])
         assert code3 == 0
         assert payload3["results"]["count"] >= 1
+
+    @pytest.mark.parametrize("sub", ["rigid", "path", "fan"])
+    def test_leading_minus_is_a_value(self, sub, capsys):
+        # '-1,0' is a twist list, as '0,-1' is, not an unknown option
+        for twists in ("-1,0", "0,-1"):
+            assert cli.main(["scroll", sub, twists]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["inputs"] == {"twists": twists}
+            assert payload["results"]["twists"] == [int(x) for x in twists.split(",")]
+
+    def test_leading_minus_before_an_option(self, tmp_path, capsys):
+        out = tmp_path / "scroll.json"
+        assert cli.main(["scroll", "fan", "-1,0", "-o", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["written"] == str(out)
+        assert json.loads(out.read_text()) == payload["results"]["fan"]
 
     def test_single_twist_rejected(self):
         code, _, err = run_cli(["scroll", "rigid", "3"])

@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 
 from toric_deform import intlin
 from toric_deform.deform import (
-    DeformationData,
     _binomial_character,
     _iota_matrix,
+    _nonnegative,
     _pullback_leaves_orthant,
     _roundtrip_check,
     ambient_fan,
@@ -47,7 +47,7 @@ from toric_deform.hypersurf import render_terms
 from toric_deform.scrolls import ScrollSpec, scroll_fan
 from toric_deform.triples import AdmissibleTriple, enumerate_triples
 
-from helpers import obj
+from helpers import hirzebruch_package, obj
 
 
 def scroll_210_fan() -> Fan:
@@ -59,19 +59,13 @@ def scroll_210_fan() -> Fan:
     )
 
 
-def hirzebruch_package(n: int, alpha: int) -> DeformationData:
-    fan = hirzebruch(n)
-    t = AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
-    return build_deformation(fan, t)
-
-
 GOLDEN_PARAMS = [(2, 1), (3, 1), (3, 2), (5, 2)]
 
 
 class TestGoldenHirzebruch:
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_column_labels(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         assert d.column_labels == (
             "T1",
             "T(1,4)",
@@ -83,12 +77,12 @@ class TestGoldenHirzebruch:
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_a_values(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         assert d.a == (-alpha, -1, alpha - n, 1)
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_ptilde_matrix(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         expected = [
             [1, -alpha, -1, 0, 0],
             [1, 0, 0, -1, alpha - n],
@@ -98,7 +92,7 @@ class TestGoldenHirzebruch:
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_full_p_matrix(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         expected = [
             [1, 1, -alpha, -1, 0, 0],
             [1, 1, 0, 0, -1, alpha - n],
@@ -109,7 +103,7 @@ class TestGoldenHirzebruch:
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_nu_matrix(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         expected = [
             [0, 1, 0, alpha, 0],
             [0, 0, 1, 1, 0],
@@ -121,43 +115,42 @@ class TestGoldenHirzebruch:
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_trinomial_exponents(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
-        (c1, t1), (c2, t2), (c3, t3) = d.trinomial.terms
+        _, d = hirzebruch_package(n, alpha)
+        (c1, t1), (c2, t2), (c3, t3) = d.terms
         assert (c1, c2, c3) == (1, -1, 1)
         assert t1 == (1, 1, 0, 0, 0, 0)
         assert t2 == (0, 0, alpha, 1, 0, 0)
         assert t3 == (0, 0, 0, 0, 1, n - alpha)
 
     def test_trinomial_rendering(self):
-        d = hirzebruch_package(2, 1)
-        assert render_terms(d.trinomial.terms, d.trinomial.labels) == (
+        _, d = hirzebruch_package(2, 1)
+        assert render_terms(d.terms, d.column_labels) == (
             "T1*T(1,4) - T(2,1)*T(2,2) + T(3,2)*T(3,3)"
         )
-        d = hirzebruch_package(5, 2)
-        assert render_terms(d.trinomial.terms, d.trinomial.labels) == (
+        _, d = hirzebruch_package(5, 2)
+        assert render_terms(d.terms, d.column_labels) == (
             "T1*T(1,4) - T(2,1)^2*T(2,2) + T(3,2)*T(3,3)^3"
         )
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_kernel_binomial(self, n, alpha):
-        d = hirzebruch_package(n, alpha)
+        _, d = hirzebruch_package(n, alpha)
         assert kernel_binomial(d) == [0, alpha, 1, -1, -(n - alpha)]
 
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_iota_of_second_ray(self, n, alpha):
-        fan = hirzebruch(n)
-        d = hirzebruch_package(n, alpha)
+        fan, d = hirzebruch_package(n, alpha)
         iota = _iota_matrix(fan, d)
         assert (obj(iota) @ obj([0, 1])).tolist() == [-1, -1, 0, 0]
 
     def test_diagram_on_fourth_ray(self):
         # both paths around the square, evaluated on the last basis vector
-        d = hirzebruch_package(2, 1)
+        _, d = hirzebruch_package(2, 1)
         image = obj(d.Ptilde) @ (-obj(d.psi)[:, 3])
         assert image.tolist() == [-1, -1, 0]
 
     def test_ambient_cone_indices(self):
-        d = hirzebruch_package(2, 1)
+        _, d = hirzebruch_package(2, 1)
         # cone {2,3} misses C={0}, so the rho column used is the block-2 one
         by_cone = dict(zip(hirzebruch(2).max_cones, d.ambient_cones))
         assert by_cone[(2, 3)] == (
@@ -185,40 +178,35 @@ class TestGoldenHirzebruch:
 
 class TestUIndexAndSplitting:
     def test_u_partition(self):
-        u = build_u_index((-1, -1, -1, 1), rho=1, component=(0,))
-        assert u.u1 == ((1, 3),)
-        assert u.u2 == ((2, 0), (2, 1))
-        assert u.u3 == ((3, 1), (3, 2))
-        assert u.u4 == ()
+        # U1, U2, U3 and U4 (empty), block by block
+        pairs = build_u_index((-1, -1, -1, 1), rho=1, component=(0,))
+        assert pairs == ((1, 3), (2, 0), (2, 1), (3, 1), (3, 2))
 
     def test_zero_values_land_in_u4(self):
-        u = build_u_index((0, -1, 2, 0), rho=1, component=(3,))
-        assert u.u1 == ((1, 2),)
-        assert u.u2 == ((2, 1),)
-        assert u.u3 == ((3, 1),)
-        assert u.u4 == ((4, 0), (4, 3))
+        pairs = build_u_index((0, -1, 2, 0), rho=1, component=(3,))
+        assert pairs == ((1, 2), (2, 1), (3, 1), (4, 0), (4, 3))
 
     def test_rho_appears_in_both_negative_blocks(self):
         for fan in [hirzebruch(2), hirzebruch(4), scroll_210_fan()]:
             for t in enumerate_triples(fan):
                 d = build_deformation(fan, t)
-                assert (2, t.rho) in d.u.u2
-                assert (3, t.rho) in d.u.u3
+                assert (2, t.rho) in d.pairs
+                assert (3, t.rho) in d.pairs
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_splitting_identities(self, n):
         fan = hirzebruch(n)
         m = (-1, -1)
-        s = build_splitting(fan, m, rho=1)
+        k_basis, proj = build_splitting(fan, m, rho=1)
         v_rho = obj(fan.rays[1])
         # the section hits the marked ray and projects to zero
         assert obj(m) @ v_rho == -1
-        assert all(x == 0 for x in obj(s.proj) @ v_rho)
-        basis = obj(s.k_basis)
+        assert all(x == 0 for x in obj(proj) @ v_rho)
+        basis = obj(k_basis)
         for ray in fan.rays:
             v = obj(ray)
             value = int(obj(m) @ v)
-            recovered = basis.T @ (obj(s.proj) @ v)
+            recovered = basis.T @ (obj(proj) @ v)
             shifted = v + value * v_rho
             assert recovered.tolist() == shifted.tolist()
 
@@ -246,11 +234,11 @@ class TestSmithOracles:
 
     def test_splitting(self):
         for fan, t in wide_packages():
-            s = build_splitting(fan, t.m, t.rho)
-            kb, proj = splitting_reference(fan, t.m, t.rho)
-            assert [list(v) for v in s.k_basis] == kb, t
-            assert [list(r) for r in s.proj] == proj, t
-            assert all(type(x) is int for r in s.proj for x in r)
+            k_basis, proj = build_splitting(fan, t.m, t.rho)
+            kb, want = splitting_reference(fan, t.m, t.rho)
+            assert [list(v) for v in k_basis] == kb, t
+            assert [list(r) for r in proj] == want, t
+            assert all(type(x) is int for r in proj for x in r)
 
     def test_broken_first_cone_solves_for_u_the_smith_way(self):
         fan, bad = f3_with_non_unimodular_cone()
@@ -272,7 +260,7 @@ class TestSmithOracles:
             with mock.patch.object(intlin, "solve_int", wraps=intlin.solve_int) as spy:
                 u = _binomial_character(d)
             assert spy.call_count == 0
-            want = intlin.solve_int(obj(d.P).T, d.trinomial.binomial_difference())
+            want = intlin.solve_int(obj(d.P).T, [0, *kernel_binomial(d)])
             assert u == want, t
 
 
@@ -327,7 +315,7 @@ class TestStructuralInvariants:
     def test_matrix_shapes(self):
         for fan, d in all_packages():
             n, r = fan.dim, fan.n_rays
-            width = len(d.u.all_pairs)
+            width = len(d.pairs)
             assert obj(d.P).shape == (n + 2, 1 + width)
             assert obj(d.Ptilde).shape == (n + 1, width)
             assert obj(d.psi).shape == (width, r)
@@ -395,7 +383,7 @@ class TestStructuralInvariants:
 class TestEtaMap:
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_golden_substitutions(self, n, alpha):
-        table = eta_map(hirzebruch_package(n, alpha))
+        table = eta_map(hirzebruch_package(n, alpha)[1])
         assert table["T1"] is None
         assert table["T(1,4)"] == {"S4": 1}
         assert table["T(2,1)"] == {"S1": 1}
@@ -407,15 +395,15 @@ class TestEtaMap:
         for _, d in all_packages():
             table = eta_map(d)
             rho = d.triple.rho
-            for k, i in d.u.all_pairs:
+            for k, i in d.pairs:
                 if i == rho:
                     continue
                 assert table[f"T({k},{i + 1})"] == {f"S{i + 1}": 1}
 
     def test_binomial_terms_have_equal_images(self):
         for _, d in all_packages():
-            _, t2 = d.trinomial.terms[1]
-            _, t3 = d.trinomial.terms[2]
+            _, t2 = d.terms[1]
+            _, t3 = d.terms[2]
             img2 = obj(d.nu) @ obj(list(t2)[1:])
             img3 = obj(d.nu) @ obj(list(t3)[1:])
             assert img2.tolist() == img3.tolist()
@@ -425,7 +413,7 @@ class TestCentralFiber:
     @pytest.mark.parametrize("n,alpha", GOLDEN_PARAMS)
     def test_golden_cases_verify(self, n, alpha):
         fan = hirzebruch(n)
-        report = verify_central_fiber(fan, hirzebruch_package(n, alpha))
+        report = verify_central_fiber(*hirzebruch_package(n, alpha))
         assert report["passes"], report
         assert set(report["checks"]) == {
             "cone_membership",
@@ -503,11 +491,10 @@ def lattice_corruptions(d):
     and b plus a proj row of P adds that row's unit vector to u, so
     iota(N) leaves L while det [m; proj] stays +-1.
     """
-    proj = [list(r) for r in d.splitting.proj]
+    proj = [list(r) for r in d.proj]
 
     def with_proj(rows):
-        split = dataclasses.replace(d.splitting, proj=tuple(map(tuple, rows)))
-        return dataclasses.replace(d, splitting=split)
+        return dataclasses.replace(d, proj=tuple(map(tuple, rows)))
 
     for i, j in itertools.product(range(len(proj)), range(len(proj[0]))):
         for delta in (-2, -1, 1, 2):
@@ -524,11 +511,10 @@ def lattice_corruptions(d):
             p[i][j] += delta
             yield "P_entry", dataclasses.replace(d, P=tuple(map(tuple, p)))
     yield "rotated", dataclasses.replace(d, ambient_cones=d.ambient_cones[1:] + d.ambient_cones[:1])
-    (c1, t1), (c2, t2), (c3, t3) = d.trinomial.terms
+    (c1, t1), (c2, t2), (c3, t3) = d.terms
 
     def with_term2(t):
-        trinomial = dataclasses.replace(d.trinomial, terms=((c1, t1), (c2, t), (c3, t3)))
-        return dataclasses.replace(d, trinomial=trinomial)
+        return dataclasses.replace(d, terms=((c1, t1), (c2, t), (c3, t3)))
 
     yield "binomial_zero", with_term2(t3)
     for row in d.P[2:-1]:
@@ -636,7 +622,8 @@ class TestRoundTripLemma:
         work = {"fm_systems": 0}
         bad = next((i for i, e in enumerate(escapes) if e), None)
         witness = None if bad is None else {"cone": 0, "functional": bad}
-        assert _roundtrip_check([x], work) == {"ok": bad is None, "witness": witness}
+        want = {"ok": bad is None, "witness": witness}
+        assert _roundtrip_check([x], work, _nonnegative([x])) == want
         assert work["fm_systems"] == 0
 
     @given(st.data())
@@ -687,7 +674,8 @@ class TestRoundtripCheck:
                 x[data.draw(st.integers(0, n + 1))][data.draw(st.integers(0, n - 1))] = -1
             coords.append(x)
         work, ref_work = {"fm_systems": 0}, {"fm_systems": 0}
-        assert _roundtrip_check(coords, work) == roundtrip_reference(coords, ref_work)
+        want = roundtrip_reference(coords, ref_work)
+        assert _roundtrip_check(coords, work, _nonnegative(coords)) == want
         assert work == ref_work
 
 
@@ -737,7 +725,7 @@ class TestCorruptedPackages:
 
 class TestAmbientFan:
     def test_hirzebruch_ambient_shape(self):
-        d = hirzebruch_package(2, 1)
+        _, d = hirzebruch_package(2, 1)
         af = ambient_fan(d)
         assert af.dim == 4
         assert af.n_rays == 6

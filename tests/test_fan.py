@@ -408,6 +408,30 @@ class TestConeInverses:
         f = Fan(dim=2, rays=((1, 0), (0, 1), (-1, 0)), max_cones=((0, 1), (0, 2), (1,)))
         assert f.cone_inverses == ((1, 1, [[1, 0], [0, 1]]), (0, 0, None), None)
 
+    def test_no_identity_without_a_cone_of_dim_rays(self, tmp_path, capsys):
+        # the identity of [V | I] is dim x dim; a fan with no cone of dim
+        # rays never needs it, so validating one costs nothing in dim^2
+        dim = 10**5
+        with mock.patch.object(intlin, "identity", side_effect=AssertionError("identity taken")):
+            f = Fan(dim=dim, rays=(), max_cones=())
+            assert validate(f) == {"smooth": True, "complete": False, "simplicial": True}
+            assert f.cone_inverses == ()
+        # fan check on the same fan: the Cox data of no rays takes a 0 x 0
+        # identity and no larger one
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": dim, "rays": [], "max_cones": []}))
+        real = intlin.identity
+
+        def small_identity(n):
+            assert n < dim, f"identity({n}) taken"
+            return real(n)
+
+        with mock.patch.object(intlin, "identity", side_effect=small_identity):
+            assert cli.main(["fan", "check", "--fan", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["validate"] == {"smooth": True, "complete": False, "simplicial": True}
+        assert results["cox"]["cl_rank"] == 0
+
 
 class TestRayAdjacency:
     def test_rays_sharing_a_cone(self):
@@ -472,12 +496,13 @@ class TestCoxData:
         data = cox_data(hirzebruch(2))
         assert data.irrelevant_components == ((2, 3), (0, 3), (0, 1), (1, 2))
 
-    def test_ray_map_columns(self):
+    def test_ray_matrix_columns(self):
         f = p2_fan()
-        p = cox_data(f).ray_map
+        p = f.ray_matrix()
         assert [len(row) for row in p] == [3, 3]
         for j, r in enumerate(f.rays):
             assert tuple(row[j] for row in p) == r
+        assert cox_data(f).n_rays == 3
 
     def test_rejects_non_smooth(self):
         f = Fan(
@@ -495,8 +520,8 @@ class TestCoxData:
         if f is None or not validate(f)["smooth"]:
             return
         data = cox_data(f)
-        # grading is cl_rank x r, ray_map.T is r x n
-        prod = np.array(data.grading_rows, dtype=object) @ np.array(data.ray_map, dtype=object).T
+        # grading is cl_rank x r, the ray matrix transposed is r x n
+        prod = np.array(data.grading_rows, dtype=object) @ np.array(f.ray_matrix(), dtype=object).T
         assert all(x == 0 for x in np.ravel(prod))
         assert data.cl_rank == f.n_rays - f.dim
         assert [len(row) for row in data.grading_rows] == [f.n_rays] * data.cl_rank

@@ -25,22 +25,15 @@ from toric_deform import intlin
 from toric_deform.deform import build_deformation, eta_map
 from toric_deform.fan import Fan, cox_data, hirzebruch, product, product_of_lines, projective_space
 from toric_deform.hypersurf import (
-    LiftProblem,
     lift_polynomial,
     parse_polynomial,
     render_terms,
     riemann_roch_points,
 )
 from toric_deform.scrolls import ScrollSpec, one_step, scroll_fan
-from toric_deform.triples import AdmissibleTriple, enumerate_triples
+from toric_deform.triples import enumerate_triples
 
-from helpers import lift_monomial, nu_deletion_determinants, obj
-
-
-def hirzebruch_package(n: int, alpha: int):
-    fan = hirzebruch(n)
-    t = AdmissibleTriple(m=(-alpha, -1), rho=1, component=(0,))
-    return fan, build_deformation(fan, t)
+from helpers import hirzebruch_package, lift_monomial, nu_deletion_determinants, obj
 
 
 def brute_points(fan: Fan, w, box: int):
@@ -283,21 +276,19 @@ class TestLiftPolynomial:
         with mock.patch.object(intlin, "free_cokernel", wraps=intlin.free_cokernel) as spy:
             pts = riemann_roch_points(fan, (9, 2))
             for monomials in ((), ((1, pts[0]),), tuple((1, p) for p in pts)):
-                lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(9, 2), monomials=monomials))
+                lift_polynomial(fan, d, (9, 2), monomials)
         assert spy.call_count == 1
 
     def test_single_monomial(self):
         fan, d = hirzebruch_package(2, 1)
-        res = lift_polynomial(
-            LiftProblem(fan=fan, deformation=d, w=(1, 1), monomials=((1, (1, 1, 0, 0)),))
-        )
+        res = lift_polynomial(fan, d, (1, 1), ((1, (1, 1, 0, 0)),))
         assert res.all_liftable
         assert res.lifted == ((1, (0, 0, 0, 1, 0)),)
         assert render_terms(res.lifted, d.column_labels[1:]) == "T(3,2)"
 
     def test_empty_polynomial(self):
         fan, d = hirzebruch_package(2, 1)
-        res = lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 1), monomials=()))
+        res = lift_polynomial(fan, d, (1, 1), ())
         assert res.all_liftable
         assert res.lifted == ()
 
@@ -307,9 +298,7 @@ class TestLiftPolynomial:
         fan, d = hirzebruch_package(n, alpha)
         pts = riemann_roch_points(fan, (a, b))
         monomials = tuple((k + 1, p) for k, p in enumerate(pts))
-        res = lift_polynomial(
-            LiftProblem(fan=fan, deformation=d, w=(a, b), monomials=monomials)
-        )
+        res = lift_polynomial(fan, d, (a, b), monomials)
         assert res.all_liftable
         assert [c for c, _ in res.lifted] == [k + 1 for k in range(len(pts))]
         for m in res.monomials:
@@ -322,7 +311,7 @@ class TestLiftPolynomial:
         fan, d = hirzebruch_package(3, 1)
         pts = riemann_roch_points(fan, (9, 2))
         assert len(pts) > 1
-        skip = d.u.all_pairs.index((3, d.triple.rho))
+        skip = d.pairs.index((3, d.triple.rho))
         square = np.delete(obj(d.nu), skip, axis=1)
         for monomials in (((1, pts[0]),), tuple((1, p) for p in pts)):
             with mock.patch.object(
@@ -330,9 +319,7 @@ class TestLiftPolynomial:
             ) as snf, mock.patch.object(
                 intlin, "unimodular_solve", wraps=intlin.unimodular_solve
             ) as elim:
-                lift_polynomial(
-                    LiftProblem(fan=fan, deformation=d, w=(9, 2), monomials=monomials)
-                )
+                lift_polynomial(fan, d, (9, 2), monomials)
             assert snf.call_count == 0
             assert elim.call_count == 1
             assert np.array_equal(obj(elim.call_args.args[0]), square)
@@ -344,30 +331,26 @@ class TestLiftPolynomial:
         fan, d = hirzebruch_package(2, 1)
         monomials = ((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (1, 0, 0, 0)), (1, (1, 0, 0)))
         with pytest.raises(ValueError, match=r"^monomial 1 has class \(0, 1\), expected \(1, 0\)$"):
-            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=monomials))
+            lift_polynomial(fan, d, (1, 0), monomials)
         # with monomial 1 mended the length error of monomial 3 comes next,
         # ahead of the negative entries of monomial 4
         mended = monomials[:1] + ((1, (1, 0, 0, 0)),) + monomials[2:] + ((1, (2, 0, -1, 0)),)
         with pytest.raises(ValueError, match=r"^monomial 3 has 3 exponents, expected 4$"):
-            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=mended))
+            lift_polynomial(fan, d, (1, 0), mended)
         # a negative entry ahead of a wrong class is reported first
         signs = ((1, (2, 0, -1, 0)), (1, (0, 1, 0, 0)))
         with pytest.raises(ValueError, match=r"^exponent vectors must be nonnegative$"):
-            lift_polynomial(LiftProblem(fan=fan, deformation=d, w=(1, 0), monomials=signs))
+            lift_polynomial(fan, d, (1, 0), signs)
 
     def test_class_length_checked(self):
         fan, d = hirzebruch_package(2, 1)
         for monomials in ((), ((1, (1, 0, 0, 0)),)):
             with pytest.raises(ValueError, match=r"^class has length 4, class group rank is 2$"):
-                lift_polynomial(
-                    LiftProblem(fan=fan, deformation=d, w=(1, 0, 0, 7), monomials=monomials)
-                )
+                lift_polynomial(fan, d, (1, 0, 0, 7), monomials)
 
     def test_unliftable_monomial_reported(self):
         fan, d = hirzebruch_package(2, 1)
-        res = lift_polynomial(
-            LiftProblem(fan=fan, deformation=d, w=(0, 1), monomials=((3, (0, 1, 0, 0)),))
-        )
+        res = lift_polynomial(fan, d, (0, 1), ((3, (0, 1, 0, 0)),))
         assert not res.all_liftable
         assert res.lifted is None
         assert res.first_failure == 0
@@ -375,28 +358,20 @@ class TestLiftPolynomial:
 
     def test_mixed_classes_rejected(self):
         fan, d = hirzebruch_package(2, 1)
-        problem = LiftProblem(
-            fan=fan,
-            deformation=d,
-            w=(1, 0),
-            monomials=((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))),
-        )
+        monomials = ((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)))
         with pytest.raises(ValueError, match="has class"):
-            lift_polynomial(problem)
+            lift_polynomial(fan, d, (1, 0), monomials)
 
     def test_wrong_exponent_length_rejected(self):
         fan, d = hirzebruch_package(2, 1)
-        problem = LiftProblem(
-            fan=fan, deformation=d, w=(1, 0), monomials=((1, (1, 0, 0)),)
-        )
         with pytest.raises(ValueError, match="exponents"):
-            lift_polynomial(problem)
+            lift_polynomial(fan, d, (1, 0), ((1, (1, 0, 0)),))
 
 
 class TestHilbertBasis:
     def test_golden_determinants(self):
         _, d = hirzebruch_package(2, 1)
-        pairs = d.u.all_pairs
+        pairs = d.pairs
         sub2 = np.delete(obj(d.nu), pairs.index((2, 1)), axis=1)
         assert sub2.tolist() == [
             [0, 1, 1, 0],

@@ -185,7 +185,7 @@ class TestOneStep:
             "U2": {d.column_of((2, 0)): dprime, d.column_of((2, rho)): 1},
             "U3": {d.column_of((3, 1)): gap - dprime, d.column_of((3, rho)): 1},
         }
-        for term, want in zip(d.trinomial.terms, expected.values()):
+        for term, want in zip(d.terms, expected.values()):
             _, exps = term
             assert {k: e for k, e in enumerate(exps) if e} == want
 
